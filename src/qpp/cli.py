@@ -30,6 +30,7 @@ from pathlib import Path
 
 from . import __version__, hilbert, nchv, prepost, scenario
 from .constructions import (
+    DELTA_PAIR,
     DegenerateConfigurationError,
     cabello_scenario,
     hardy_scenario,
@@ -176,33 +177,28 @@ def _trace_details(trace: nchv.ContradictionTrace) -> list[dict]:
     ]
 
 
-def _context_entry_deviation(s: PrePostScenario, members) -> float:
-    pm = s.projector_map()
-    ops = [pm[m].operator for m in members]
-    dev = hilbert.identity_deviation(ops)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            dev = max(dev, hilbert.exclusivity_deviation(ops[i], ops[j]))
-    return dev
-
-
 def _scenario_battery(
     s: PrePostScenario, tol_check: float, numeric_tol: float
 ) -> tuple[list[Check], dict]:
-    """Checks shared by the verify targets, plus their detail entries."""
+    """Checks shared by the verify targets, plus their detail entries.
+
+    The resolution and exclusivity deviations are read from the
+    validation report and re-judged at the target's pinned tolerance.
+    """
     checks: list[Check] = []
     vreport = scenario.validate(s, tol_check)
     checks.append(Check("scenario_valid", True, vreport.passed, None, vreport.passed))
 
-    for i, ctx in enumerate(s.contexts):
-        dev = _context_entry_deviation(s, ctx.members)
+    measured = {c.name: c.deviation for c in vreport.checks}
+    for i in range(len(s.contexts)):
+        dev = measured[f"context_resolution[{i}]"]
         checks.append(
             Check(f"resolution_of_identity[{i}]", 0.0, dev, dev, dev < numeric_tol)
         )
 
-    pm = s.projector_map()
-    overlap = abs(hilbert.inner(pm["delta+"].state, pm["delta-"].state))
-    checks.append(Check("delta_pair_exclusive", 0.0, overlap, overlap, overlap < numeric_tol))
+    a, b = DELTA_PAIR
+    dev = measured[f"exclusive_pair[{a},{b}]"]
+    checks.append(Check("delta_pair_exclusive", 0.0, dev, dev, dev < numeric_tol))
 
     forced = prepost.forced_values(s, tol_check)
     actual_forced = _forced_string(forced)
@@ -282,11 +278,10 @@ def _cmd_verify_hardy(args, tol_check: float) -> int:
             )
 
     if args.optimal:
-        err = _check_search_args(args.grid, args.refine_tol, args.threads)
-        if err:
-            return _fail(err, EXIT_VALIDATION)
         try:
-            result = maximize_hardy(args.grid, args.refine_tol, args.threads)
+            result = maximize_hardy(args.grid, args.refine_tol)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_VALIDATION)
         except ConvergenceError as exc:
             return _fail(str(exc), EXIT_NUMERIC)
         params = dict(result.parameters)
@@ -378,30 +373,14 @@ def _cmd_check(args, tol_check: float) -> int:
     return EXIT_OK
 
 
-def _check_search_args(grid: int, refine_tol: float, threads: int) -> str | None:
-    if grid < 16:
-        return f"--grid must be at least 16, got {grid}"
-    if not refine_tol > 0.0:
-        return f"--refine-tol must be positive, got {refine_tol!r}"
-    if threads < 1:
-        return f"--threads must be at least 1, got {threads}"
-    return None
-
-
 def _cmd_optimize(args) -> int:
-    err = _check_search_args(args.grid, args.refine_tol, args.threads)
-    if err is None and args.target == "cabello-family" and not args.exclusivity_tol > 0.0:
-        err = f"--exclusivity-tol must be positive, got {args.exclusivity_tol!r}"
-    if err:
-        return _fail(err, EXIT_VALIDATION)
-
     try:
         if args.target == "hardy":
-            result = maximize_hardy(args.grid, args.refine_tol, args.threads)
+            result = maximize_hardy(args.grid, args.refine_tol)
         else:
-            result = maximize_cabello_family(
-                args.grid, args.refine_tol, args.exclusivity_tol, args.threads
-            )
+            result = maximize_cabello_family(args.grid, args.refine_tol, args.exclusivity_tol)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     except ConvergenceError as exc:
         return _fail(str(exc), EXIT_NUMERIC)
 
@@ -443,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vh.add_argument("--grid", type=int, default=64, help="initial grid resolution (default 64)")
     vh.add_argument("--refine-tol", type=float, default=1e-9,
                     help="refinement tolerance (default 1e-9)")
-    vh.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     vh.add_argument("--json", action="store_true", help="emit the report as JSON")
     vh.add_argument("--export", metavar="PATH", help="also write the scenario file")
 
@@ -461,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="refinement tolerance (default 1e-9)")
     opt.add_argument("--exclusivity-tol", type=float, default=1e-9,
                      help="feasibility tolerance for the family search (default 1e-9)")
-    opt.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     opt.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     return parser

@@ -1,17 +1,18 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Vectors and operators are immutable wrappers around complex128 numpy
-arrays.  Every dimension used in practice is 2, 4, or 8, so all storage
-is dense and every check is exact to double precision.
+States are immutable wrappers around complex128 numpy arrays.  Every
+proposition in the package is a rank-1 projector |v><v|, so each
+projector relation is computed from the unit vector v alone: certain
+values from the overlap <v|s>, pair exclusivity from |<a|b>| (the
+spectral norm of the product of the two projectors), and resolutions of
+identity from the spectral norm of V V^† - I.  Every dimension used in
+practice is at most 8, so all storage is dense.
 
 Two tolerance regimes are used throughout the package:
 
 * ``TOL_NORM`` (1e-12) guards objects the package constructs itself.
 * ``TOL_CHECK`` (1e-9) is the default for data supplied by callers or
   loaded from files.
-
-All operations here are pure functions on immutable values and are safe
-to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -24,17 +25,10 @@ __all__ = [
     "Amplitude",
     "DegenerateSpanError",
     "StateVector",
-    "Operator",
-    "identity",
     "tensor",
     "inner",
-    "projector",
-    "apply",
     "certain_value",
-    "are_exclusive",
-    "exclusivity_deviation",
-    "identity_deviation",
-    "is_resolution_of_identity",
+    "context_deviation",
     "orthocomplement_state",
 ]
 
@@ -104,56 +98,6 @@ class StateVector:
         return f"StateVector({self._amps.tolist()!r})"
 
 
-class Operator:
-    """Square complex matrix acting on a small Hilbert space.
-
-    The constructor only enforces shape and finiteness; whether the
-    operator is Hermitian or idempotent is a question answered by the
-    predicates below, each within a caller-chosen tolerance.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must form a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        arr.setflags(write=False)
-        self._entries = arr
-
-    @property
-    def dim(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Read-only complex128 matrix."""
-        return self._entries
-
-    def is_hermitian(self, tol: float = TOL_CHECK) -> bool:
-        return float(np.max(np.abs(self._entries - self._entries.conj().T))) < tol
-
-    def is_idempotent(self, tol: float = TOL_CHECK) -> bool:
-        return float(np.max(np.abs(self._entries @ self._entries - self._entries))) < tol
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return bool(np.array_equal(self._entries, other._entries))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.dim})"
-
-
-def identity(dim: int) -> Operator:
-    """The identity operator on a dim-dimensional space."""
-    return Operator(np.eye(dim, dtype=np.complex128))
-
-
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Tensor product of two states.
 
@@ -171,83 +115,46 @@ def inner(u: StateVector, v: StateVector) -> Amplitude:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def projector(u: StateVector) -> Operator:
-    """Rank-1 projector |u><u| onto the given unit vector."""
-    return Operator(np.outer(u.amps, u.amps.conj()))
+def certain_value(v: StateVector, s: StateVector, tol: float = TOL_CHECK) -> int | None:
+    """Definite 0/1 outcome of measuring the projector |v><v| on state s, if any.
 
-
-def apply(P: Operator, v: StateVector) -> np.ndarray:
-    """Matrix-vector product P|v> as a raw, possibly unnormalized array."""
-    if P.dim != v.dim:
-        raise ValueError(f"dimension mismatch: operator dim {P.dim}, state dim {v.dim}")
-    return P.entries @ v.amps
-
-
-def certain_value(P: Operator, s: StateVector, tol: float = TOL_CHECK) -> int | None:
-    """Definite 0/1 outcome of measuring projector P on state s, if any.
-
-    Returns 0 when P annihilates s (||P s|| < tol), 1 when s is an
-    eigenvalue-1 eigenstate (||P s - s|| < tol), and None otherwise.
+    With the overlap a = <v|s>, returns 0 when |a| < tol (the projector
+    annihilates s), 1 when the residual ||a v - s|| < tol (s is an
+    eigenvalue-1 eigenstate), and None otherwise.  The residual is
+    computed directly: sqrt(1 - |a|^2) loses about half the digits to
+    cancellation and would miss value 1 at tol 1e-9.
 
     Raises:
-        ValueError: dimension mismatch, or P is not a projector
-            (Hermitian and idempotent) within tolerance.
+        ValueError: dimension mismatch.
     """
-    if P.dim != s.dim:
-        raise ValueError(f"dimension mismatch: operator dim {P.dim}, state dim {s.dim}")
-    ptol = max(tol, TOL_NORM)
-    if not (P.is_hermitian(ptol) and P.is_idempotent(ptol)):
-        raise ValueError("operator is not a projector within tolerance")
-    image = P.entries @ s.amps
-    if float(np.linalg.norm(image)) < tol:
+    a = inner(v, s)
+    if abs(a) < tol:
         return 0
-    if float(np.linalg.norm(image - s.amps)) < tol:
+    if float(np.linalg.norm(a * v.amps - s.amps)) < tol:
         return 1
     return None
 
 
-def exclusivity_deviation(P: Operator, Q: Operator) -> float:
-    """Largest entry magnitude of P Q; zero means mutually exclusive."""
-    if P.dim != Q.dim:
-        raise ValueError(f"dimension mismatch: {P.dim} != {Q.dim}")
-    return float(np.max(np.abs(P.entries @ Q.entries)))
+def context_deviation(states: list[StateVector]) -> float:
+    """Spectral distance ||sum_i |v_i><v_i| - I||_2 of a context from the identity.
 
-
-def are_exclusive(P: Operator, Q: Operator, tol: float = TOL_CHECK) -> bool:
-    """True when every entry of P Q has magnitude below tol."""
-    return exclusivity_deviation(P, Q) < tol
-
-
-def identity_deviation(ops: list[Operator]) -> float:
-    """Largest entry magnitude of (sum of ops) - I."""
-    if not ops:
-        raise ValueError("empty operator list")
-    dim = ops[0].dim
-    for op in ops:
-        if op.dim != dim:
-            raise ValueError(f"dimension mismatch: {op.dim} != {dim}")
-    total = sum(op.entries for op in ops) - np.eye(dim, dtype=np.complex128)
-    return float(np.max(np.abs(total)))
-
-
-def is_resolution_of_identity(ops: list[Operator], tol: float = TOL_CHECK) -> bool:
-    """True when the operators sum to I and are pairwise exclusive.
-
-    Both conditions are entrywise: the largest entry magnitude of
-    (sum - I) must stay below tol, and so must every pairwise product.
+    Zero exactly when the states form an orthonormal basis; a missing
+    member reads as 1.  With V the matrix of column vectors, V V^† and
+    V^† V share their nonzero eigenvalues, so for unit vectors a
+    deviation eps < 1/dim forces len(states) == dim and
+    |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
 
     Raises:
         ValueError: empty list or mixed dimensions.
     """
-    if not ops:
-        raise ValueError("empty operator list")
-    if identity_deviation(ops) >= tol:
-        return False
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if exclusivity_deviation(ops[i], ops[j]) >= tol:
-                return False
-    return True
+    if not states:
+        raise ValueError("empty state list")
+    dim = states[0].dim
+    for s in states:
+        if s.dim != dim:
+            raise ValueError(f"dimension mismatch: {s.dim} != {dim}")
+    v = np.array([s.amps for s in states]).T
+    return float(np.linalg.norm(v @ v.conj().T - np.eye(dim), 2))
 
 
 def orthocomplement_state(states: list[StateVector], tol: float = TOL_CHECK) -> StateVector:

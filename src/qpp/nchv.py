@@ -127,10 +127,14 @@ def enumerate_assignments(
 
     Raises:
         EnumerationLimitError: more than MAX_EXHAUSTIVE_PROJECTORS labels.
-        ValueError: forced values or constraints reference unknown
-            labels, or forced values conflict with each other.
+        ValueError: duplicate projector labels, forced values or
+            constraints that reference unknown labels, or forced values
+            that conflict with each other.
     """
-    labels = sorted(s.projector_map())
+    labels = sorted(s.labels())
+    for a, b in zip(labels, labels[1:]):
+        if a == b:
+            raise ValueError(f"duplicate projector label {a!r}")
     n = len(labels)
     if n > MAX_EXHAUSTIVE_PROJECTORS:
         raise EnumerationLimitError(

@@ -6,14 +6,13 @@ parameter box followed by local refinement: around the incumbent, a
 lattice diameter drops below the refinement tolerance.  The incumbent
 never regresses, so per-iteration best values are monotone
 nondecreasing.  Ties prefer the lexicographically smallest parameter
-point, making results deterministic for any thread count.
+point, making results deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,15 @@ __all__ = [
 DEFAULT_EXCLUSIVITY_TOL = 1e-9
 MAX_REFINE_ITERATIONS = 60
 
+# feasibility_root: interior sweep points, finite-difference step of the
+# slope, and the bracket width at which bisection stops.
+_ROOT_SWEEP_POINTS = 129
+_ROOT_FD_STEP = 1e-6
+_ROOT_WIDTH_TOL = 1e-12
+
 
 class ConvergenceError(RuntimeError):
-    """Refinement failed to reach the requested tolerance."""
+    """A search or root bracketing failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class OptimizationResult:
     exclusivity_tol: float | None = None
 
 
-def _grid_refine(f, lows, highs, grid, refine_tol, threads=1, max_iterations=MAX_REFINE_ITERATIONS):
+def _grid_refine(f, lows, highs, grid, refine_tol):
     """Shared search engine; returns (best_point, best_value, evals, history).
 
     history holds the best value after the initial scan and after each
@@ -65,18 +70,12 @@ def _grid_refine(f, lows, highs, grid, refine_tol, threads=1, max_iterations=MAX
     ndim = len(lows)
     spans = [hi - lo for lo, hi in zip(lows, highs)]
 
-    def evaluate(points):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(f, points))
-        return [f(pt) for pt in points]
-
     axes = [
         [lows[d] + (i + 0.5) * spans[d] / grid for i in range(grid)]
         for d in range(ndim)
     ]
     points = [tuple(pt) for pt in itertools.product(*axes)]
-    values = evaluate(points)
+    values = [f(pt) for pt in points]
     evals = len(points)
     best_point, best_value = points[0], values[0]
     for pt, v in zip(points[1:], values[1:]):
@@ -88,10 +87,10 @@ def _grid_refine(f, lows, highs, grid, refine_tol, threads=1, max_iterations=MAX
     iterations = 0
     while 2.0 * max(half_widths) >= refine_tol:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_REFINE_ITERATIONS:
             raise ConvergenceError(
                 f"refinement did not reach tolerance {refine_tol!r} "
-                f"within {max_iterations} iterations"
+                f"within {MAX_REFINE_ITERATIONS} iterations"
             )
         axes = []
         for d in range(ndim):
@@ -99,7 +98,7 @@ def _grid_refine(f, lows, highs, grid, refine_tol, threads=1, max_iterations=MAX
             hi = min(best_point[d] + half_widths[d], np.nextafter(highs[d], lows[d]))
             axes.append(np.linspace(lo, hi, 9).tolist())
         points = [tuple(pt) for pt in itertools.product(*axes)]
-        values = evaluate(points)
+        values = [f(pt) for pt in points]
         evals += len(points)
         for pt, v in zip(points, values):
             if v > best_value or (v == best_value and pt < best_point):
@@ -110,24 +109,20 @@ def _grid_refine(f, lows, highs, grid, refine_tol, threads=1, max_iterations=MAX
     return best_point, best_value, evals, history
 
 
-def _check_search_args(grid: int, refine_tol: float, threads: int) -> None:
+def _check_search_args(grid: int, refine_tol: float) -> None:
     if grid < 16:
         raise ValueError(f"grid must be at least 16, got {grid}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-def maximize_hardy(
-    grid: int = 64, refine_tol: float = 1e-9, threads: int = 1
-) -> OptimizationResult:
+def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
     """Maximize the Hardy selection probability over both angles.
 
     Degenerate angle pairs score 0 so the search stays inside the open
     box (0, pi/2)^2 without special casing.
     """
-    _check_search_args(grid, refine_tol, threads)
+    _check_search_args(grid, refine_tol)
 
     def objective(pt):
         theta_a, theta_b = pt
@@ -138,7 +133,7 @@ def maximize_hardy(
 
     half_pi = math.pi / 2.0
     point, value, evals, _ = _grid_refine(
-        objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol, threads
+        objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
     )
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
@@ -149,12 +144,7 @@ def maximize_hardy(
     )
 
 
-def feasibility_root(
-    c: float,
-    n_sweep: int = 129,
-    fd_step: float = 1e-6,
-    width_tol: float = 1e-12,
-) -> tuple[float, float]:
+def feasibility_root(c: float) -> tuple[float, float]:
     """The p minimizing the family's delta overlap at fixed c.
 
     Sweeps p over an interior lattice, brackets the minimum of the
@@ -162,6 +152,11 @@ def feasibility_root(
     slope.  Returns (p, delta_overlap(c, p)).  The overlap at the
     returned p is the feasibility defect: zero (to tolerance) exactly
     when some family member at this c forms a valid scenario.
+
+    Raises:
+        ValueError: c outside (0, 1).
+        ConvergenceError: no bracket with a slope sign change was found,
+            so the sweep minimum is not known to be a true minimum.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
@@ -169,15 +164,15 @@ def feasibility_root(
     def d2(p):
         return family_delta_overlap(c, p) ** 2
 
-    ps = np.linspace(0.0, 1.0, n_sweep + 2)[1:-1]
+    ps = np.linspace(0.0, 1.0, _ROOT_SWEEP_POINTS + 2)[1:-1]
     vals = d2(ps)
     i = int(np.argmin(vals))
     lo = ps[i - 1] if i > 0 else ps[i] / 2.0
     hi = ps[i + 1] if i < len(ps) - 1 else (ps[i] + 1.0) / 2.0
 
     def slope(p):
-        lo_p = max(p - fd_step, p / 2.0)
-        hi_p = min(p + fd_step, (p + 1.0) / 2.0)
+        lo_p = max(p - _ROOT_FD_STEP, p / 2.0)
+        hi_p = min(p + _ROOT_FD_STEP, (p + 1.0) / 2.0)
         return (d2(hi_p) - d2(lo_p)) / (hi_p - lo_p)
 
     g_lo, g_hi = slope(lo), slope(hi)
@@ -191,10 +186,11 @@ def feasibility_root(
             hi = (hi + 1.0) / 2.0
             g_hi = slope(hi)
     else:
-        p = float(ps[i])
-        return p, float(family_delta_overlap(c, p))
+        raise ConvergenceError(
+            f"feasibility_root: no bracket of the overlap minimum found at c={c!r}"
+        )
 
-    while hi - lo > width_tol:
+    while hi - lo > _ROOT_WIDTH_TOL:
         mid = 0.5 * (lo + hi)
         if slope(mid) > 0.0:
             hi = mid
@@ -208,7 +204,6 @@ def maximize_cabello_family(
     grid: int = 64,
     refine_tol: float = 1e-9,
     exclusivity_tol: float = DEFAULT_EXCLUSIVITY_TOL,
-    threads: int = 1,
 ) -> OptimizationResult:
     """Maximize the selection probability over feasible family members.
 
@@ -217,7 +212,7 @@ def maximize_cabello_family(
     feasibility_root finds a delta overlap below exclusivity_tol and 0
     otherwise.  The reported p is the root at the winning c.
     """
-    _check_search_args(grid, refine_tol, threads)
+    _check_search_args(grid, refine_tol)
     if not exclusivity_tol > 0.0:
         raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
 
@@ -226,9 +221,7 @@ def maximize_cabello_family(
         _, overlap = feasibility_root(c)
         return c * c if overlap < exclusivity_tol else 0.0
 
-    point, value, evals, _ = _grid_refine(
-        objective, (0.0,), (1.0,), grid, refine_tol, threads
-    )
+    point, value, evals, _ = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     c = point[0]
     p, overlap = feasibility_root(c)
     if not value > 0.0:

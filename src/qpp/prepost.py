@@ -14,8 +14,6 @@ from . import hilbert
 from .hilbert import TOL_CHECK
 from .scenario import PREDICTION, RETRODICTION, ForcedValue, PrePostScenario
 
-import numpy as np
-
 __all__ = [
     "SelectionInconsistencyError",
     "ABLUndefinedError",
@@ -49,8 +47,8 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     """
     out: list[ForcedValue] = []
     for p in sorted(s.projectors, key=lambda lp: lp.label):
-        vp = hilbert.certain_value(p.operator, s.pre, tol)
-        vr = hilbert.certain_value(p.operator, s.post, tol)
+        vp = hilbert.certain_value(p.state, s.pre, tol)
+        vr = hilbert.certain_value(p.state, s.post, tol)
         if vp is not None and vr is not None and vp != vr:
             raise SelectionInconsistencyError(
                 f"projector {p.label!r}: prediction gives {vp} but retrodiction gives {vr}"
@@ -66,7 +64,8 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     """Probability of outcome 1 for an intermediate measurement of one projector.
 
     Computed as N1 / (N1 + N0) with N1 = |<post|P|pre>|^2 and
-    N0 = |<post|(I - P)|pre>|^2.
+    N0 = |<post|(I - P)|pre>|^2, where P = |v><v| gives
+    <post|P|pre> = <post|v><v|pre>.
 
     Raises:
         ValueError: unknown label.
@@ -76,8 +75,8 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     pm = s.projector_map()
     if label not in pm:
         raise ValueError(f"unknown projector label {label!r}")
-    op = pm[label].operator
-    amp1 = complex(np.vdot(s.post.amps, hilbert.apply(op, s.pre)))
+    v = pm[label].state
+    amp1 = hilbert.inner(s.post, v) * hilbert.inner(v, s.pre)
     amp_total = hilbert.inner(s.post, s.pre)
     n1 = abs(amp1) ** 2
     n0 = abs(amp_total - amp1) ** 2

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import hilbert
-from .hilbert import TOL_CHECK, Operator, StateVector
+from .hilbert import TOL_CHECK, StateVector
 
 __all__ = [
     "PREDICTION",
@@ -67,11 +66,6 @@ class LabeledProjector:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("projector label must be a nonempty string")
-
-    @cached_property
-    def operator(self) -> Operator:
-        """The projector |state><state|, derived on first access."""
-        return hilbert.projector(self.state)
 
 
 @dataclass(frozen=True)
@@ -206,28 +200,18 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _context_deviation(ops: list[Operator]) -> float:
-    """Spectral distance of sum(ops) from I, combined with pairwise |PQ|.
-
-    The spectral norm makes a missing rank-1 member read as deviation 1.
-    """
-    dim = ops[0].dim
-    gap = sum(op.entries for op in ops) - np.eye(dim, dtype=np.complex128)
-    dev = float(np.linalg.norm(gap, 2))
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            dev = max(dev, hilbert.exclusivity_deviation(ops[i], ops[j]))
-    return dev
-
-
 def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationReport:
     """Measure every scenario invariant and report pass/fail per check.
 
     Checks, in order: label uniqueness, label resolution (contexts and
     exclusive pairs), state normalization, postselection possibility,
     one resolution-of-identity entry per context, and one exclusivity
-    entry per declared pair.  Dangling labels make the affected entries
-    fail; nothing here raises on bad content.
+    entry per declared pair.  Both relations use the spectral norm: a
+    context's deviation is :func:`hilbert.context_deviation`, which also
+    bounds every pairwise overlap inside the context, and a pair's is
+    |<a|b>|, the spectral norm of the product of its projectors.
+    Dangling labels make the affected entries fail; nothing here raises
+    on bad content.
     """
     checks: list[CheckResult] = []
 
@@ -285,7 +269,7 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
         if missing:
             checks.append(CheckResult(name, False, None, f"dangling: {', '.join(missing)}"))
             continue
-        dev = _context_deviation([pm[m].operator for m in ctx.members])
+        dev = hilbert.context_deviation([pm[m].state for m in ctx.members])
         checks.append(CheckResult(name, dev < tol_check, dev, ", ".join(ctx.members)))
 
     for a, b in s.exclusive_pairs:
@@ -293,7 +277,7 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
         if a not in pm or b not in pm:
             checks.append(CheckResult(name, False, None, "dangling label"))
             continue
-        dev = hilbert.exclusivity_deviation(pm[a].operator, pm[b].operator)
+        dev = abs(hilbert.inner(pm[a].state, pm[b].state))
         checks.append(CheckResult(name, dev < tol_check, dev, ""))
 
     return ValidationReport(tuple(checks))

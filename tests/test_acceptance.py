@@ -16,13 +16,13 @@ from qpp import (
     UNSAT,
     cabello_scenario,
     abl_probability,
+    context_deviation,
     contradiction_trace,
     enumerate_assignments,
     feasibility_root,
     forced_values,
     hardy_scenario,
     inner,
-    is_resolution_of_identity,
     load,
     maximize_cabello_family,
     maximize_hardy,
@@ -45,9 +45,9 @@ def criterion(number, description):
     print(f"PASS criterion {number}: {description}")
 
 
-def context_operators(s, members):
+def context_states(s, members):
     pm = s.projector_map()
-    return [pm[m].operator for m in members]
+    return [pm[m].state for m in members]
 
 
 def test_criterion_01_selection_probability_is_one_ninth():
@@ -60,7 +60,7 @@ def test_criterion_02_contexts_resolve_identity_and_deltas_exclude():
     with criterion(2, "both contexts resolve identity; delta pair exclusive"):
         s = cabello_scenario()
         for ctx in s.contexts:
-            assert is_resolution_of_identity(context_operators(s, ctx.members), tol=1e-12)
+            assert context_deviation(context_states(s, ctx.members)) < 1e-12
         pm = s.projector_map()
         assert abs(inner(pm["delta+"].state, pm["delta-"].state)) < 1e-12
 
@@ -129,7 +129,7 @@ def test_criterion_08_random_hardy_scenarios_reproduce_the_argument():
             ta, tb = rng.uniform(0.15, math.pi / 2.0 - 0.15, 2)
             s = hardy_scenario(ta, tb)
             for ctx in s.contexts:
-                assert is_resolution_of_identity(context_operators(s, ctx.members), tol=1e-9)
+                assert context_deviation(context_states(s, ctx.members)) < 1e-9
             forced = forced_values(s)
             assert [f.bit for f in forced] == [0, 0, 0, 0, 0]
             assert len(forced) == 5

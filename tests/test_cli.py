@@ -198,7 +198,6 @@ class TestOptimize:
     def test_argument_validation(self, capsys):
         assert main(["optimize", "hardy", "--grid", "8"]) == 2
         assert main(["optimize", "hardy", "--refine-tol", "0"]) == 2
-        assert main(["optimize", "hardy", "--threads", "0"]) == 2
         assert main(["optimize", "cabello-family", "--exclusivity-tol", "0"]) == 2
 
     def test_hardy_json(self, capsys):

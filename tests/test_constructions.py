@@ -11,19 +11,23 @@ from qpp import (
     DegenerateConfigurationError,
     cabello_family,
     cabello_scenario,
+    context_deviation,
     family_delta_overlap,
     hardy_scenario,
     inner,
-    is_resolution_of_identity,
     selection_probability,
     single_qubit_scenario,
     validate,
 )
 
 
-def context_operators(s, members):
+def context_states(s, members):
     pm = s.projector_map()
-    return [pm[m].operator for m in members]
+    return [pm[m].state for m in members]
+
+
+def dense_projector(v):
+    return np.outer(v.amps, v.amps.conj())
 
 
 class TestCabelloScenario:
@@ -58,7 +62,7 @@ class TestCabelloScenario:
     def test_contexts_resolve_identity(self):
         s = cabello_scenario()
         for ctx in s.contexts:
-            assert is_resolution_of_identity(context_operators(s, ctx.members), tol=1e-12)
+            assert context_deviation(context_states(s, ctx.members)) < 1e-12
 
     def test_delta_pair_exclusive(self):
         s = cabello_scenario()
@@ -84,7 +88,7 @@ class TestCabelloFamily:
         ref = cabello_scenario().projector_map()
         fam = cand.scenario.projector_map()
         for lab in ref:
-            gap = np.max(np.abs(ref[lab].operator.entries - fam[lab].operator.entries))
+            gap = np.max(np.abs(dense_projector(ref[lab].state) - dense_projector(fam[lab].state)))
             assert gap < 1e-13, lab
 
     def test_selection_probability_is_c_squared(self):
@@ -102,7 +106,7 @@ class TestCabelloFamily:
             c, p = rng.uniform(0.05, 0.95, 2)
             s = cabello_family(c, p).scenario
             for ctx in s.contexts:
-                assert is_resolution_of_identity(context_operators(s, ctx.members), tol=1e-9)
+                assert context_deviation(context_states(s, ctx.members)) < 1e-9
 
     def test_fast_overlap_matches_construction(self):
         rng = np.random.default_rng(27)

@@ -134,6 +134,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="ghost"):
             enumerate_assignments(dangling, ())
 
+    def test_duplicate_labels_rejected(self):
+        s = cabello_scenario()
+        extra = LabeledProjector("alpha", StateVector([1.0, 0.0, 0.0, 0.0]))
+        dup = PrePostScenario(
+            dim=4, pre=s.pre, post=s.post,
+            projectors=s.projectors + (extra,), contexts=s.contexts,
+            exclusive_pairs=s.exclusive_pairs,
+        )
+        with pytest.raises(ValueError, match="duplicate projector label 'alpha'"):
+            enumerate_assignments(dup, ())
+
     def test_deterministic(self):
         s = cabello_scenario()
         a = enumerate_assignments(s, forced_values(s))

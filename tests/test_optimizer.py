@@ -14,6 +14,7 @@ from qpp import (
     maximize_hardy,
     selection_probability,
 )
+from qpp import optimizer
 from qpp.optimizer import _grid_refine
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
@@ -64,20 +65,11 @@ class TestMaximizeHardy:
         assert result.refine_tolerance == 1e-9
         assert result.exclusivity_tol is None
 
-    def test_threads_do_not_change_the_result(self):
-        one = maximize_hardy(grid=16)
-        two = maximize_hardy(grid=16, threads=2)
-        assert one.parameters == two.parameters
-        assert one.objective == two.objective
-        assert one.evaluations == two.evaluations
-
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
             maximize_hardy(grid=15)
         with pytest.raises(ValueError, match="refine_tol"):
             maximize_hardy(refine_tol=0.0)
-        with pytest.raises(ValueError, match="threads"):
-            maximize_hardy(threads=0)
 
 
 class TestFeasibilityRoot:
@@ -109,6 +101,12 @@ class TestFeasibilityRoot:
         for c in (0.1, 0.25, 0.32):
             p, overlap = feasibility_root(c)
             assert cabello_family(c, p).delta_overlap == pytest.approx(overlap, abs=1e-12)
+
+    def test_unbracketed_minimum_is_reported(self, monkeypatch):
+        """An overlap with no interior minimum cannot be bracketed."""
+        monkeypatch.setattr(optimizer, "family_delta_overlap", lambda c, p: p)
+        with pytest.raises(ConvergenceError, match="bracket"):
+            feasibility_root(0.25)
 
     def test_infeasible_defect_grows_linearly_near_boundary(self):
         """Just above the feasibility edge the defect rises with slope 9/4."""

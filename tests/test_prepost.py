@@ -15,7 +15,6 @@ from qpp import (
     SelectionInconsistencyError,
     StateVector,
     abl_probability,
-    apply,
     cabello_scenario,
     forced_values,
     hardy_scenario,
@@ -64,11 +63,11 @@ class TestForcedValues:
         s = cabello_scenario()
         pm = s.projector_map()
         for f in forced_values(s):
-            op = pm[f.label].operator
+            v = pm[f.label].state
             if f.justification == PREDICTION:
-                assert np.linalg.norm(apply(op, s.pre)) < 1e-12
+                assert abs(inner(v, s.pre)) < 1e-12
             else:
-                assert np.linalg.norm(apply(op, s.post)) < 1e-12
+                assert abs(inner(v, s.post)) < 1e-12
 
     def test_prediction_takes_precedence(self):
         """A projector forced by both selections reports prediction."""

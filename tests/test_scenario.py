@@ -39,11 +39,6 @@ def tiny_scenario(post=None):
 
 
 class TestModel:
-    def test_labeled_projector_operator_is_cached(self):
-        p = LabeledProjector("x", StateVector([1.0, 0.0]))
-        assert p.operator is p.operator
-        assert p.operator.is_idempotent()
-
     def test_labeled_projector_rejects_empty_label(self):
         with pytest.raises(ValueError):
             LabeledProjector("", StateVector([1.0, 0.0]))
