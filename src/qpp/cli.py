@@ -461,8 +461,8 @@ def main(argv=None) -> int:
             tol_check = float(env)
         except ValueError:
             return _fail(f"invalid QPP_TOL value {env!r}", EXIT_VALIDATION)
-        if not tol_check > 0.0:
-            return _fail(f"QPP_TOL must be positive, got {env!r}", EXIT_VALIDATION)
+        if not 0.0 < tol_check < math.inf:
+            return _fail(f"QPP_TOL must be positive and finite, got {env!r}", EXIT_VALIDATION)
 
     if args.command == "verify":
         if args.target == "cabello":

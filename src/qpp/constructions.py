@@ -9,9 +9,10 @@ Three families are provided:
 * :func:`cabello_family` / :func:`family_delta_overlap`: a two-parameter
   deformation of the same construction, used to show the original sits
   at the optimum of its family.
-* :func:`hardy_scenario`: the two-qubit Hardy construction parameterized
-  by two polar angles, plus :func:`single_qubit_scenario` for random
-  contradiction-free baselines.
+* :func:`hardy_scenario` / :func:`hardy_probability`: the two-qubit
+  Hardy construction parameterized by two polar angles and its
+  selection probability in closed form, plus
+  :func:`single_qubit_scenario` for random contradiction-free baselines.
 
 All states are written in the product basis ordered A (x) B, A (x) B_perp,
 A_perp (x) B, A_perp (x) B_perp.
@@ -37,6 +38,7 @@ __all__ = [
     "cabello_scenario",
     "cabello_family",
     "family_delta_overlap",
+    "hardy_probability",
     "hardy_scenario",
     "single_qubit_scenario",
 ]
@@ -194,6 +196,28 @@ def family_delta_overlap(c, p):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_hardy_angles(theta_a: float, theta_b: float) -> None:
+    half_pi = math.pi / 2.0
+    for name, val in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not 0.0 < val < half_pi:
+            raise DegenerateConfigurationError(
+                f"degenerate configuration: {name}={val!r} outside (0, pi/2)"
+            )
+
+
+def hardy_probability(theta_a: float, theta_b: float) -> float:
+    """The selection probability of :func:`hardy_scenario`, in closed form.
+
+    |<a b|pre>|^2 = (c_a s_a c_b s_b)^2 / (s_a^2 c_b^2 + s_b^2 c_a^2 + c_a^2 c_b^2)
+    with c = cos(theta), s = sin(theta).  Angles outside (0, pi/2) raise
+    DegenerateConfigurationError.
+    """
+    _check_hardy_angles(theta_a, theta_b)
+    ca, sa = math.cos(theta_a), math.sin(theta_a)
+    cb, sb = math.cos(theta_b), math.sin(theta_b)
+    return (ca * sa * cb * sb) ** 2 / (sa * sa * cb * cb + sb * sb * ca * ca + ca * ca * cb * cb)
+
+
 def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> PrePostScenario:
     """The two-qubit Hardy construction at polar angles (theta_a, theta_b).
 
@@ -204,12 +228,7 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
     construction collapses (rank-deficient span or vanishing selection
     overlap) raise DegenerateConfigurationError.
     """
-    half_pi = math.pi / 2.0
-    for name, val in (("theta_a", theta_a), ("theta_b", theta_b)):
-        if not 0.0 < val < half_pi:
-            raise DegenerateConfigurationError(
-                f"degenerate configuration: {name}={val!r} outside (0, pi/2)"
-            )
+    _check_hardy_angles(theta_a, theta_b)
 
     basis0 = StateVector([1.0, 0.0])
     basis1 = StateVector([0.0, 1.0])

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "TOL_NORM",
     "TOL_CHECK",
-    "Amplitude",
     "DegenerateSpanError",
     "StateVector",
     "tensor",
@@ -34,9 +33,6 @@ __all__ = [
 
 TOL_NORM = 1e-12
 TOL_CHECK = 1e-9
-
-# Amplitudes are plain Python complex numbers.
-Amplitude = complex
 
 # Coordinates with magnitude above this anchor the global-phase
 # canonicalization in orthocomplement_state.  Unit vectors in dimension
@@ -108,7 +104,7 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     return StateVector(np.kron(u.amps, v.amps), tol_norm=TOL_NORM)
 
 
-def inner(u: StateVector, v: StateVector) -> Amplitude:
+def inner(u: StateVector, v: StateVector) -> complex:
     """Inner product <u|v>, conjugate-linear in the first argument."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")

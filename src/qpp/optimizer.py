@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prepost
-from .constructions import (
-    DegenerateConfigurationError,
-    cabello_family,
-    family_delta_overlap,
-    hardy_scenario,
-)
+from .constructions import cabello_family, family_delta_overlap, hardy_probability
 
 __all__ = [
     "DEFAULT_EXCLUSIVITY_TOL",
@@ -38,15 +33,9 @@ __all__ = [
 DEFAULT_EXCLUSIVITY_TOL = 1e-9
 MAX_REFINE_ITERATIONS = 60
 
-# feasibility_root: interior sweep points, finite-difference step of the
-# slope, and the bracket width at which bisection stops.
-_ROOT_SWEEP_POINTS = 129
-_ROOT_FD_STEP = 1e-6
-_ROOT_WIDTH_TOL = 1e-12
-
 
 class ConvergenceError(RuntimeError):
-    """A search or root bracketing failed to reach the requested tolerance."""
+    """A search failed to reach the requested tolerance or a feasible point."""
 
 
 @dataclass(frozen=True)
@@ -119,21 +108,13 @@ def _check_search_args(grid: int, refine_tol: float) -> None:
 def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
     """Maximize the Hardy selection probability over both angles.
 
-    Degenerate angle pairs score 0 so the search stays inside the open
-    box (0, pi/2)^2 without special casing.
+    The objective is the closed form :func:`hardy_probability`; the
+    search only evaluates it inside the open box (0, pi/2)^2.
     """
     _check_search_args(grid, refine_tol)
-
-    def objective(pt):
-        theta_a, theta_b = pt
-        try:
-            return prepost.selection_probability(hardy_scenario(theta_a, theta_b))
-        except DegenerateConfigurationError:
-            return 0.0
-
     half_pi = math.pi / 2.0
     point, value, evals, _ = _grid_refine(
-        objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
+        lambda pt: hardy_probability(*pt), (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
     )
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
@@ -145,59 +126,25 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
 
 
 def feasibility_root(c: float) -> tuple[float, float]:
-    """The p minimizing the family's delta overlap at fixed c.
+    """The p minimizing the family's delta overlap at fixed c, in closed form.
 
-    Sweeps p over an interior lattice, brackets the minimum of the
-    squared overlap, and bisects on the sign of its central-difference
-    slope.  Returns (p, delta_overlap(c, p)).  The overlap at the
-    returned p is the feasibility defect: zero (to tolerance) exactly
-    when some family member at this c forms a valid scenario.
+    With u = p^2 the overlap is |c^2 + s^2 u (2u - 1)| / (c^2 + s^2 u),
+    s^2 = 1 - c^2.  When disc = 1 - 8c^2/s^2 >= 0 (c <= 1/3) the
+    numerator vanishes at u = (1 + sqrt(disc)) / 4; otherwise the
+    overlap is smallest at u = c / (1 + c), where it equals
+    (3c - 1) / (1 + c).  Returns (p, delta_overlap(c, p)).  The overlap
+    at the returned p is the feasibility defect: zero (to rounding)
+    exactly when some family member at this c forms a valid scenario.
 
     Raises:
         ValueError: c outside (0, 1).
-        ConvergenceError: no bracket with a slope sign change was found,
-            so the sweep minimum is not known to be a true minimum.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
-
-    def d2(p):
-        return family_delta_overlap(c, p) ** 2
-
-    ps = np.linspace(0.0, 1.0, _ROOT_SWEEP_POINTS + 2)[1:-1]
-    vals = d2(ps)
-    i = int(np.argmin(vals))
-    lo = ps[i - 1] if i > 0 else ps[i] / 2.0
-    hi = ps[i + 1] if i < len(ps) - 1 else (ps[i] + 1.0) / 2.0
-
-    def slope(p):
-        lo_p = max(p - _ROOT_FD_STEP, p / 2.0)
-        hi_p = min(p + _ROOT_FD_STEP, (p + 1.0) / 2.0)
-        return (d2(hi_p) - d2(lo_p)) / (hi_p - lo_p)
-
-    g_lo, g_hi = slope(lo), slope(hi)
-    for _ in range(60):
-        if g_lo < 0.0 and g_hi > 0.0:
-            break
-        if g_lo >= 0.0:
-            lo = max(lo / 2.0, 1e-12)
-            g_lo = slope(lo)
-        if g_hi <= 0.0:
-            hi = (hi + 1.0) / 2.0
-            g_hi = slope(hi)
-    else:
-        raise ConvergenceError(
-            f"feasibility_root: no bracket of the overlap minimum found at c={c!r}"
-        )
-
-    while hi - lo > _ROOT_WIDTH_TOL:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    p = 0.5 * (lo + hi)
-    return float(p), float(family_delta_overlap(c, p))
+    disc = 1.0 - 8.0 * c * c / (1.0 - c * c)
+    u = (1.0 + math.sqrt(disc)) / 4.0 if disc >= 0.0 else c / (1.0 + c)
+    p = math.sqrt(u)
+    return p, family_delta_overlap(c, p)
 
 
 def maximize_cabello_family(
@@ -223,7 +170,7 @@ def maximize_cabello_family(
 
     point, value, evals, _ = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     c = point[0]
-    p, overlap = feasibility_root(c)
+    p, _ = feasibility_root(c)
     if not value > 0.0:
         raise ConvergenceError(
             f"no feasible family member found at exclusivity tolerance {exclusivity_tol!r}"

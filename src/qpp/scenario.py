@@ -413,8 +413,11 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         except ValueError as exc:
             raise ScenarioParseError(str(exc), where) from exc
 
+    pairs_node = doc.get("exclusive_pairs", [])
+    if not isinstance(pairs_node, list):
+        raise ScenarioParseError("exclusive_pairs must be an array", "exclusive_pairs")
     pairs: list[tuple[str, str]] = []
-    for i, node in enumerate(doc.get("exclusive_pairs", [])):
+    for i, node in enumerate(pairs_node):
         where = f"exclusive_pairs[{i}]"
         if (
             not isinstance(node, list)

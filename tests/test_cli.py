@@ -144,6 +144,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert "parse error" in capsys.readouterr().err
 
+    def test_non_array_exclusive_pairs_exit_3(self, tmp_path, capsys):
+        doc = json.loads(save(single_qubit_scenario(1, 5)))
+        doc["exclusive_pairs"] = None
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 3
+        assert "exclusive_pairs" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 3
 
@@ -190,8 +198,10 @@ class TestToleranceOverride:
         assert "QPP_TOL" in capsys.readouterr().err
         monkeypatch.setenv("QPP_TOL", "-1e-9")
         assert main(["verify", "cabello"]) == 2
-        monkeypatch.setenv("QPP_TOL", "nan")
-        assert main(["verify", "cabello"]) == 2
+        for value in ("nan", "inf", "1e400"):
+            monkeypatch.setenv("QPP_TOL", value)
+            assert main(["verify", "cabello"]) == 2, value
+            assert "QPP_TOL" in capsys.readouterr().err, value
 
 
 class TestOptimize:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpp import (
     CONTEXT_MINUS,
@@ -13,6 +15,7 @@ from qpp import (
     cabello_scenario,
     context_deviation,
     family_delta_overlap,
+    hardy_probability,
     hardy_scenario,
     inner,
     selection_probability,
@@ -139,8 +142,9 @@ class TestCabelloFamily:
 class TestHardyScenario:
     def test_degenerate_angles_rejected(self):
         for ta, tb in ((0.0, 0.5), (math.pi / 2.0, 0.5), (0.5, 0.0), (-0.2, 0.5)):
-            with pytest.raises(DegenerateConfigurationError, match="degenerate configuration"):
-                hardy_scenario(ta, tb)
+            for build in (hardy_scenario, hardy_probability):
+                with pytest.raises(DegenerateConfigurationError, match="degenerate configuration"):
+                    build(ta, tb)
 
     def test_structure_and_validity(self):
         s = hardy_scenario(0.7, 1.1)
@@ -159,6 +163,21 @@ class TestHardyScenario:
             )
             got = selection_probability(hardy_scenario(ta, tb))
             assert got == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ta=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True, exclude_max=True),
+        tb=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True, exclude_max=True),
+    )
+    def test_closed_form_matches_scenario(self, ta, tb):
+        """hardy_probability agrees with the built scenario over the open box."""
+        fast = hardy_probability(ta, tb)
+        try:
+            slow = selection_probability(hardy_scenario(ta, tb))
+        except DegenerateConfigurationError:
+            # the scenario refuses a postselection overlap below 1e-9
+            slow = 0.0
+        assert abs(fast - slow) <= 1e-15
 
     def test_probability_stays_below_one_ninth(self):
         rng = np.random.default_rng(39)

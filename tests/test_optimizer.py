@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpp import (
     ConvergenceError,
@@ -14,10 +16,12 @@ from qpp import (
     maximize_hardy,
     selection_probability,
 )
-from qpp import optimizer
 from qpp.optimizer import _grid_refine
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
+
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
 
 
 class TestGridRefine:
@@ -88,25 +92,26 @@ class TestFeasibilityRoot:
             _, overlap = feasibility_root(c)
             assert overlap > 1e-3, c
 
-    def test_feasible_below_one_third(self):
-        for c in np.linspace(0.02, 0.33, 12):
-            p, overlap = feasibility_root(float(c))
-            assert overlap < 1e-9, c
-            # independent algebraic feasibility law at the root
-            lhs = c * c
-            rhs = (1.0 - c * c) * p * p * (1.0 - 2.0 * p * p)
-            assert abs(lhs - rhs) < 1e-9, c
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_min=True))
+    def test_feasible_below_one_third(self, c):
+        p, overlap = feasibility_root(c)
+        assert overlap < 1e-9
+        # independent algebraic feasibility law at the root
+        assert abs(c * c - (1.0 - c * c) * p * p * (1.0 - 2.0 * p * p)) <= 1e-15
 
-    def test_root_overlap_matches_direct_construction(self):
-        for c in (0.1, 0.25, 0.32):
-            p, overlap = feasibility_root(c)
-            assert cabello_family(c, p).delta_overlap == pytest.approx(overlap, abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(c=open_unit)
+    def test_root_overlap_matches_direct_construction(self, c):
+        p, overlap = feasibility_root(c)
+        assert cabello_family(c, p).delta_overlap == pytest.approx(overlap, abs=1e-12)
 
-    def test_unbracketed_minimum_is_reported(self, monkeypatch):
-        """An overlap with no interior minimum cannot be bracketed."""
-        monkeypatch.setattr(optimizer, "family_delta_overlap", lambda c, p: p)
-        with pytest.raises(ConvergenceError, match="bracket"):
-            feasibility_root(0.25)
+    @settings(max_examples=300, deadline=None)
+    @given(c=open_unit)
+    def test_root_is_lattice_minimum(self, c):
+        """No p on a fine lattice beats the closed-form root."""
+        _, overlap = feasibility_root(c)
+        assert overlap <= family_delta_overlap(c, P_LATTICE).min() + 1e-15
 
     def test_infeasible_defect_grows_linearly_near_boundary(self):
         """Just above the feasibility edge the defect rises with slope 9/4."""

@@ -300,6 +300,11 @@ class TestLoadErrors:
         doc["exclusive_pairs"] = [["up", "down", "up"]]
         with pytest.raises(ScenarioParseError, match=r"exclusive_pairs\[0\]"):
             load(self.dump(doc))
+        for node in (5, None):
+            doc["exclusive_pairs"] = node
+            with pytest.raises(ScenarioParseError, match="exclusive_pairs must be an array") as info:
+                load(self.dump(doc))
+            assert info.value.location == "exclusive_pairs"
 
     def test_metadata_values_must_be_strings(self):
         doc = self.base_doc()
