@@ -5,14 +5,18 @@ projector label, independent of measurement context, such that every
 context contains exactly one 1, every declared exclusive pair contains
 at most one 1, and all forced values are respected.
 enumerate_assignments() decides satisfiability by checking all 2^n
-assignments (vectorized over bitmask blocks).  When the constraints are
-unsatisfiable, a human-readable refutation is built by unit propagation
-with exactly two rules: completing a context whose other members are all
-0, and flagging an exclusive pair driven to a double 1.
+assignments (vectorized over bitmask blocks) and keeps the satisfying
+ones as bitmasks, decoding a ValueAssignment only when one is read.
+When the constraints are unsatisfiable, a human-readable refutation is
+built by unit propagation with exactly two rules: completing a context
+whose other members are all 0, and flagging an exclusive pair driven to
+a double 1.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     "PropagationIncompleteError",
     "TraceStep",
     "ContradictionTrace",
+    "Witnesses",
     "SatisfiabilityReport",
     "enumerate_assignments",
     "contradiction_trace",
@@ -90,17 +95,78 @@ class ContradictionTrace:
         return tuple(step.conclusion for step in self.steps)
 
 
+class Witnesses(Sequence):
+    """Satisfying assignments kept as bitmasks, decoded when read.
+
+    Mask k over the sorted labels maps the i-th label to bit
+    (k >> (n-1-i)) & 1.  An integer index (negative too) decodes one
+    ValueAssignment; a slice decodes a tuple of them.  len is the exact
+    count and decodes nothing.  Equality is element-wise against another
+    Witnesses or any sequence, so an empty Witnesses equals ().  The
+    hash agrees with equality between Witnesses and equals hash(()) when
+    empty; a nonempty one hashes its masks, not its decoded tuple, so
+    that hashing never builds every assignment.
+    """
+
+    __slots__ = ("_labels", "_masks")
+
+    def __init__(self, labels: tuple[str, ...], masks: np.ndarray) -> None:
+        masks = np.asarray(masks, dtype=np.uint32).view()
+        masks.flags.writeable = False
+        self._labels = tuple(labels)
+        self._masks = masks
+
+    def _decode(self, k: int) -> ValueAssignment:
+        top = len(self._labels) - 1
+        return ValueAssignment(
+            tuple((lab, (k >> (top - i)) & 1) for i, lab in enumerate(self._labels))
+        )
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._decode(k) for k in self._masks[index].tolist())
+        return self._decode(int(self._masks[operator.index(index)]))
+
+    def __iter__(self):
+        for k in self._masks:
+            yield self._decode(int(k))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Witnesses):
+            if len(self) != len(other):
+                return False
+            return not self or (
+                self._labels == other._labels and np.array_equal(self._masks, other._masks)
+            )
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if not self:
+            return hash(())
+        return hash((self._labels, self._masks.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Witnesses({len(self)} assignments over {self._labels!r})"
+
+
 @dataclass(frozen=True)
 class SatisfiabilityReport:
     """Outcome of exhaustive enumeration.
 
-    witnesses lists every satisfying assignment in lexicographic order
-    of the sorted-label bit string (empty when UNSAT); conflict carries
-    a unit-propagation refutation when one exists, else None.
+    witnesses holds every satisfying assignment in lexicographic order
+    of the sorted-label bit string (empty when UNSAT).  They are stored
+    as bitmasks and built as ValueAssignment objects only when indexed,
+    sliced or iterated; len(witnesses) is the exact count.  conflict
+    carries a unit-propagation refutation when one exists, else None.
     """
 
     status: str
-    witnesses: tuple[ValueAssignment, ...]
+    witnesses: Witnesses
     assignments_examined: int
     conflict: ContradictionTrace | None
 
@@ -168,7 +234,7 @@ def enumerate_assignments(
         if bit:
             force_bits |= 1 << pos[lab]
 
-    witnesses: list[ValueAssignment] = []
+    found = []
     for start in range(0, total, _BLOCK):
         block = np.arange(start, min(start + _BLOCK, total), dtype=np.uint32)
         ok = (block & np.uint32(force_mask)) == np.uint32(force_bits)
@@ -178,14 +244,12 @@ def enumerate_assignments(
         for mask in pair_masks:
             v = block & np.uint32(mask)
             ok &= (v & (v - np.uint32(1))) == 0
-        for k in block[ok].tolist():
-            witnesses.append(
-                ValueAssignment(tuple((lab, (k >> pos[lab]) & 1) for lab in labels))
-            )
+        found.append(block[ok])
 
+    witnesses = Witnesses(tuple(labels), np.concatenate(found))
     if witnesses:
-        return SatisfiabilityReport(SAT, tuple(witnesses), total, None)
-    return SatisfiabilityReport(UNSAT, (), total, _propagate(s, forced_bits))
+        return SatisfiabilityReport(SAT, witnesses, total, None)
+    return SatisfiabilityReport(UNSAT, witnesses, total, _propagate(s, forced_bits))
 
 
 def _propagate(s: PrePostScenario, forced_bits: dict[str, int]) -> ContradictionTrace | None:

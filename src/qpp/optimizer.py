@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prepost
-from .constructions import cabello_family, family_delta_overlap, hardy_probability
+from .constructions import cabello_family, hardy_probability
 
 __all__ = [
     "DEFAULT_EXCLUSIVITY_TOL",
@@ -132,7 +132,9 @@ def feasibility_root(c: float) -> tuple[float, float]:
     s^2 = 1 - c^2.  When disc = 1 - 8c^2/s^2 >= 0 (c <= 1/3) the
     numerator vanishes at u = (1 + sqrt(disc)) / 4; otherwise the
     overlap is smallest at u = c / (1 + c), where it equals
-    (3c - 1) / (1 + c).  Returns (p, delta_overlap(c, p)).  The overlap
+    (3c - 1) / (1 + c).  Returns (p, overlap), the overlap evaluated in
+    this u-form with plain floats (it agrees with
+    constructions.family_delta_overlap(c, p) to rounding).  The overlap
     at the returned p is the feasibility defect: zero (to rounding)
     exactly when some family member at this c forms a valid scenario.
 
@@ -141,10 +143,10 @@ def feasibility_root(c: float) -> tuple[float, float]:
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
-    disc = 1.0 - 8.0 * c * c / (1.0 - c * c)
+    s2 = 1.0 - c * c
+    disc = 1.0 - 8.0 * c * c / s2
     u = (1.0 + math.sqrt(disc)) / 4.0 if disc >= 0.0 else c / (1.0 + c)
-    p = math.sqrt(u)
-    return p, family_delta_overlap(c, p)
+    return math.sqrt(u), abs(c * c + s2 * u * (2.0 * u - 1.0)) / (c * c + s2 * u)
 
 
 def maximize_cabello_family(

@@ -64,3 +64,27 @@ def ks18_scenario():
         contexts=tuple(Context(members) for members in _KS18_CONTEXTS),
         metadata={"name": "ks18"},
     )
+
+
+def witness_heavy_scenario(free_labels, seed=0):
+    """One 2-member qubit context {c, c_perp} plus free labels f00, f01, ...
+
+    Nothing is forced for generic random states, so exactly one of c and
+    c_perp is 1 and every free label is arbitrary: 2 * 2**free_labels
+    witnesses, the masks k in [2**(n-2), 3 * 2**(n-2)) for n labels.
+    """
+    rng = np.random.default_rng(seed)
+
+    def random_state():
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return StateVector(v / np.linalg.norm(v))
+
+    base = random_state()
+    perp = StateVector([-np.conj(base.amps[1]), np.conj(base.amps[0])])
+    projectors = (LabeledProjector("c", base), LabeledProjector("c_perp", perp)) + tuple(
+        LabeledProjector(f"f{i:02d}", random_state()) for i in range(free_labels)
+    )
+    return PrePostScenario(
+        dim=2, pre=random_state(), post=random_state(),
+        projectors=projectors, contexts=(Context(("c", "c_perp")),),
+    )

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import witness_heavy_scenario
 
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
 from qpp import single_qubit_scenario
@@ -101,6 +102,15 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["details"]["witnesses"]) == 1
         assert doc["details"]["witnesses_total"] == 4
+
+    def test_witness_count_exact_at_label_cap(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, witness_heavy_scenario(22))  # 24 labels
+        assert main(["check", path, "--json"]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["status"] == "SAT"
+        assert details["assignments_examined"] == 2**24
+        assert details["witnesses_total"] == 2**23
+        assert len(details["witnesses"]) == 16
 
     def test_unsat_file_reports_trace(self, tmp_path, capsys):
         target = tmp_path / "cab.json"

@@ -1,10 +1,15 @@
 """Tests for exhaustive assignment search and refutation traces."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import witness_heavy_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpp import nchv
 from qpp import (
     CONFLICT,
     Context,
@@ -21,6 +26,7 @@ from qpp import (
     SUM_RULE,
     TraceStep,
     UNSAT,
+    ValueAssignment,
     cabello_scenario,
     contradiction_trace,
     enumerate_assignments,
@@ -203,3 +209,98 @@ class TestTrace:
     def test_trace_conclusions_helper(self):
         trace = contradiction_trace(cabello_scenario())
         assert trace.conclusions() == ("delta+=1", "delta-=1", CONFLICT)
+
+
+@st.composite
+def scenarios_with_forced(draw):
+    """A single-qubit or witness-heavy scenario and a random forced subset."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        s = single_qubit_scenario(draw(st.integers(1, 5)), seed)
+    else:
+        s = witness_heavy_scenario(draw(st.integers(0, 8)), seed)
+    chosen = draw(st.lists(st.sampled_from(sorted(s.projector_map())), unique=True))
+    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    return s, forced
+
+
+class TestWitnesses:
+    @settings(max_examples=150, deadline=None)
+    @given(case=scenarios_with_forced(), data=st.data())
+    def test_matches_brute_force_list(self, case, data):
+        s, forced = case
+        rep = enumerate_assignments(s, forced)
+        expected = tuple(ValueAssignment.from_dict(a) for a in brute_force_witnesses(s, forced))
+        w = rep.witnesses
+        n = len(expected)
+        assert len(w) == n
+        assert rep.status == (SAT if n else UNSAT)
+        assert bool(w) == bool(n)
+        assert tuple(w) == expected
+        assert w == expected and expected == w and w == list(expected)
+        if n:
+            assert w != expected[:-1]
+            i = data.draw(st.integers(-n, n - 1), label="index")
+            assert w[i] == expected[i]
+        else:
+            assert w == () and hash(w) == hash(())
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        step = st.none() | st.integers(-3, 3).filter(bool)
+        sl = slice(data.draw(bound), data.draw(bound), data.draw(step))
+        assert isinstance(w[sl], tuple)
+        assert w[sl] == expected[sl]
+        for past_end in (n, -n - 1):
+            with pytest.raises(IndexError):
+                w[past_end]
+        again = enumerate_assignments(s, forced)
+        assert again == rep and hash(again) == hash(rep)
+        assert again.witnesses == w and hash(again.witnesses) == hash(w)
+
+    def test_multi_block_boundaries(self):
+        s = witness_heavy_scenario(20)  # 22 labels: four blocks of nchv._BLOCK masks
+        labels = sorted(s.projector_map())
+        n = len(labels)
+        first, end = 1 << (n - 2), 3 << (n - 2)  # witnesses are the masks in [first, end)
+        rep = enumerate_assignments(s, ())
+        assert rep.assignments_examined == 1 << n
+        assert len(rep.witnesses) == end - first
+
+        def decode(k):
+            return ValueAssignment(tuple(zip(labels, map(int, format(k, f"0{n}b")))))
+
+        inner = [b for b in range(nchv._BLOCK, 1 << n, nchv._BLOCK) if first < b < end]
+        assert inner
+        ks = [first] + [k for b in inner for k in (b - 1, b)] + [end - 1]
+        read = [rep.witnesses[k - first] for k in ks]
+        assert read == [decode(k) for k in ks]
+        assert rep.witnesses[0] == decode(first) and rep.witnesses[-1] == decode(end - 1)
+        keys = [tuple(bit for _, bit in w.values) for w in read]
+        assert keys == sorted(keys)
+
+    def test_assignments_are_built_only_when_read(self, monkeypatch):
+        built = []
+
+        class Counting(ValueAssignment):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(nchv, "ValueAssignment", Counting)
+        rep = enumerate_assignments(witness_heavy_scenario(8), ())
+        assert len(rep.witnesses) == 2**9 and not built
+        rep.witnesses[-1]
+        rep.witnesses[:3]
+        assert len(built) == 4
+
+    def test_reading_a_few_witnesses_stays_small(self):
+        """Building all 2**15 assignments here would peak near 38 MiB."""
+        s = witness_heavy_scenario(14)
+        tracemalloc.start()
+        try:
+            rep = enumerate_assignments(s, ())
+            head = rep.witnesses[:16]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.witnesses) == 2**15 and len(head) == 16
+        assert peak < 8 * 2**20

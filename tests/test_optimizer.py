@@ -108,6 +108,12 @@ class TestFeasibilityRoot:
 
     @settings(max_examples=300, deadline=None)
     @given(c=open_unit)
+    def test_root_overlap_matches_vectorized_overlap(self, c):
+        p, overlap = feasibility_root(c)
+        assert abs(overlap - family_delta_overlap(c, p)) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=open_unit)
     def test_root_is_lattice_minimum(self, c):
         """No p on a fine lattice beats the closed-form root."""
         _, overlap = feasibility_root(c)
