@@ -4,9 +4,13 @@ A noncontextual hidden-variable model assigns a fixed 0 or 1 to every
 projector label, independent of measurement context, such that every
 context contains exactly one 1, every declared exclusive pair contains
 at most one 1, and all forced values are respected.
-enumerate_assignments() decides satisfiability by checking all 2^n
-assignments (vectorized over bitmask blocks) and keeps the satisfying
-ones as bitmasks, decoding a ValueAssignment only when one is read.
+enumerate_assignments() decides satisfiability over all 2^n assignments
+by a vectorized breadth-first search over bitmask prefixes of the
+sorted labels, which drops a partial assignment as soon as a forced
+value, context or exclusive pair rules it out (the pruning half of
+Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
+satisfying assignments as bitmasks, decoding a ValueAssignment only when
+one is read.
 When the constraints are unsatisfiable, a human-readable refutation is
 built by unit propagation with exactly two rules: completing a context
 whose other members are all 0, and flagging an exclusive pair driven to
@@ -51,7 +55,12 @@ EXCLUSIVITY = "Exclusivity"
 CONFLICT = "CONFLICT"
 
 MAX_EXHAUSTIVE_PROJECTORS = 24
+# No check temporary holds more than _BLOCK candidates.
 _BLOCK = 1 << 20
+# Checks wait while the next stop would still have at most _SMALL
+# candidates: on arrays that short, one more pass costs more than the
+# pruning saves, and a scenario of up to 8 labels is one pass.
+_SMALL = 256
 
 
 class EnumerationLimitError(ValueError):
@@ -161,8 +170,11 @@ class SatisfiabilityReport:
     witnesses holds every satisfying assignment in lexicographic order
     of the sorted-label bit string (empty when UNSAT).  They are stored
     as bitmasks and built as ValueAssignment objects only when indexed,
-    sliced or iterated; len(witnesses) is the exact count.  conflict
-    carries a unit-propagation refutation when one exists, else None.
+    sliced or iterated; len(witnesses) is the exact count.
+    assignments_examined is 2^n, the number of assignments decided: the
+    search rules out a pruned prefix's extensions without listing them.
+    conflict carries a unit-propagation refutation when one exists,
+    else None.
     """
 
     status: str
@@ -185,17 +197,24 @@ def enumerate_assignments(
 ) -> SatisfiabilityReport:
     """Exhaustively decide whether a noncontextual assignment exists.
 
-    Every 0/1 assignment over the scenario's labels is tested against
-    the forced values, the one-1-per-context rule, and the declared
-    exclusive pairs.  Labels are sorted; assignment k maps the i-th
-    sorted label to bit (k >> (n-1-i)) & 1, so ascending k enumerates
-    bit strings lexicographically.
+    Labels are sorted; assignment k maps the i-th sorted label to bit
+    (k >> (n-1-i)) & 1, so ascending k enumerates bit strings
+    lexicographically.  The search extends the surviving prefixes (the
+    leading bits of k) over a run of labels at a time, with the forced
+    bits of the run already set, and drops every prefix that breaks a
+    context or exclusive pair whose members are all assigned.  A
+    dropped prefix decides every assignment that extends it, so
+    assignments_examined is always 2^n; the search stops at UNSAT as
+    soon as no prefix survives.  Checks wait while the candidates are
+    few, so a small scenario is one vectorized pass, and no check
+    temporary holds more than 2^20 candidates.
 
     Raises:
         EnumerationLimitError: more than MAX_EXHAUSTIVE_PROJECTORS labels.
         ValueError: duplicate projector labels, forced values or
-            constraints that reference unknown labels, or forced values
-            that conflict with each other.
+            constraints that reference unknown labels, forced values
+            that conflict with each other, a context that repeats a
+            member, or an exclusive pair of one label with itself.
     """
     labels = sorted(s.labels())
     for a, b in zip(labels, labels[1:]):
@@ -225,31 +244,116 @@ def enumerate_assignments(
         if a not in pos or b not in pos:
             raise ValueError(f"exclusive pair references unknown label {a!r} or {b!r}")
         pair_masks.append((1 << pos[a]) | (1 << pos[b]))
+    for ctx, mask in zip(s.contexts, context_masks):
+        if mask.bit_count() < len(ctx.members):
+            repeated = next(m for m in ctx.members if ctx.members.count(m) > 1)
+            raise ValueError(f"context repeats member {repeated!r}")
+    for a, b in s.exclusive_pairs:
+        if a == b:
+            raise ValueError(f"exclusive pair repeats label {a!r}")
 
     total = 1 << n
     force_mask = 0
     force_bits = 0
     for lab, bit in forced_bits.items():
         force_mask |= 1 << pos[lab]
-        if bit:
-            force_bits |= 1 << pos[lab]
+        force_bits |= bit << pos[lab]
 
-    found = []
-    for start in range(0, total, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, total), dtype=np.uint32)
-        ok = (block & np.uint32(force_mask)) == np.uint32(force_bits)
-        for mask in context_masks:
-            v = block & np.uint32(mask)
-            ok &= (v != 0) & ((v & (v - np.uint32(1))) == 0)
-        for mask in pair_masks:
-            v = block & np.uint32(mask)
-            ok &= (v & (v - np.uint32(1))) == 0
-        found.append(block[ok])
+    # A check is decided on j-bit prefixes once its last sorted member,
+    # the lowest set bit of its mask, is among them: j = n - that bit.
+    checks = sorted(
+        [(n + 1 - (m & -m).bit_length(), False, m) for m in context_masks]
+        + [(n + 1 - (m & -m).bit_length(), True, m) for m in pair_masks]
+    )
+    stops = [stop for stop, _, _ in checks] + [n]
+    prefixes, done, contexts, pairs = None, 0, [], []
+    for k, stop in enumerate(stops):
+        if k < len(checks):
+            _, is_pair, mask = checks[k]
+            (pairs if is_pair else contexts).append(mask)
+        after = stops[k + 1] if k + 1 < len(stops) else None
+        if after == stop:  # more checks are decided at this stop
+            continue
+        count = 1 if prefixes is None else len(prefixes)
+        if after is not None and count << (after - done) <= _SMALL:
+            continue  # still few candidates at the next stop: the checks wait
+        shift = n - stop
+        masks = np.array([m >> shift for m in contexts + pairs], dtype=np.uint32)
+        prefixes = _search_run(
+            prefixes, stop - done, force_mask >> shift, force_bits >> shift, masks, len(contexts)
+        )
+        done, contexts, pairs = stop, [], []
+        if not len(prefixes):
+            break
 
-    witnesses = Witnesses(tuple(labels), np.concatenate(found))
+    witnesses = Witnesses(tuple(labels), prefixes)
     if witnesses:
         return SatisfiabilityReport(SAT, witnesses, total, None)
     return SatisfiabilityReport(UNSAT, witnesses, total, _propagate(s, forced_bits))
+
+
+def _run(w: int, force_mask: int, force_bits: int) -> np.ndarray:
+    """The w-bit strings, ascending, that agree with the low w forced bits."""
+    run = np.arange(1 << w, dtype=np.uint32)
+    low = (1 << w) - 1
+    if force_mask & low:
+        run = run[(run & (force_mask & low)) == (force_bits & low)]
+    return run
+
+
+def _extend(prefixes: np.ndarray | None, run: np.ndarray, w: int) -> np.ndarray:
+    """Every prefix followed by every w-bit string of run, in ascending order."""
+    if prefixes is None:
+        return run
+    return ((prefixes[:, None] << w) | run).ravel()
+
+
+def _passes(cand: np.ndarray, masks: np.ndarray, n_contexts: int) -> np.ndarray:
+    """True where cand has at most one 1 under every mask, and at least one
+    under each of the first n_contexts masks."""
+    v = masks[:, None] & cand
+    ok = ((v & (v - 1)) == 0).all(axis=0)
+    if n_contexts:
+        ok &= (v[:n_contexts] != 0).all(axis=0)
+    return ok
+
+
+def _search_run(
+    prefixes: np.ndarray | None, w: int, force_mask: int, force_bits: int,
+    masks: np.ndarray, n_contexts: int,
+) -> np.ndarray:
+    """Extend the prefixes over w labels and keep the candidates whose
+    forced bits agree and that pass every mask check.
+
+    The candidates are checked in slices so that no check temporary holds
+    more than _BLOCK entries; a run too wide for one slice first extends
+    its leading bits unchecked.  The survivors of each slice are kept as
+    packed bits and gathered into one exactly-sized array.
+    """
+    if not len(masks):
+        return _extend(prefixes, _run(w, force_mask, force_bits), w)
+    room = max(1, _BLOCK // len(masks))
+    lead = max(0, w - (room.bit_length() - 1))
+    if lead:
+        w -= lead
+        prefixes = _extend(prefixes, _run(lead, force_mask >> w, force_bits >> w), lead)
+    run = _run(w, force_mask, force_bits)
+    if prefixes is None or len(prefixes) * len(run) <= room:
+        cand = _extend(prefixes, run, w)
+        return cand[_passes(cand, masks, n_contexts)]
+    step = room // len(run)
+    slices = [prefixes[i:i + step] for i in range(0, len(prefixes), step)]
+    kept = []
+    for part in slices:
+        ok = _passes(_extend(part, run, w), masks, n_contexts)
+        kept.append((np.packbits(ok), int(np.count_nonzero(ok))))
+    out = np.empty(sum(count for _, count in kept), dtype=np.uint32)
+    at = 0
+    for part, (bits, count) in zip(slices, kept):
+        cand = _extend(part, run, w)
+        out[at:at + count] = cand[np.unpackbits(bits, count=len(cand)).view(bool)]
+        at += count
+    return out
 
 
 def _propagate(s: PrePostScenario, forced_bits: dict[str, int]) -> ContradictionTrace | None:

@@ -66,12 +66,13 @@ def ks18_scenario():
     )
 
 
-def witness_heavy_scenario(free_labels, seed=0):
-    """One 2-member qubit context {c, c_perp} plus free labels f00, f01, ...
+def witness_heavy_scenario(free_labels, seed=0, context=("c", "c_perp")):
+    """One 2-member qubit context plus free labels f00, f01, ...
 
-    Nothing is forced for generic random states, so exactly one of c and
-    c_perp is 1 and every free label is arbitrary: 2 * 2**free_labels
-    witnesses, the masks k in [2**(n-2), 3 * 2**(n-2)) for n labels.
+    Nothing is forced for generic random states, so exactly one context
+    member is 1 and every free label is arbitrary: 2 * 2**free_labels
+    witnesses.  With the default context {c, c_perp}, which sorts first,
+    they are the masks k in [2**(n-2), 3 * 2**(n-2)) for n labels.
     """
     rng = np.random.default_rng(seed)
 
@@ -81,10 +82,10 @@ def witness_heavy_scenario(free_labels, seed=0):
 
     base = random_state()
     perp = StateVector([-np.conj(base.amps[1]), np.conj(base.amps[0])])
-    projectors = (LabeledProjector("c", base), LabeledProjector("c_perp", perp)) + tuple(
+    projectors = (LabeledProjector(context[0], base), LabeledProjector(context[1], perp)) + tuple(
         LabeledProjector(f"f{i:02d}", random_state()) for i in range(free_labels)
     )
     return PrePostScenario(
         dim=2, pre=random_state(), post=random_state(),
-        projectors=projectors, contexts=(Context(("c", "c_perp")),),
+        projectors=projectors, contexts=(Context(context),),
     )

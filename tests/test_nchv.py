@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,24 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="duplicate projector label 'alpha'"):
             enumerate_assignments(dup, ())
 
+    def test_repeated_context_member_rejected(self):
+        s = single_qubit_scenario(1, 0)
+        twice = PrePostScenario(
+            dim=2, pre=s.pre, post=s.post, projectors=s.projectors,
+            contexts=(Context(("q0", "q0", "q0_perp")),),
+        )
+        with pytest.raises(ValueError, match="repeats member 'q0'"):
+            enumerate_assignments(twice, ())
+
+    def test_self_pair_rejected(self):
+        s = single_qubit_scenario(1, 0)
+        self_pair = PrePostScenario(
+            dim=2, pre=s.pre, post=s.post, projectors=s.projectors,
+            contexts=s.contexts, exclusive_pairs=(("q0", "q0"),),
+        )
+        with pytest.raises(ValueError, match="repeats label 'q0'"):
+            enumerate_assignments(self_pair, ())
+
     def test_deterministic(self):
         s = cabello_scenario()
         a = enumerate_assignments(s, forced_values(s))
@@ -222,6 +241,64 @@ def scenarios_with_forced(draw):
     chosen = draw(st.lists(st.sampled_from(sorted(s.projector_map())), unique=True))
     forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
     return s, forced
+
+
+@st.composite
+def random_structures(draw):
+    """1-12 labels with random names, overlapping contexts of 2-4 distinct
+    members, random exclusive pairs and a random forced subset."""
+    labels = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=12,
+                           unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    projs = tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in labels)
+    contexts, pairs = (), ()
+    if len(labels) > 1:
+        members = st.lists(st.sampled_from(labels), min_size=2, max_size=min(4, len(labels)),
+                           unique=True)
+        contexts = tuple(Context(tuple(m)) for m in draw(st.lists(members, max_size=5)))
+        pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
+        pairs = tuple(tuple(p) for p in draw(st.lists(pair, max_size=5)))
+    s = PrePostScenario(
+        dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+        projectors=projs, contexts=contexts, exclusive_pairs=pairs,
+    )
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    return s, forced
+
+
+class TestPrefixSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_structures(), constants=st.sampled_from(
+        [{}, {"_SMALL": 1}, {"_BLOCK": 64}, {"_SMALL": 1, "_BLOCK": 64}]))
+    def test_matches_brute_force_on_random_structures(self, case, constants):
+        """Also with checks at every stop and with sliced candidates, which
+        inputs this small reach only through the two module constants."""
+        s, forced = case
+        with mock.patch.dict(nchv.__dict__, constants):
+            rep = enumerate_assignments(s, forced)
+        expected = brute_force_witnesses(s, forced)
+        assert rep.status == (SAT if expected else UNSAT)
+        assert len(rep.witnesses) == len(expected)
+        assert [w.as_dict() for w in rep.witnesses] == expected
+        assert rep.assignments_examined == 2 ** len(s.projectors)
+
+    @pytest.mark.parametrize("context", [("c", "c_perp"), ("z", "z_perp")])
+    def test_label_cap_memory(self, context):
+        """Both label orders at the 24-label cap: the 2**23 witnesses take
+        32 MiB, and the search may hold them at most twice plus 8 MiB."""
+        s = witness_heavy_scenario(22, context=context)
+        tracemalloc.start()
+        try:
+            rep = enumerate_assignments(s, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.assignments_examined == 2**24
+        assert len(rep.witnesses) == 2**23
+        first, last = rep.witnesses[0].as_dict(), rep.witnesses[-1].as_dict()
+        assert sum(first[m] for m in context) == 1 and sum(last[m] for m in context) == 1
+        assert peak < 72 * 2**20
 
 
 class TestWitnesses:
