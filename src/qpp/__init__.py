@@ -6,139 +6,25 @@ form), derives the values the selections force on those projectors, and
 decides by exhaustive enumeration whether any noncontextual 0/1
 assignment survives.  Optimizers locate the parameter choices that
 maximize the selection probabilities of the built-in constructions.
+
+The public names are those of the six layers; each layer's ``__all__``
+is the one place they are listed.
 """
 
-from .hilbert import (
-    TOL_CHECK,
-    TOL_NORM,
-    DegenerateSpanError,
-    StateVector,
-    certain_value,
-    context_deviation,
-    inner,
-    orthocomplement_state,
-    tensor,
-)
-from .scenario import (
-    PREDICTION,
-    RETRODICTION,
-    CheckResult,
-    Context,
-    ForcedValue,
-    LabeledProjector,
-    PrePostScenario,
-    ScenarioParseError,
-    ValidationReport,
-    ValueAssignment,
-    load,
-    save,
-    validate,
-)
-from .constructions import (
-    CONTEXT_MINUS,
-    CONTEXT_PLUS,
-    DELTA_PAIR,
-    CandidateConstruction,
-    DegenerateConfigurationError,
-    cabello_family,
-    cabello_scenario,
-    family_delta_overlap,
-    hardy_probability,
-    hardy_scenario,
-    single_qubit_scenario,
-)
-from .prepost import (
-    ABLUndefinedError,
-    SelectionInconsistencyError,
-    abl_probability,
-    forced_values,
-    selection_probability,
-)
-from .nchv import (
-    CONFLICT,
-    EXCLUSIVITY,
-    MAX_EXHAUSTIVE_PROJECTORS,
-    SAT,
-    SUM_RULE,
-    UNSAT,
-    ContradictionTrace,
-    EnumerationLimitError,
-    NoContradictionError,
-    PropagationIncompleteError,
-    SatisfiabilityReport,
-    TraceStep,
-    Witnesses,
-    contradiction_trace,
-    enumerate_assignments,
-)
-from .optimizer import (
-    ConvergenceError,
-    OptimizationResult,
-    feasibility_root,
-    maximize_cabello_family,
-    maximize_hardy,
-)
+from . import constructions, hilbert, nchv, optimizer, prepost, scenario
+from .constructions import *
+from .hilbert import *
+from .nchv import *
+from .optimizer import *
+from .prepost import *
+from .scenario import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "TOL_NORM",
-    "TOL_CHECK",
-    "StateVector",
-    "DegenerateSpanError",
-    "tensor",
-    "inner",
-    "certain_value",
-    "context_deviation",
-    "orthocomplement_state",
-    "PREDICTION",
-    "RETRODICTION",
-    "ScenarioParseError",
-    "LabeledProjector",
-    "Context",
-    "PrePostScenario",
-    "ForcedValue",
-    "ValueAssignment",
-    "CheckResult",
-    "ValidationReport",
-    "validate",
-    "save",
-    "load",
-    "CONTEXT_PLUS",
-    "CONTEXT_MINUS",
-    "DELTA_PAIR",
-    "CandidateConstruction",
-    "DegenerateConfigurationError",
-    "cabello_scenario",
-    "cabello_family",
-    "family_delta_overlap",
-    "hardy_probability",
-    "hardy_scenario",
-    "single_qubit_scenario",
-    "SelectionInconsistencyError",
-    "ABLUndefinedError",
-    "selection_probability",
-    "forced_values",
-    "abl_probability",
-    "SAT",
-    "UNSAT",
-    "SUM_RULE",
-    "EXCLUSIVITY",
-    "CONFLICT",
-    "MAX_EXHAUSTIVE_PROJECTORS",
-    "EnumerationLimitError",
-    "NoContradictionError",
-    "PropagationIncompleteError",
-    "TraceStep",
-    "ContradictionTrace",
-    "Witnesses",
-    "SatisfiabilityReport",
-    "enumerate_assignments",
-    "contradiction_trace",
-    "ConvergenceError",
-    "OptimizationResult",
-    "maximize_hardy",
-    "feasibility_root",
-    "maximize_cabello_family",
-]
+__all__ = ["__version__"]
+__all__ += hilbert.__all__
+__all__ += scenario.__all__
+__all__ += constructions.__all__
+__all__ += prepost.__all__
+__all__ += nchv.__all__
+__all__ += optimizer.__all__

@@ -38,7 +38,7 @@ from .constructions import (
 from .nchv import UNSAT, EnumerationLimitError
 from .optimizer import ConvergenceError, maximize_cabello_family, maximize_hardy
 from .prepost import SelectionInconsistencyError
-from .scenario import PrePostScenario, ScenarioParseError
+from .scenario import ScenarioParseError
 
 __all__ = [
     "EXIT_OK",
@@ -88,10 +88,6 @@ class Check:
             "pass": self.passed,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Check":
-        return Check(d["name"], d["expected"], d["actual"], d["deviation"], d["pass"])
-
 
 @dataclass(frozen=True)
 class Report:
@@ -116,15 +112,6 @@ class Report:
         if self.details is not None:
             doc["details"] = self.details
         return doc
-
-    @staticmethod
-    def from_dict(d: dict) -> "Report":
-        return Report(
-            command=d["command"],
-            checks=tuple(Check.from_dict(c) for c in d["checks"]),
-            details=d.get("details"),
-            artifact_version=d["artifact_version"],
-        )
 
     def render_text(self) -> str:
         lines = [f"{self.command} (qpp {__version__})"]
@@ -177,18 +164,48 @@ def _trace_details(trace: nchv.ContradictionTrace) -> list[dict]:
     ]
 
 
-def _scenario_battery(
-    s: PrePostScenario, tol_check: float, numeric_tol: float
-) -> tuple[list[Check], dict]:
-    """Checks shared by the verify targets, plus their detail entries.
+def _cmd_verify(args, tol_check: float) -> int:
+    """Rebuild the target scenario and check every claim about it."""
+    hardy = args.target == "hardy"
+    result = None
+    if hardy:
+        has_angles = args.theta_a is not None or args.theta_b is not None
+        if args.optimal and has_angles:
+            return _fail("verify hardy: --optimal conflicts with --theta-a/--theta-b", EXIT_VALIDATION)
+        if not args.optimal and (args.theta_a is None or args.theta_b is None):
+            return _fail(
+                "verify hardy: supply both --theta-a and --theta-b, or --optimal",
+                EXIT_VALIDATION,
+            )
+        theta_a, theta_b = args.theta_a, args.theta_b
+        if args.optimal:
+            try:
+                result = maximize_hardy(args.grid, args.refine_tol)
+            except ValueError as exc:
+                return _fail(str(exc), EXIT_VALIDATION)
+            except ConvergenceError as exc:
+                return _fail(str(exc), EXIT_NUMERIC)
+            params = dict(result.parameters)
+            theta_a, theta_b = params["theta_a"], params["theta_b"]
+        try:
+            s = hardy_scenario(theta_a, theta_b, tol_check)
+        except DegenerateConfigurationError as exc:
+            return _fail(str(exc), EXIT_VALIDATION)
+    else:
+        s = cabello_scenario()
 
-    The resolution and exclusivity deviations are read from the
-    validation report and re-judged at the target's pinned tolerance.
-    """
-    checks: list[Check] = []
     vreport = scenario.validate(s, tol_check)
-    checks.append(Check("scenario_valid", True, vreport.passed, None, vreport.passed))
+    checks = [Check("scenario_valid", True, vreport.passed, None, vreport.passed)]
+    prob = prepost.selection_probability(s)
+    if not hardy:
+        dev = abs(prob - CABELLO_PROBABILITY)
+        checks.append(
+            Check("selection_probability", CABELLO_PROBABILITY, prob, dev, dev < 1e-12)
+        )
 
+    # Resolution and exclusivity deviations come from the validation
+    # report, re-judged at the target's pinned tolerance.
+    numeric_tol = 1e-9 if hardy else 1e-12
     measured = {c.name: c.deviation for c in vreport.checks}
     for i in range(len(s.contexts)):
         dev = measured[f"context_resolution[{i}]"]
@@ -225,100 +242,33 @@ def _scenario_battery(
     )
 
     details = {"forced_values": _forced_details(forced), "trace": trace_detail}
-    return checks, details
 
-
-def _verify_exit(checks: list[Check]) -> int:
-    if all(c.passed for c in checks):
-        return EXIT_OK
-    for c in checks:
-        if c.name == "scenario_valid" and not c.passed:
-            return EXIT_VALIDATION
-    return EXIT_NUMERIC
-
-
-def _export(s: PrePostScenario, path: str) -> int:
-    try:
-        Path(path).write_bytes(scenario.save(s))
-    except OSError as exc:
-        return _fail(f"export failed: {exc}", EXIT_IO)
-    return EXIT_OK
-
-
-def _cmd_verify_cabello(args, tol_check: float) -> int:
-    s = cabello_scenario()
-    checks: list[Check] = []
-    battery, details = _scenario_battery(s, tol_check, numeric_tol=1e-12)
-    checks.append(battery[0])
-
-    prob = prepost.selection_probability(s)
-    dev = abs(prob - CABELLO_PROBABILITY)
-    checks.append(
-        Check("selection_probability", CABELLO_PROBABILITY, prob, dev, dev < 1e-12)
-    )
-    checks.extend(battery[1:])
-
-    report = Report("verify cabello", tuple(checks), details)
-    _emit(report, args.json)
-    code = _verify_exit(checks)
-    if code == EXIT_OK and args.export:
-        code = _export(s, args.export)
-    return code
-
-
-def _cmd_verify_hardy(args, tol_check: float) -> int:
-    has_angles = args.theta_a is not None or args.theta_b is not None
-    if args.optimal and has_angles:
-        return _fail("verify hardy: --optimal conflicts with --theta-a/--theta-b", EXIT_VALIDATION)
-    if not args.optimal:
-        if args.theta_a is None or args.theta_b is None:
-            return _fail(
-                "verify hardy: supply both --theta-a and --theta-b, or --optimal",
-                EXIT_VALIDATION,
+    if hardy:
+        details["selection_probability"] = prob
+        details["theta_a"] = theta_a
+        details["theta_b"] = theta_b
+        if result is not None:
+            dev = abs(result.objective - HARDY_MAX_PROBABILITY)
+            checks.append(
+                Check("optimal_probability", HARDY_MAX_PROBABILITY, result.objective, dev, dev < 1e-6)
             )
+            details["evaluations"] = result.evaluations
+            details["grid_resolution"] = result.grid_resolution
+            details["refine_tolerance"] = result.refine_tolerance
+        margin = CABELLO_PROBABILITY - prob
+        checks.append(Check("probability_below_bound", True, prob < CABELLO_PROBABILITY, margin,
+                            prob < CABELLO_PROBABILITY))
 
-    if args.optimal:
-        try:
-            result = maximize_hardy(args.grid, args.refine_tol)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_VALIDATION)
-        except ConvergenceError as exc:
-            return _fail(str(exc), EXIT_NUMERIC)
-        params = dict(result.parameters)
-        theta_a, theta_b = params["theta_a"], params["theta_b"]
-    else:
-        theta_a, theta_b = args.theta_a, args.theta_b
-
-    try:
-        s = hardy_scenario(theta_a, theta_b, tol_check)
-    except DegenerateConfigurationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-
-    checks, details = _scenario_battery(s, tol_check, numeric_tol=1e-9)
-    prob = prepost.selection_probability(s)
-    details["selection_probability"] = prob
-    details["theta_a"] = theta_a
-    details["theta_b"] = theta_b
-
-    if args.optimal:
-        dev = abs(result.objective - HARDY_MAX_PROBABILITY)
-        checks.append(
-            Check("optimal_probability", HARDY_MAX_PROBABILITY, result.objective, dev, dev < 1e-6)
-        )
-        details["evaluations"] = result.evaluations
-        details["grid_resolution"] = result.grid_resolution
-        details["refine_tolerance"] = result.refine_tolerance
-
-    margin = CABELLO_PROBABILITY - prob
-    checks.append(Check("probability_below_bound", True, prob < CABELLO_PROBABILITY, margin,
-                        prob < CABELLO_PROBABILITY))
-
-    report = Report("verify hardy", tuple(checks), details)
+    report = Report(f"verify {args.target}", tuple(checks), details)
     _emit(report, args.json)
-    code = _verify_exit(checks)
-    if code == EXIT_OK and args.export:
-        code = _export(s, args.export)
-    return code
+    if not report.overall:
+        return EXIT_NUMERIC if vreport.passed else EXIT_VALIDATION
+    if args.export:
+        try:
+            Path(args.export).write_bytes(scenario.save(s))
+        except OSError as exc:
+            return _fail(f"export failed: {exc}", EXIT_IO)
+    return EXIT_OK
 
 
 def _cmd_check(args, tol_check: float) -> int:
@@ -465,9 +415,7 @@ def main(argv=None) -> int:
             return _fail(f"QPP_TOL must be positive and finite, got {env!r}", EXIT_VALIDATION)
 
     if args.command == "verify":
-        if args.target == "cabello":
-            return _cmd_verify_cabello(args, tol_check)
-        return _cmd_verify_hardy(args, tol_check)
+        return _cmd_verify(args, tol_check)
     if args.command == "check":
         return _cmd_check(args, tol_check)
     return _cmd_optimize(args)
@@ -475,3 +423,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

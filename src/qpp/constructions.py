@@ -6,9 +6,9 @@ Three families are provided:
   unentangled particles, pre- and postselected in product states, carry
   seven propositions whose forced values contradict every noncontextual
   assignment.
-* :func:`cabello_family` / :func:`family_delta_overlap`: a two-parameter
-  deformation of the same construction, used to show the original sits
-  at the optimum of its family.
+* :func:`cabello_family`: a two-parameter deformation of the same
+  construction, used to show the original sits at the optimum of its
+  family.
 * :func:`hardy_scenario` / :func:`hardy_probability`: the two-qubit
   Hardy construction parameterized by two polar angles and its
   selection probability in closed form, plus
@@ -37,7 +37,6 @@ __all__ = [
     "CandidateConstruction",
     "cabello_scenario",
     "cabello_family",
-    "family_delta_overlap",
     "hardy_probability",
     "hardy_scenario",
     "single_qubit_scenario",
@@ -170,30 +169,6 @@ def cabello_family(c: float, p: float) -> CandidateConstruction:
     scenario = _two_spin_scenario(pre, post, states, metadata)
     overlap = abs(hilbert.inner(delta_p, delta_m))
     return CandidateConstruction(scenario=scenario, c=c, p=p, delta_overlap=overlap)
-
-
-def family_delta_overlap(c, p):
-    """|<delta+|delta->| for family members, vectorized over c and p.
-
-    Equivalent to building :func:`cabello_family` pointwise but computed
-    from the rank-1 gap operators G+- = I - P_alpha - P_beta+- - P_gamma+-,
-    whose trace product equals the squared overlap.  Accepts scalars or
-    broadcastable arrays with entries strictly inside (0, 1).
-    """
-    c = np.asarray(c, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if np.any((c <= 0.0) | (c >= 1.0)) or np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("c and p must lie strictly inside (0, 1)")
-    c, p = np.broadcast_arrays(c, p)
-
-    s2 = 1.0 - c * c
-    q2 = 1.0 - p * p
-    # Trace identity: with unnormalized gamma weight w = s^2 + c^2 q^2 / p^2 + c^2,
-    # Tr(G+ G-) reduces to ((c^2 + s^2 p^4 - s^2 p^2 q^2) / (c^2 + s^2 p^4 + s^2 p^2 q^2))^2.
-    num = c * c + s2 * p * p * (p * p - q2)
-    den = c * c + s2 * p * p * (p * p + q2)
-    out = np.abs(num) / den
-    return float(out) if out.ndim == 0 else out
 
 
 def _check_hardy_angles(theta_a: float, theta_b: float) -> None:

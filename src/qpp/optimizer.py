@@ -21,8 +21,6 @@ from . import prepost
 from .constructions import cabello_family, hardy_probability
 
 __all__ = [
-    "DEFAULT_EXCLUSIVITY_TOL",
-    "MAX_REFINE_ITERATIONS",
     "ConvergenceError",
     "OptimizationResult",
     "maximize_hardy",
@@ -133,8 +131,8 @@ def feasibility_root(c: float) -> tuple[float, float]:
     numerator vanishes at u = (1 + sqrt(disc)) / 4; otherwise the
     overlap is smallest at u = c / (1 + c), where it equals
     (3c - 1) / (1 + c).  Returns (p, overlap), the overlap evaluated in
-    this u-form with plain floats (it agrees with
-    constructions.family_delta_overlap(c, p) to rounding).  The overlap
+    this u-form with plain floats (it agrees with the delta overlap of
+    constructions.cabello_family(c, p) to rounding).  The overlap
     at the returned p is the feasibility defect: zero (to rounding)
     exactly when some family member at this c forms a valid scenario.
 

@@ -89,9 +89,9 @@ class PrePostScenario:
     """A pre/postselected system with its propositions and contexts.
 
     Construction enforces only structure (matching dimensions, tuple
-    fields).  Labels referenced by contexts or exclusive pairs are not
-    resolved here; :func:`validate` reports dangling references as
-    failures rather than exceptions.
+    fields, string metadata keys and values).  Labels referenced by
+    contexts or exclusive pairs are not resolved here; :func:`validate`
+    reports dangling references as failures rather than exceptions.
     """
 
     dim: int
@@ -118,7 +118,11 @@ class PrePostScenario:
         object.__setattr__(
             self, "exclusive_pairs", tuple((str(a), str(b)) for a, b in self.exclusive_pairs)
         )
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        metadata = dict(self.metadata)
+        for key, value in metadata.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise ValueError(f"metadata keys and values must be strings, got {key!r}: {value!r}")
+        object.__setattr__(self, "metadata", metadata)
 
     def labels(self) -> list[str]:
         return [p.label for p in self.projectors]
@@ -161,10 +165,6 @@ class ValueAssignment:
             if bit not in (0, 1):
                 raise ValueError(f"assignment bits must be 0 or 1, got {bit!r}")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dict(cls, mapping: dict[str, int]) -> "ValueAssignment":
-        return cls(tuple(mapping.items()))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)

@@ -1,4 +1,4 @@
-"""Shared test constructions."""
+"""Shared test constructions and oracles."""
 
 import numpy as np
 
@@ -89,3 +89,23 @@ def witness_heavy_scenario(free_labels, seed=0, context=("c", "c_perp")):
         dim=2, pre=random_state(), post=random_state(),
         projectors=projectors, contexts=(Context(context),),
     )
+
+
+def family_delta_overlap(c, p):
+    """|<delta+|delta->| for cabello_family members, vectorized over c and p.
+
+    An oracle independent of both the pointwise construction and the
+    closed-form feasibility root: it is computed from the rank-1 gap
+    operators G+- = I - P_alpha - P_beta+- - P_gamma+-, whose trace
+    product equals the squared overlap.  Accepts scalars or broadcastable
+    arrays with entries strictly inside (0, 1).
+    """
+    c, p = np.broadcast_arrays(np.asarray(c, dtype=np.float64), np.asarray(p, dtype=np.float64))
+    s2 = 1.0 - c * c
+    q2 = 1.0 - p * p
+    # Trace identity: with unnormalized gamma weight w = s^2 + c^2 q^2 / p^2 + c^2,
+    # Tr(G+ G-) reduces to ((c^2 + s^2 p^4 - s^2 p^2 q^2) / (c^2 + s^2 p^4 + s^2 p^2 q^2))^2.
+    num = c * c + s2 * p * p * (p * p - q2)
+    den = c * c + s2 * p * p * (p * p + q2)
+    out = np.abs(num) / den
+    return float(out) if out.ndim == 0 else out

@@ -1,10 +1,14 @@
 """End-to-end tests for the command line interface.
 
 Commands run in process through main(argv) so exit codes and output can
-be asserted directly.
+be asserted directly; one test runs the module entry point in a child
+process.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +45,17 @@ class TestVerifyCabello:
         out = capsys.readouterr().out
         assert out == GOLDEN.read_text()
 
-    def test_json_round_trips_through_report(self, capsys):
-        main(["verify", "cabello", "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert Report.from_dict(doc).to_dict() == doc
+    def test_module_entry_point_matches_golden(self):
+        """``python -m qpp.cli`` runs the command, not a silent import."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpp.cli", "verify", "cabello", "--json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == GOLDEN.read_bytes()
 
     def test_export_writes_loadable_scenario(self, tmp_path, capsys):
         target = tmp_path / "cabello.json"
@@ -84,6 +95,25 @@ class TestVerifyHardy:
         out = capsys.readouterr().out
         assert "optimal_probability" in out
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("argv, extra_checks, extra_details", [
+        (["--theta-a", "0.9", "--theta-b", "0.7"], [], []),
+        (["--optimal", "--grid", "16"], ["optimal_probability"],
+         ["evaluations", "grid_resolution", "refine_tolerance"]),
+    ], ids=["angles", "optimal"])
+    def test_json_report_shape(self, capsys, argv, extra_checks, extra_details):
+        assert main(["verify", "hardy", *argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["artifact_version", "command", "checks", "overall", "details"]
+        assert [c["name"] for c in doc["checks"]] == [
+            "scenario_valid", "resolution_of_identity[0]", "resolution_of_identity[1]",
+            "delta_pair_exclusive", "forced_values", "nchv_status", "assignments_examined",
+            "contradiction_trace", *extra_checks, "probability_below_bound",
+        ]
+        assert list(doc["details"]) == [
+            "forced_values", "trace", "selection_probability", "theta_a", "theta_b",
+            *extra_details,
+        ]
 
 
 class TestCheck:
@@ -256,12 +286,19 @@ class TestUsage:
 class TestReportModel:
     def test_check_round_trip(self):
         c = Check("x", 1.0, 1.5, 0.5, False)
-        assert Check.from_dict(c.to_dict()) == c
+        doc = {"name": "x", "expected": 1.0, "actual": 1.5, "deviation": 0.5, "pass": False}
+        assert json.loads(json.dumps(c.to_dict())) == doc
         assert c.to_dict()["pass"] is False
 
     def test_report_round_trip(self):
         r = Report("demo", (Check("a", True, True, None, True),), {"k": [1, 2]})
-        assert Report.from_dict(r.to_dict()) == r
+        doc = json.loads(json.dumps(r.to_dict()))
+        assert doc == {
+            "artifact_version": 1, "command": "demo",
+            "checks": [{"name": "a", "expected": True, "actual": True, "deviation": None,
+                        "pass": True}],
+            "overall": True, "details": {"k": [1, 2]},
+        }
         assert r.overall is True
 
     def test_render_text_shows_failures(self):

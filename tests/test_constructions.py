@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import family_delta_overlap
 
 from qpp import (
     CONTEXT_MINUS,
@@ -14,7 +15,6 @@ from qpp import (
     cabello_family,
     cabello_scenario,
     context_deviation,
-    family_delta_overlap,
     hardy_probability,
     hardy_scenario,
     inner,
@@ -131,12 +131,6 @@ class TestCabelloFamily:
                 scalar = family_delta_overlap(float(cs[i, 0]), float(ps[0, j]))
                 assert isinstance(scalar, float)
                 assert scalar == pytest.approx(out[i, j], abs=1e-15)
-
-    def test_fast_overlap_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            family_delta_overlap(0.0, 0.5)
-        with pytest.raises(ValueError):
-            family_delta_overlap(np.array([0.2, 1.0]), 0.5)
 
 
 class TestHardyScenario:

@@ -307,7 +307,7 @@ class TestWitnesses:
     def test_matches_brute_force_list(self, case, data):
         s, forced = case
         rep = enumerate_assignments(s, forced)
-        expected = tuple(ValueAssignment.from_dict(a) for a in brute_force_witnesses(s, forced))
+        expected = tuple(ValueAssignment(tuple(a.items())) for a in brute_force_witnesses(s, forced))
         w = rep.witnesses
         n = len(expected)
         assert len(w) == n

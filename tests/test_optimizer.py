@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import family_delta_overlap
 
 from qpp import (
     ConvergenceError,
     cabello_family,
-    family_delta_overlap,
     feasibility_root,
     maximize_cabello_family,
     maximize_hardy,

@@ -1,5 +1,6 @@
 """Tests for the scenario model, validation, and the file format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -65,6 +66,16 @@ class TestModel:
                 contexts=(),
             )
 
+    def test_scenario_rejects_non_string_metadata_value(self):
+        """load refuses such a value, so save must never write one."""
+        with pytest.raises(ValueError, match="metadata"):
+            dataclasses.replace(tiny_scenario(), metadata={"grid": 64})
+
+    def test_scenario_rejects_non_string_metadata_key(self):
+        """save would write the key as a string, and load would change it."""
+        with pytest.raises(ValueError, match="metadata"):
+            dataclasses.replace(tiny_scenario(), metadata={1: "x"})
+
     def test_projector_map_first_wins(self):
         s = tiny_scenario()
         dup = PrePostScenario(
@@ -83,7 +94,7 @@ class TestModel:
             ForcedValue("x", 0, "Guess")
 
     def test_value_assignment_round_trip(self):
-        a = ValueAssignment.from_dict({"b": 1, "a": 0})
+        a = ValueAssignment((("b", 1), ("a", 0)))
         assert a.values == (("a", 0), ("b", 1))
         assert a.as_dict() == {"a": 0, "b": 1}
         assert a["b"] == 1
