@@ -15,7 +15,11 @@ Three families are provided:
   :func:`single_qubit_scenario` for random contradiction-free baselines.
 
 All states are written in the product basis ordered A (x) B, A (x) B_perp,
-A_perp (x) B, A_perp (x) B_perp.
+A_perp (x) B, A_perp (x) B_perp.  Every state completing a basis is a
+closed form: (sin, -cos) completes a real qubit (cos, sin), and
+(-conj(b), conj(a)) a complex one (a, b); the Hardy preselection and the
+family's gamma+/- and delta+/- are given in their builders.  Their norms
+are positive over the open parameter ranges, so none can degenerate.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import DegenerateSpanError, StateVector, TOL_CHECK
+from .hilbert import StateVector, TOL_CHECK
 from .scenario import Context, LabeledProjector, PrePostScenario
 
 __all__ = [
@@ -119,10 +123,11 @@ def cabello_family(c: float, p: float) -> CandidateConstruction:
     """One member of the two-parameter deformation of the fixed scenario.
 
     c is the first postselection amplitude (the fixed scenario has 1/3)
-    and p the first beta amplitude (fixed scenario 1/2).  gamma+/- are
-    chosen to stay orthogonal to the postselection and to beta-/+, and
-    delta+/- complete the two contexts by orthocomplement.  Both
-    parameters must lie strictly inside (0, 1).
+    and p the first beta amplitude (fixed scenario 1/2); both must lie
+    strictly inside (0, 1).  With s = sqrt(1 - c^2), q = sqrt(1 - p^2)
+    and g = hypot(c, s p) > 0, gamma+/- = (s p, -/+c q, c p, 0) / g is
+    orthogonal to the postselection and to beta+/-, and
+    delta+/- = (c, +/-s p q, -s p^2, 0) / g completes each context.
 
     The returned construction is a valid scenario only when its
     delta_overlap vanishes; callers decide what tolerance to apply.
@@ -134,24 +139,17 @@ def cabello_family(c: float, p: float) -> CandidateConstruction:
 
     s = math.sqrt(1.0 - c * c)
     q = math.sqrt(1.0 - p * p)
+    g = math.hypot(c, s * p)
     pre = StateVector([1.0, 0.0, 0.0, 0.0])
     post = StateVector([c, 0.0, -s, 0.0])
 
     alpha = StateVector([0.0, 0.0, 0.0, 1.0])
     beta_p = StateVector([0.0, p, q, 0.0])
     beta_m = StateVector([0.0, p, -q, 0.0])
-
-    def gamma(sign: float) -> StateVector:
-        raw = np.array([s, -sign * c * q / p, c, 0.0], dtype=np.complex128)
-        return StateVector(raw / np.linalg.norm(raw))
-
-    gamma_p = gamma(+1.0)
-    gamma_m = gamma(-1.0)
-    try:
-        delta_p = hilbert.orthocomplement_state([alpha, beta_p, gamma_p])
-        delta_m = hilbert.orthocomplement_state([alpha, beta_m, gamma_m])
-    except DegenerateSpanError as exc:
-        raise DegenerateConfigurationError(f"degenerate configuration: {exc}") from exc
+    gamma_p = StateVector([s * p / g, -c * q / g, c * p / g, 0.0])
+    gamma_m = StateVector([s * p / g, c * q / g, c * p / g, 0.0])
+    delta_p = StateVector([c / g, s * p * q / g, -s * p * p / g, 0.0])
+    delta_m = StateVector([c / g, -s * p * q / g, -s * p * p / g, 0.0])
 
     states = {
         "alpha": alpha,
@@ -196,24 +194,25 @@ def hardy_probability(theta_a: float, theta_b: float) -> float:
 def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> PrePostScenario:
     """The two-qubit Hardy construction at polar angles (theta_a, theta_b).
 
-    Single-qubit states a = cos(theta)|0> + sin(theta)|1> on each side
-    define seven product propositions; the preselection is the state
-    orthogonal to the first three and the postselection is a (x) b.
-    Angles must lie strictly inside (0, pi/2); configurations where the
-    construction collapses (rank-deficient span or vanishing selection
-    overlap) raise DegenerateConfigurationError.
+    Single-qubit states a = cos(theta)|0> + sin(theta)|1> and
+    a_perp = sin(theta)|0> - cos(theta)|1> on each side define seven
+    product propositions.  The postselection is a (x) b, and the
+    preselection (0, s_a c_b, c_a s_b, -c_a c_b) / N, with N the root of
+    the denominator of :func:`hardy_probability`, is orthogonal to alpha
+    and beta+/-.  Angles must lie strictly inside (0, pi/2), and a
+    postselection overlap below tol is refused; both raise
+    DegenerateConfigurationError.
     """
     _check_hardy_angles(theta_a, theta_b)
+    ca, sa = math.cos(theta_a), math.sin(theta_a)
+    cb, sb = math.cos(theta_b), math.sin(theta_b)
 
     basis0 = StateVector([1.0, 0.0])
     basis1 = StateVector([0.0, 1.0])
-    a = StateVector([math.cos(theta_a), math.sin(theta_a)])
-    b = StateVector([math.cos(theta_b), math.sin(theta_b)])
-    try:
-        a_perp = hilbert.orthocomplement_state([a])
-        b_perp = hilbert.orthocomplement_state([b])
-    except DegenerateSpanError as exc:
-        raise DegenerateConfigurationError(f"degenerate configuration: {exc}") from exc
+    a = StateVector([ca, sa])
+    b = StateVector([cb, sb])
+    a_perp = StateVector([sa, -ca])
+    b_perp = StateVector([sb, -cb])
 
     states = {
         "alpha": hilbert.tensor(basis0, basis0),
@@ -224,10 +223,8 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
         "delta+": hilbert.tensor(basis1, basis0),
         "delta-": hilbert.tensor(basis0, basis1),
     }
-    try:
-        pre = hilbert.orthocomplement_state([states["alpha"], states["beta+"], states["beta-"]])
-    except DegenerateSpanError as exc:
-        raise DegenerateConfigurationError(f"degenerate configuration: {exc}") from exc
+    n = math.hypot(sa * cb, ca * sb, ca * cb)
+    pre = StateVector([0.0, sa * cb / n, ca * sb / n, -ca * cb / n])
     post = hilbert.tensor(a, b)
 
     if abs(hilbert.inner(post, pre)) < tol:
@@ -266,7 +263,7 @@ def single_qubit_scenario(n_contexts: int, seed: int) -> PrePostScenario:
     contexts: list[Context] = []
     for k in range(n_contexts):
         base = random_state()
-        perp = hilbert.orthocomplement_state([base])
+        perp = StateVector([-np.conj(base.amps[1]), np.conj(base.amps[0])])
         projectors.append(LabeledProjector(f"q{k}", base))
         projectors.append(LabeledProjector(f"q{k}_perp", perp))
         contexts.append(Context((f"q{k}", f"q{k}_perp")))

@@ -8,6 +8,9 @@ spectral norm of the product of the two projectors), and resolutions of
 identity from the spectral norm of V V^† - I.  Every dimension used in
 practice is at most 8, so all storage is dense.
 
+There is no null-space solver: every state the package builds has a
+closed form, e.g. (-conj(b), conj(a)) completes the qubit state (a, b).
+
 Two tolerance regimes are used throughout the package:
 
 * ``TOL_NORM`` (1e-12) guards objects the package constructs itself.
@@ -22,26 +25,15 @@ import numpy as np
 __all__ = [
     "TOL_NORM",
     "TOL_CHECK",
-    "DegenerateSpanError",
     "StateVector",
     "tensor",
     "inner",
     "certain_value",
     "context_deviation",
-    "orthocomplement_state",
 ]
 
 TOL_NORM = 1e-12
 TOL_CHECK = 1e-9
-
-# Coordinates with magnitude above this anchor the global-phase
-# canonicalization in orthocomplement_state.  Unit vectors in dimension
-# <= 8 always have a coordinate of magnitude >= 1/sqrt(8).
-_PHASE_ANCHOR_TOL = 1e-9
-
-
-class DegenerateSpanError(ValueError):
-    """The input states do not span a subspace of the expected rank."""
 
 
 class StateVector:
@@ -151,39 +143,3 @@ def context_deviation(states: list[StateVector]) -> float:
             raise ValueError(f"dimension mismatch: {s.dim} != {dim}")
     v = np.array([s.amps for s in states]).T
     return float(np.linalg.norm(v @ v.conj().T - np.eye(dim), 2))
-
-
-def orthocomplement_state(states: list[StateVector], tol: float = TOL_CHECK) -> StateVector:
-    """The unit vector orthogonal to dim-1 given states, canonically phased.
-
-    The result is the (unique up to phase) vector annihilated by every
-    <state|, computed from the SVD null space of the stacked bra matrix.
-    The global phase is fixed by making the first coordinate of
-    magnitude above 1e-9 real and positive, so outputs are reproducible.
-
-    Raises:
-        ValueError: wrong number of states or mixed dimensions.
-        DegenerateSpanError: the inputs span fewer than dim-1 dimensions
-            (smallest singular value below tol).
-    """
-    if not states:
-        raise ValueError("at least one state is required")
-    dim = states[0].dim
-    for s in states:
-        if s.dim != dim:
-            raise ValueError(f"dimension mismatch: {s.dim} != {dim}")
-    if len(states) != dim - 1:
-        raise ValueError(f"expected dim - 1 = {dim - 1} states, got {len(states)}")
-    bras = np.vstack([s.amps.conj() for s in states])
-    _, singular, vh = np.linalg.svd(bras)
-    if float(singular[-1]) < tol:
-        raise DegenerateSpanError(
-            f"degenerate configuration: input span has rank below {dim - 1} "
-            f"(smallest singular value {float(singular[-1]):.3e})"
-        )
-    null_vec = vh[-1].conj()
-    anchor = int(np.argmax(np.abs(null_vec) > _PHASE_ANCHOR_TOL))
-    phase = null_vec[anchor] / abs(null_vec[anchor])
-    null_vec = null_vec / phase
-    null_vec = null_vec / np.linalg.norm(null_vec)
-    return StateVector(null_vec, tol_norm=TOL_NORM)

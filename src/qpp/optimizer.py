@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import prepost
-from .constructions import cabello_family, hardy_probability
+from .constructions import hardy_probability
 
 __all__ = [
     "ConvergenceError",
@@ -175,10 +174,9 @@ def maximize_cabello_family(
         raise ConvergenceError(
             f"no feasible family member found at exclusivity tolerance {exclusivity_tol!r}"
         )
-    scenario_value = prepost.selection_probability(cabello_family(c, p).scenario)
     return OptimizationResult(
         parameters=(("c", c), ("p", p)),
-        objective=scenario_value,
+        objective=c ** 2,
         evaluations=evals,
         grid_resolution=grid,
         refine_tolerance=refine_tol,

@@ -88,8 +88,8 @@ class Context:
 class PrePostScenario:
     """A pre/postselected system with its propositions and contexts.
 
-    Construction enforces only structure (matching dimensions, tuple
-    fields, string metadata keys and values).  Labels referenced by
+    Construction enforces only structure (integer dim, matching dimensions,
+    pairs of nonempty labels, string metadata).  Labels referenced by
     contexts or exclusive pairs are not resolved here; :func:`validate`
     reports dangling references as failures rather than exceptions.
     """
@@ -103,6 +103,8 @@ class PrePostScenario:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
         if self.pre.dim != self.dim or self.post.dim != self.dim:
@@ -115,9 +117,12 @@ class PrePostScenario:
                 raise ValueError(f"projector {p.label!r} has dimension {p.state.dim}, expected {self.dim}")
         object.__setattr__(self, "projectors", projectors)
         object.__setattr__(self, "contexts", tuple(self.contexts))
-        object.__setattr__(
-            self, "exclusive_pairs", tuple((str(a), str(b)) for a, b in self.exclusive_pairs)
-        )
+        pairs = tuple(self.exclusive_pairs)
+        for pair in pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(m, str) and m for m in pair)):
+                raise ValueError(f"exclusive pair must be two nonempty labels, got {pair!r}")
+        object.__setattr__(self, "exclusive_pairs", pairs)
         metadata = dict(self.metadata)
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):

@@ -1,10 +1,11 @@
 """Tests for the built-in scenario constructions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import family_delta_overlap
 
@@ -101,15 +102,26 @@ class TestCabelloFamily:
             cand = cabello_family(c, p)
             assert selection_probability(cand.scenario) == pytest.approx(c * c, rel=1e-12)
 
-    def test_contexts_always_resolve(self):
-        """Context completeness holds for all parameters; only the delta
-        pair's exclusivity is parameter dependent."""
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            c, p = rng.uniform(0.05, 0.95, 2)
-            s = cabello_family(c, p).scenario
-            for ctx in s.contexts:
-                assert context_deviation(context_states(s, ctx.members)) < 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
+        p=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
+    )
+    @example(c=0.5, p=1e-300)
+    def test_contexts_always_resolve(self, c, p):
+        """Context completeness and gamma+/- _|_ post hold for all parameters
+        down to the smallest normal floats; only the delta pair's
+        exclusivity is parameter dependent."""
+        cand = cabello_family(c, p)
+        s = cand.scenario
+        for ctx in s.contexts:
+            assert context_deviation(context_states(s, ctx.members)) < 1e-12
+        pm = s.projector_map()
+        for lab in ("gamma+", "gamma-"):
+            assert abs(inner(pm[lab].state, s.post)) < 1e-12
+        # the oracle's denominator; when it is subnormal it keeps too few digits
+        if c * c + (1.0 - c * c) * p * p >= sys.float_info.min:
+            assert abs(cand.delta_overlap - family_delta_overlap(c, p)) < 1e-12
 
     def test_fast_overlap_matches_construction(self):
         rng = np.random.default_rng(27)

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpp.hilbert import (
-    DegenerateSpanError,
     StateVector,
     certain_value,
     context_deviation,
     inner,
-    orthocomplement_state,
     tensor,
 )
 
@@ -249,56 +247,3 @@ class TestDenseOracle:
             for i, a in enumerate(states):
                 for b in states[i + 1:]:
                     assert abs(inner(a, b)) <= dev + 1e-15
-
-
-class TestOrthocomplement:
-    def test_qubit_complement_is_canonical(self):
-        theta = 0.7
-        u = StateVector([np.cos(theta), np.sin(theta)])
-        perp = orthocomplement_state([u])
-        np.testing.assert_allclose(perp.amps, [np.sin(theta), -np.cos(theta)], atol=1e-15)
-
-    def test_result_is_orthogonal_and_normalized(self):
-        rng = np.random.default_rng(37)
-        for _ in range(200):
-            dim = int(rng.integers(2, 6))
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            q, _ = np.linalg.qr(m)
-            states = [StateVector(q[:, i]) for i in range(dim - 1)]
-            perp = orthocomplement_state(states)
-            assert abs(float(np.linalg.norm(perp.amps)) - 1.0) < 1e-12
-            for s in states:
-                assert abs(inner(s, perp)) < 1e-12
-
-    def test_first_large_coordinate_is_real_positive(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            q, _ = np.linalg.qr(m)
-            perp = orthocomplement_state([StateVector(q[:, 0]), StateVector(q[:, 1])])
-            lead = next(z for z in perp.amps if abs(z) > 1e-9)
-            assert lead.imag == pytest.approx(0.0, abs=1e-12)
-            assert lead.real > 0.0
-
-    def test_phase_invariance(self):
-        """Rephasing the inputs leaves the canonical complement in place."""
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            q, _ = np.linalg.qr(m)
-            u, v = StateVector(q[:, 0]), StateVector(q[:, 1])
-            base = orthocomplement_state([u, v])
-            u2 = StateVector(u.amps * np.exp(1j * 1.234))
-            v2 = StateVector(v.amps * np.exp(-1j * 0.577))
-            again = orthocomplement_state([u2, v2])
-            np.testing.assert_allclose(again.amps, base.amps, atol=1e-12)
-
-    def test_wrong_count_rejected(self):
-        u = StateVector([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            orthocomplement_state([u])
-
-    def test_degenerate_span_rejected(self):
-        u = StateVector([1.0, 0.0, 0.0])
-        with pytest.raises(DegenerateSpanError, match="degenerate configuration"):
-            orthocomplement_state([u, u])

@@ -76,6 +76,21 @@ class TestModel:
         with pytest.raises(ValueError, match="metadata"):
             dataclasses.replace(tiny_scenario(), metadata={1: "x"})
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim": 2.0},
+            {"dim": np.int64(2)},
+            {"exclusive_pairs": (("up", ""),)},
+            {"exclusive_pairs": ((1, 2),)},
+        ],
+        ids=["float-dim", "numpy-dim", "empty-pair-label", "non-string-pair"],
+    )
+    def test_scenario_rejects_what_save_cannot_round_trip(self, change):
+        """save would raise, or write bytes that load rejects or reads differently."""
+        with pytest.raises(ValueError, match="dim must be an integer|exclusive pair"):
+            dataclasses.replace(tiny_scenario(), **change)
+
     def test_projector_map_first_wins(self):
         s = tiny_scenario()
         dup = PrePostScenario(
