@@ -211,15 +211,12 @@ def enumerate_assignments(
 
     Raises:
         EnumerationLimitError: more than MAX_EXHAUSTIVE_PROJECTORS labels.
-        ValueError: duplicate projector labels, forced values or
-            constraints that reference unknown labels, forced values
-            that conflict with each other, a context that repeats a
-            member, or an exclusive pair of one label with itself.
+        ValueError: forced values that reference unknown labels or
+            conflict with each other.  The scenario itself needs no
+            check: its constructor refuses duplicate or dangling labels,
+            repeated context members and self-pairs.
     """
     labels = sorted(s.labels())
-    for a, b in zip(labels, labels[1:]):
-        if a == b:
-            raise ValueError(f"duplicate projector label {a!r}")
     n = len(labels)
     if n > MAX_EXHAUSTIVE_PROJECTORS:
         raise EnumerationLimitError(
@@ -231,26 +228,8 @@ def enumerate_assignments(
     for lab in forced_bits:
         if lab not in pos:
             raise ValueError(f"forced value references unknown label {lab!r}")
-    context_masks = []
-    for ctx in s.contexts:
-        mask = 0
-        for m in ctx.members:
-            if m not in pos:
-                raise ValueError(f"context references unknown label {m!r}")
-            mask |= 1 << pos[m]
-        context_masks.append(mask)
-    pair_masks = []
-    for a, b in s.exclusive_pairs:
-        if a not in pos or b not in pos:
-            raise ValueError(f"exclusive pair references unknown label {a!r} or {b!r}")
-        pair_masks.append((1 << pos[a]) | (1 << pos[b]))
-    for ctx, mask in zip(s.contexts, context_masks):
-        if mask.bit_count() < len(ctx.members):
-            repeated = next(m for m in ctx.members if ctx.members.count(m) > 1)
-            raise ValueError(f"context repeats member {repeated!r}")
-    for a, b in s.exclusive_pairs:
-        if a == b:
-            raise ValueError(f"exclusive pair repeats label {a!r}")
+    context_masks = [sum(1 << pos[m] for m in ctx.members) for ctx in s.contexts]
+    pair_masks = [(1 << pos[a]) | (1 << pos[b]) for a, b in s.exclusive_pairs]
 
     total = 1 << n
     force_mask = 0

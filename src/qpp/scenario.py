@@ -2,16 +2,17 @@
 
 A scenario bundles a preselected state, a postselected state, a set of
 labeled rank-1 projectors, the contexts (resolutions of identity) they
-form, and any explicitly declared exclusive pairs.  Scenario objects are
-dumb containers: structural well-formedness (shapes, dimensions) is
-enforced at construction, while semantic invariants (orthogonality,
-resolutions, postselection overlap) are measured by :func:`validate`,
-which reports failures instead of raising.
+form, and any explicitly declared exclusive pairs.  Structure (types,
+dimensions, distinct labels, contexts and pairs that name existing
+projectors) is enforced once, at construction, so every scenario object
+is well formed; semantic invariants (orthogonality, resolutions,
+postselection overlap) are measured by :func:`validate`, which reports
+failures instead of raising.
 
 The module also defines the JSON exchange format.  Files are UTF-8 JSON
 documents with complex numbers encoded as two-element [re, im] arrays in
 shortest round-trip decimal form, so save -> load -> save is
-byte-idempotent for every scenario this package produces.
+byte-idempotent for every scenario that can be constructed.
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ _REQUIRED_FIELDS = {"dim", "pre", "post", "projectors", "contexts"}
 _PROJECTOR_FIELDS = {"label", "state"}
 
 
-class ScenarioParseError(ValueError):
-    """A scenario file could not be parsed; the message names the location."""
+class _RuleError(ValueError):
+    """A broken scenario rule; the message names the node when one is known."""
 
     def __init__(self, message: str, location: str | None = None) -> None:
         self.location = location
+        self.reason = message
         super().__init__(message if location is None else f"{location}: {message}")
+
+
+class ScenarioParseError(_RuleError):
+    """A scenario file could not be parsed; the message names the location."""
 
 
 @dataclass(frozen=True)
@@ -66,21 +72,29 @@ class LabeledProjector:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("projector label must be a nonempty string")
+        if not isinstance(self.state, StateVector):
+            raise ValueError(f"projector state must be a StateVector, got {self.state!r}")
 
 
 @dataclass(frozen=True)
 class Context:
-    """An ordered set of projector labels meant to resolve the identity."""
+    """An ordered set of distinct projector labels meant to resolve the identity."""
 
     members: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.members, (tuple, list)):
+            raise ValueError(f"context members must be a tuple or list, got {self.members!r}")
         members = tuple(self.members)
         if len(members) < 2:
             raise ValueError(f"a context needs at least 2 members, got {len(members)}")
+        seen: set[str] = set()
         for m in members:
             if not isinstance(m, str) or not m:
                 raise ValueError("context members must be nonempty strings")
+            if m in seen:
+                raise ValueError(f"context repeats member {m!r}")
+            seen.add(m)
         object.__setattr__(self, "members", members)
 
 
@@ -88,10 +102,12 @@ class Context:
 class PrePostScenario:
     """A pre/postselected system with its propositions and contexts.
 
-    Construction enforces only structure (integer dim, matching dimensions,
-    pairs of nonempty labels, string metadata).  Labels referenced by
-    contexts or exclusive pairs are not resolved here; :func:`validate`
-    reports dangling references as failures rather than exceptions.
+    Construction enforces every structural rule, so a scenario that
+    exists is well formed: an integer dim of at least 2, states of that
+    dimension, distinct projector labels, contexts and exclusive pairs
+    whose labels all name projectors, pairs of two different labels, and
+    string metadata.  A broken rule raises ValueError naming the node,
+    e.g. ``projectors[1]: duplicate label 'up'``.
     """
 
     dim: int
@@ -104,40 +120,70 @@ class PrePostScenario:
 
     def __post_init__(self) -> None:
         if isinstance(self.dim, bool) or not isinstance(self.dim, int):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
+            raise _RuleError(f"dim must be an integer, got {self.dim!r}", "dim")
         if self.dim < 2:
-            raise ValueError(f"dim must be at least 2, got {self.dim}")
-        if self.pre.dim != self.dim or self.post.dim != self.dim:
-            raise ValueError(
-                f"pre/post dimensions ({self.pre.dim}, {self.post.dim}) do not match dim {self.dim}"
-            )
+            raise _RuleError(f"dim must be at least 2, got {self.dim}", "dim")
+        for where in ("pre", "post"):
+            state = getattr(self, where)
+            if not isinstance(state, StateVector):
+                raise _RuleError(f"expected a StateVector, got {state!r}", where)
+            if state.dim != self.dim:
+                raise _RuleError(f"dimension {state.dim} does not match dim {self.dim}", where)
+
         projectors = tuple(self.projectors)
-        for p in projectors:
+        known: set[str] = set()
+        for i, p in enumerate(projectors):
+            where = f"projectors[{i}]"
+            if not isinstance(p, LabeledProjector):
+                raise _RuleError(f"expected a LabeledProjector, got {p!r}", where)
             if p.state.dim != self.dim:
-                raise ValueError(f"projector {p.label!r} has dimension {p.state.dim}, expected {self.dim}")
+                raise _RuleError(
+                    f"projector {p.label!r} has dimension {p.state.dim}, expected {self.dim}", where
+                )
+            if p.label in known:
+                raise _RuleError(f"duplicate label {p.label!r}", where)
+            known.add(p.label)
         object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "contexts", tuple(self.contexts))
+
+        contexts = tuple(self.contexts)
+        for i, ctx in enumerate(contexts):
+            if not isinstance(ctx, Context):
+                raise _RuleError(f"expected a Context, got {ctx!r}", f"contexts[{i}]")
+            for m in ctx.members:
+                if m not in known:
+                    raise _RuleError(f"context references unknown label {m!r}", f"contexts[{i}]")
+        object.__setattr__(self, "contexts", contexts)
+
         pairs = tuple(self.exclusive_pairs)
-        for pair in pairs:
+        for i, pair in enumerate(pairs):
+            where = f"exclusive_pairs[{i}]"
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and all(isinstance(m, str) and m for m in pair)):
-                raise ValueError(f"exclusive pair must be two nonempty labels, got {pair!r}")
+                raise _RuleError(f"exclusive pair must be two nonempty labels, got {pair!r}", where)
+            for m in pair:
+                if m not in known:
+                    raise _RuleError(f"exclusive pair references unknown label {m!r}", where)
+            if pair[0] == pair[1]:
+                raise _RuleError(f"exclusive pair repeats label {pair[0]!r}", where)
         object.__setattr__(self, "exclusive_pairs", pairs)
+
+        if not isinstance(self.metadata, dict):
+            raise _RuleError(f"expected a dict, got {self.metadata!r}", "metadata")
         metadata = dict(self.metadata)
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
-                raise ValueError(f"metadata keys and values must be strings, got {key!r}: {value!r}")
+                raise _RuleError(
+                    f"metadata keys and values must be strings, got {key!r}: {value!r}",
+                    f"metadata.{key}",
+                )
         object.__setattr__(self, "metadata", metadata)
 
     def labels(self) -> list[str]:
         return [p.label for p in self.projectors]
 
     def projector_map(self) -> dict[str, LabeledProjector]:
-        """Label -> projector mapping; first occurrence wins on duplicates."""
-        out: dict[str, LabeledProjector] = {}
-        for p in self.projectors:
-            out.setdefault(p.label, p)
-        return out
+        """Label -> projector mapping."""
+        return {p.label: p for p in self.projectors}
 
 
 @dataclass(frozen=True)
@@ -206,43 +252,19 @@ class ValidationReport:
 
 
 def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationReport:
-    """Measure every scenario invariant and report pass/fail per check.
+    """Measure every semantic invariant and report pass/fail per check.
 
-    Checks, in order: label uniqueness, label resolution (contexts and
-    exclusive pairs), state normalization, postselection possibility,
+    Checks, in order: state normalization, postselection possibility,
     one resolution-of-identity entry per context, and one exclusivity
-    entry per declared pair.  Both relations use the spectral norm: a
-    context's deviation is :func:`hilbert.context_deviation`, which also
-    bounds every pairwise overlap inside the context, and a pair's is
-    |<a|b>|, the spectral norm of the product of its projectors.
-    Dangling labels make the affected entries fail; nothing here raises
-    on bad content.
+    entry per declared pair.  Label structure needs no check here: the
+    constructors refuse duplicate and dangling labels.  Both relations
+    use the spectral norm: a context's deviation is
+    :func:`hilbert.context_deviation`, which also bounds every pairwise
+    overlap inside the context, and a pair's is |<a|b>|, the spectral
+    norm of the product of its projectors.  Nothing here raises on bad
+    content.
     """
     checks: list[CheckResult] = []
-
-    labels = s.labels()
-    dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
-    checks.append(
-        CheckResult(
-            "labels_unique",
-            not dupes,
-            None,
-            f"duplicates: {', '.join(dupes)}" if dupes else "",
-        )
-    )
-
-    known = set(labels)
-    referenced = [m for ctx in s.contexts for m in ctx.members]
-    referenced += [lab for pair in s.exclusive_pairs for lab in pair]
-    dangling = sorted({lab for lab in referenced if lab not in known})
-    checks.append(
-        CheckResult(
-            "labels_resolve",
-            not dangling,
-            None,
-            f"dangling: {', '.join(dangling)}" if dangling else "",
-        )
-    )
 
     norm_devs = [("pre", s.pre), ("post", s.post)]
     norm_devs += [(f"projector {p.label!r}", p.state) for p in s.projectors]
@@ -269,21 +291,14 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
 
     pm = s.projector_map()
     for i, ctx in enumerate(s.contexts):
-        name = f"context_resolution[{i}]"
-        missing = [m for m in ctx.members if m not in pm]
-        if missing:
-            checks.append(CheckResult(name, False, None, f"dangling: {', '.join(missing)}"))
-            continue
         dev = hilbert.context_deviation([pm[m].state for m in ctx.members])
-        checks.append(CheckResult(name, dev < tol_check, dev, ", ".join(ctx.members)))
+        checks.append(
+            CheckResult(f"context_resolution[{i}]", dev < tol_check, dev, ", ".join(ctx.members))
+        )
 
     for a, b in s.exclusive_pairs:
-        name = f"exclusive_pair[{a},{b}]"
-        if a not in pm or b not in pm:
-            checks.append(CheckResult(name, False, None, "dangling label"))
-            continue
         dev = abs(hilbert.inner(pm[a].state, pm[b].state))
-        checks.append(CheckResult(name, dev < tol_check, dev, ""))
+        checks.append(CheckResult(f"exclusive_pair[{a},{b}]", dev < tol_check, dev, ""))
 
     return ValidationReport(tuple(checks))
 
@@ -320,11 +335,17 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def _parse_state(node, dim: int, where: str, tol_norm: float) -> StateVector:
+def _build(where: str, build, *args):
+    """build(*args), with a ValueError reported as a parse error at where."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), where) from exc
+
+
+def _parse_state(node, where: str, tol_norm: float) -> StateVector:
     if not isinstance(node, list):
         raise ScenarioParseError("state must be an array of [re, im] pairs", where)
-    if len(node) != dim:
-        raise ScenarioParseError(f"expected {dim} amplitudes, got {len(node)}", where)
     amps = []
     for j, pair in enumerate(node):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -332,14 +353,14 @@ def _parse_state(node, dim: int, where: str, tol_norm: float) -> StateVector:
         re = _require_number(pair[0], f"{where}[{j}]")
         im = _require_number(pair[1], f"{where}[{j}]")
         amps.append(complex(re, im))
-    try:
-        return StateVector(amps, tol_norm=tol_norm)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), where) from exc
+    return _build(where, StateVector, amps, tol_norm)
 
 
 def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) -> PrePostScenario:
     """Parse scenario bytes produced by :func:`save` (or written by hand).
+
+    load checks the JSON shape; every other rule is the constructors',
+    and a broken one is reported at the node that breaks it.
 
     Args:
         data: UTF-8 JSON bytes or text.
@@ -347,9 +368,12 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         tol_check: normalization tolerance applied to loaded states.
 
     Raises:
-        ScenarioParseError: malformed syntax, wrong dimensions, unknown
-            fields (strict mode), duplicate labels, or unnormalized
-            states; the message names the offending location.
+        ScenarioParseError: malformed syntax, unknown fields (strict
+            mode), unnormalized states, or a scenario the constructors
+            refuse: a bad dim, wrong dimensions, duplicate labels,
+            context or pair labels that name no projector, repeated
+            context members, self-pairs, or non-string labels or
+            metadata.  The location names the offending node.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -374,19 +398,12 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     if unknown and not lax:
         raise ScenarioParseError(f"unknown field {unknown[0]!r}")
 
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ScenarioParseError(f"expected an integer, got {dim!r}", "dim")
-    if dim < 2:
-        raise ScenarioParseError(f"dim must be at least 2, got {dim}", "dim")
-
-    pre = _parse_state(doc["pre"], dim, "pre", tol_check)
-    post = _parse_state(doc["post"], dim, "post", tol_check)
+    pre = _parse_state(doc["pre"], "pre", tol_check)
+    post = _parse_state(doc["post"], "post", tol_check)
 
     if not isinstance(doc["projectors"], list):
         raise ScenarioParseError("projectors must be an array", "projectors")
     projectors: list[LabeledProjector] = []
-    seen: set[str] = set()
     for i, node in enumerate(doc["projectors"]):
         where = f"projectors[{i}]"
         if not isinstance(node, dict):
@@ -397,61 +414,29 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         unknown = sorted(set(node) - _PROJECTOR_FIELDS)
         if unknown and not lax:
             raise ScenarioParseError(f"unknown field {unknown[0]!r}", where)
-        label = node["label"]
-        if not isinstance(label, str) or not label:
-            raise ScenarioParseError("label must be a nonempty string", where)
-        if label in seen:
-            raise ScenarioParseError(f"duplicate label {label!r}", where)
-        seen.add(label)
-        state = _parse_state(node["state"], dim, f"{where}.state ({label!r})", tol_check)
-        projectors.append(LabeledProjector(label, state))
+        state = _parse_state(node["state"], f"{where}.state ({node['label']!r})", tol_check)
+        projectors.append(_build(where, LabeledProjector, node["label"], state))
 
     if not isinstance(doc["contexts"], list):
         raise ScenarioParseError("contexts must be an array", "contexts")
-    contexts: list[Context] = []
-    for i, node in enumerate(doc["contexts"]):
-        where = f"contexts[{i}]"
-        if not isinstance(node, list) or not all(isinstance(m, str) for m in node):
-            raise ScenarioParseError("context must be an array of labels", where)
-        try:
-            contexts.append(Context(tuple(node)))
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc), where) from exc
+    contexts = [_build(f"contexts[{i}]", Context, node) for i, node in enumerate(doc["contexts"])]
 
     pairs_node = doc.get("exclusive_pairs", [])
     if not isinstance(pairs_node, list):
         raise ScenarioParseError("exclusive_pairs must be an array", "exclusive_pairs")
-    pairs: list[tuple[str, str]] = []
-    for i, node in enumerate(pairs_node):
-        where = f"exclusive_pairs[{i}]"
-        if (
-            not isinstance(node, list)
-            or len(node) != 2
-            or not all(isinstance(m, str) and m for m in node)
-        ):
-            raise ScenarioParseError("exclusive pair must be an array of exactly 2 labels", where)
-        pairs.append((node[0], node[1]))
-
-    metadata_node = doc.get("metadata", {})
-    if not isinstance(metadata_node, dict):
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
         raise ScenarioParseError("metadata must be an object", "metadata")
-    metadata: dict[str, str] = {}
-    for key, value in metadata_node.items():
-        if not isinstance(value, str):
-            raise ScenarioParseError(
-                f"metadata values must be strings, got {value!r}", f"metadata.{key}"
-            )
-        metadata[str(key)] = value
 
     try:
         return PrePostScenario(
-            dim=dim,
+            dim=doc["dim"],
             pre=pre,
             post=post,
             projectors=tuple(projectors),
             contexts=tuple(contexts),
-            exclusive_pairs=tuple(pairs),
+            exclusive_pairs=tuple(tuple(n) if isinstance(n, list) else n for n in pairs_node),
             metadata=metadata,
         )
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc)) from exc
+    except _RuleError as exc:
+        raise ScenarioParseError(exc.reason, exc.location) from exc

@@ -1,8 +1,9 @@
-"""Shared test constructions and oracles."""
+"""Shared test constructions, strategies and oracles."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from qpp import Context, LabeledProjector, PrePostScenario, StateVector
+from qpp import Context, ForcedValue, LabeledProjector, PrePostScenario, StateVector
 
 # The 18-vector Kochen-Specker set in dimension 4: nine orthogonal bases,
 # each vector appearing in exactly two of them.  Exactly-one-per-context
@@ -91,6 +92,37 @@ def witness_heavy_scenario(free_labels, seed=0, context=("c", "c_perp")):
     )
 
 
+def random_qubit_state(rng):
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return StateVector(v / np.linalg.norm(v))
+
+
+@st.composite
+def random_structures(draw):
+    """1-12 labels with random names, some non-ASCII, overlapping contexts
+    of 2-4 distinct members, random exclusive pairs, random metadata and a
+    random forced subset."""
+    labels = draw(st.lists(st.text("abcxyzé→量", min_size=1, max_size=3), min_size=1,
+                           max_size=12, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    projs = tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in labels)
+    contexts, pairs = (), ()
+    if len(labels) > 1:
+        members = st.lists(st.sampled_from(labels), min_size=2, max_size=min(4, len(labels)),
+                           unique=True)
+        contexts = tuple(Context(tuple(m)) for m in draw(st.lists(members, max_size=5)))
+        pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
+        pairs = tuple(tuple(p) for p in draw(st.lists(pair, max_size=5)))
+    s = PrePostScenario(
+        dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+        projectors=projs, contexts=contexts, exclusive_pairs=pairs,
+        metadata=draw(st.dictionaries(st.text(max_size=4), st.text(max_size=8), max_size=3)),
+    )
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    return s, forced
+
+
 def family_delta_overlap(c, p):
     """|<delta+|delta->| for cabello_family members, vectorized over c and p.
 
@@ -101,11 +133,15 @@ def family_delta_overlap(c, p):
     arrays with entries strictly inside (0, 1).
     """
     c, p = np.broadcast_arrays(np.asarray(c, dtype=np.float64), np.asarray(p, dtype=np.float64))
-    s2 = 1.0 - c * c
+    sp = np.sqrt(1.0 - c * c) * p
     q2 = 1.0 - p * p
     # Trace identity: with unnormalized gamma weight w = s^2 + c^2 q^2 / p^2 + c^2,
     # Tr(G+ G-) reduces to ((c^2 + s^2 p^4 - s^2 p^2 q^2) / (c^2 + s^2 p^4 + s^2 p^2 q^2))^2.
-    num = c * c + s2 * p * p * (p * p - q2)
-    den = c * c + s2 * p * p * (p * p + q2)
+    # Numerator and denominator are divided by max(c, s p)^2 first, so that
+    # neither underflows when c and p are both tiny.
+    scale = np.maximum(c, sp)
+    a2, b2 = (c / scale) ** 2, (sp / scale) ** 2
+    num = a2 + b2 * (p * p - q2)
+    den = a2 + b2 * (p * p + q2)
     out = np.abs(num) / den
     return float(out) if out.ndim == 0 else out

@@ -192,6 +192,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert "exclusive_pairs" in capsys.readouterr().err
 
+    def test_dangling_label_exit_3(self, tmp_path, capsys):
+        doc = json.loads(save(single_qubit_scenario(1, 5)))
+        doc["contexts"][0][1] = "ghost"
+        path = tmp_path / "dangling.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "contexts[0]" in err and "'ghost'" in err
+
     def test_missing_file_exit_3(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 3
 

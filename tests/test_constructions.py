@@ -108,10 +108,12 @@ class TestCabelloFamily:
         p=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
     )
     @example(c=0.5, p=1e-300)
+    @example(c=sys.float_info.min, p=sys.float_info.min)
     def test_contexts_always_resolve(self, c, p):
         """Context completeness and gamma+/- _|_ post hold for all parameters
-        down to the smallest normal floats; only the delta pair's
-        exclusivity is parameter dependent."""
+        down to the smallest normal floats, where the delta overlap also
+        matches the oracle; only the delta pair's exclusivity is parameter
+        dependent."""
         cand = cabello_family(c, p)
         s = cand.scenario
         for ctx in s.contexts:
@@ -119,9 +121,7 @@ class TestCabelloFamily:
         pm = s.projector_map()
         for lab in ("gamma+", "gamma-"):
             assert abs(inner(pm[lab].state, s.post)) < 1e-12
-        # the oracle's denominator; when it is subnormal it keeps too few digits
-        if c * c + (1.0 - c * c) * p * p >= sys.float_info.min:
-            assert abs(cand.delta_overlap - family_delta_overlap(c, p)) < 1e-12
+        assert abs(cand.delta_overlap - family_delta_overlap(c, p)) < 1e-12
 
     def test_fast_overlap_matches_construction(self):
         rng = np.random.default_rng(27)

@@ -1,12 +1,13 @@
 """Tests for exhaustive assignment search and refutation traces."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import witness_heavy_scenario
+from conftest import random_qubit_state, random_structures, witness_heavy_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,11 +53,6 @@ def brute_force_witnesses(s, forced):
             continue
         out.append(a)
     return out
-
-
-def random_qubit_state(rng):
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return StateVector(v / np.linalg.norm(v))
 
 
 def stalled_scenario(seed=3):
@@ -131,44 +127,33 @@ class TestEnumeration:
             enumerate_assignments(s, forced)
 
     def test_unknown_labels_rejected(self):
+        """A forced label is caller input and is checked here; a context
+        label is refused when the scenario is built."""
         s = cabello_scenario()
         with pytest.raises(ValueError, match="epsilon"):
             enumerate_assignments(s, (ForcedValue("epsilon", 0, "Prediction"),))
-        dangling = PrePostScenario(
-            dim=4, pre=s.pre, post=s.post, projectors=s.projectors,
-            contexts=(Context(("alpha", "ghost")),),
-        )
-        with pytest.raises(ValueError, match="ghost"):
-            enumerate_assignments(dangling, ())
+        with pytest.raises(ValueError, match=r"contexts\[0\]: .*unknown label 'ghost'"):
+            dataclasses.replace(s, contexts=(Context(("alpha", "ghost")),))
 
     def test_duplicate_labels_rejected(self):
+        """Refused when the scenario is built, so enumeration never sees one."""
         s = cabello_scenario()
         extra = LabeledProjector("alpha", StateVector([1.0, 0.0, 0.0, 0.0]))
-        dup = PrePostScenario(
-            dim=4, pre=s.pre, post=s.post,
-            projectors=s.projectors + (extra,), contexts=s.contexts,
-            exclusive_pairs=s.exclusive_pairs,
-        )
-        with pytest.raises(ValueError, match="duplicate projector label 'alpha'"):
-            enumerate_assignments(dup, ())
+        with pytest.raises(ValueError, match=r"projectors\[7\]: duplicate label 'alpha'"):
+            dataclasses.replace(s, projectors=s.projectors + (extra,))
 
     def test_repeated_context_member_rejected(self):
-        s = single_qubit_scenario(1, 0)
-        twice = PrePostScenario(
-            dim=2, pre=s.pre, post=s.post, projectors=s.projectors,
-            contexts=(Context(("q0", "q0", "q0_perp")),),
-        )
+        """Refused when the context is built: a repeated member would make
+        the exactly-one rule count one label twice."""
         with pytest.raises(ValueError, match="repeats member 'q0'"):
-            enumerate_assignments(twice, ())
+            Context(("q0", "q0", "q0_perp"))
 
     def test_self_pair_rejected(self):
+        """Refused when the scenario is built: no projector is exclusive
+        with itself."""
         s = single_qubit_scenario(1, 0)
-        self_pair = PrePostScenario(
-            dim=2, pre=s.pre, post=s.post, projectors=s.projectors,
-            contexts=s.contexts, exclusive_pairs=(("q0", "q0"),),
-        )
-        with pytest.raises(ValueError, match="repeats label 'q0'"):
-            enumerate_assignments(self_pair, ())
+        with pytest.raises(ValueError, match=r"exclusive_pairs\[0\]: .*repeats label 'q0'"):
+            dataclasses.replace(s, exclusive_pairs=(("q0", "q0"),))
 
     def test_deterministic(self):
         s = cabello_scenario()
@@ -239,30 +224,6 @@ def scenarios_with_forced(draw):
     else:
         s = witness_heavy_scenario(draw(st.integers(0, 8)), seed)
     chosen = draw(st.lists(st.sampled_from(sorted(s.projector_map())), unique=True))
-    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
-    return s, forced
-
-
-@st.composite
-def random_structures(draw):
-    """1-12 labels with random names, overlapping contexts of 2-4 distinct
-    members, random exclusive pairs and a random forced subset."""
-    labels = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=12,
-                           unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    projs = tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in labels)
-    contexts, pairs = (), ()
-    if len(labels) > 1:
-        members = st.lists(st.sampled_from(labels), min_size=2, max_size=min(4, len(labels)),
-                           unique=True)
-        contexts = tuple(Context(tuple(m)) for m in draw(st.lists(members, max_size=5)))
-        pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
-        pairs = tuple(tuple(p) for p in draw(st.lists(pair, max_size=5)))
-    s = PrePostScenario(
-        dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
-        projectors=projs, contexts=contexts, exclusive_pairs=pairs,
-    )
-    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
     forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
     return s, forced
 

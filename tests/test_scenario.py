@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from conftest import random_structures
+from hypothesis import given, settings
 
 from qpp import (
     Context,
@@ -43,10 +45,14 @@ class TestModel:
     def test_labeled_projector_rejects_empty_label(self):
         with pytest.raises(ValueError):
             LabeledProjector("", StateVector([1.0, 0.0]))
+        with pytest.raises(ValueError, match="StateVector"):
+            LabeledProjector("x", [1, 0])
 
     def test_context_needs_two_members(self):
         with pytest.raises(ValueError):
             Context(("only",))
+        with pytest.raises(ValueError, match="tuple or list"):
+            Context("ab")  # a string is not a list of two one-letter labels
 
     def test_scenario_checks_dimensions(self):
         with pytest.raises(ValueError):
@@ -83,24 +89,24 @@ class TestModel:
             {"dim": np.int64(2)},
             {"exclusive_pairs": (("up", ""),)},
             {"exclusive_pairs": ((1, 2),)},
+            {"contexts": (("up", "down"),)},
+            {"projectors": ("up", "down")},
+            {"metadata": ["ab"]},
         ],
-        ids=["float-dim", "numpy-dim", "empty-pair-label", "non-string-pair"],
+        ids=["float-dim", "numpy-dim", "empty-pair-label", "non-string-pair", "raw-context",
+             "string-projectors", "list-metadata"],
     )
     def test_scenario_rejects_what_save_cannot_round_trip(self, change):
         """save would raise, or write bytes that load rejects or reads differently."""
-        with pytest.raises(ValueError, match="dim must be an integer|exclusive pair"):
+        with pytest.raises(ValueError, match="dim must be an integer|exclusive pair|expected a"):
             dataclasses.replace(tiny_scenario(), **change)
 
-    def test_projector_map_first_wins(self):
-        s = tiny_scenario()
-        dup = PrePostScenario(
-            dim=2,
-            pre=s.pre,
-            post=s.post,
-            projectors=(s.projectors[0], LabeledProjector("up", StateVector([0.0, 1.0]))),
-            contexts=(),
-        )
-        assert dup.projector_map()["up"] is dup.projectors[0]
+    def test_projector_map_has_one_entry_per_label(self):
+        """Labels are distinct by construction, so no projector is shadowed."""
+        s = cabello_scenario()
+        pm = s.projector_map()
+        assert list(pm) == s.labels()
+        assert all(pm[p.label] is p for p in s.projectors)
 
     def test_forced_value_validation(self):
         with pytest.raises(ValueError):
@@ -131,42 +137,27 @@ class TestValidate:
 
     def test_check_names(self):
         names = [c.name for c in validate(cabello_scenario()).checks]
-        assert names[:4] == [
-            "labels_unique",
-            "labels_resolve",
+        assert names == [
             "states_normalized",
             "postselection_possible",
+            "context_resolution[0]",
+            "context_resolution[1]",
+            "exclusive_pair[delta+,delta-]",
         ]
-        assert "context_resolution[0]" in names
-        assert "context_resolution[1]" in names
-        assert "exclusive_pair[delta+,delta-]" in names
 
     def test_duplicate_labels_flagged(self):
+        """Refused at construction, naming the node, so validate never sees one."""
         s = tiny_scenario()
-        dup = PrePostScenario(
-            dim=2, pre=s.pre, post=s.post,
-            projectors=(s.projectors[0], s.projectors[0]),
-            contexts=(),
-        )
-        report = validate(dup)
-        fail = next(c for c in report.checks if c.name == "labels_unique")
-        assert not fail.passed and "up" in fail.detail
+        with pytest.raises(ValueError, match=r"^projectors\[1\]: duplicate label 'up'$"):
+            dataclasses.replace(s, projectors=(s.projectors[0], s.projectors[0]), contexts=())
 
     def test_dangling_labels_flagged(self):
+        """Refused at construction, naming the context or pair."""
         s = tiny_scenario()
-        dangling = PrePostScenario(
-            dim=2, pre=s.pre, post=s.post,
-            projectors=s.projectors,
-            contexts=(Context(("up", "ghost")),),
-            exclusive_pairs=(("up", "phantom"),),
-        )
-        report = validate(dangling)
-        by_name = {c.name: c for c in report.checks}
-        assert not by_name["labels_resolve"].passed
-        assert "ghost" in by_name["labels_resolve"].detail
-        assert not by_name["context_resolution[0]"].passed
-        assert by_name["context_resolution[0]"].deviation is None
-        assert not by_name["exclusive_pair[up,phantom]"].passed
+        with pytest.raises(ValueError, match=r"^contexts\[0\]: .*unknown label 'ghost'$"):
+            dataclasses.replace(s, contexts=(Context(("up", "ghost")),))
+        with pytest.raises(ValueError, match=r"^exclusive_pairs\[0\]: .*unknown label 'phantom'$"):
+            dataclasses.replace(s, exclusive_pairs=(("up", "phantom"),))
 
     def test_impossible_postselection_flagged(self):
         s = tiny_scenario(post=StateVector([-np.sin(0.3), np.cos(0.3)]))
@@ -219,6 +210,18 @@ class TestSaveLoad:
             assert np.array_equal(a.state.amps, b.state.amps)
         assert s2.exclusive_pairs == s.exclusive_pairs
         assert s2.metadata == s.metadata
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_structures())
+    def test_every_constructible_scenario_round_trips(self, case):
+        """Labels and metadata include non-ASCII text; StateVector equality
+        is np.array_equal of the amplitudes."""
+        s, _ = case
+        blob = save(s)
+        back = load(blob)
+        assert save(back) == blob
+        for f in dataclasses.fields(PrePostScenario):
+            assert getattr(back, f.name) == getattr(s, f.name), f.name
 
     def test_output_shape(self):
         doc = json.loads(save(tiny_scenario()))
@@ -320,6 +323,19 @@ class TestLoadErrors:
         doc["contexts"] = [["up", 3]]
         with pytest.raises(ScenarioParseError, match=r"contexts\[0\]"):
             load(self.dump(doc))
+
+    @pytest.mark.parametrize("field, node, location, message", [
+        ("contexts", [["up", "ghost"]], "contexts[0]", "unknown label 'ghost'"),
+        ("contexts", [["up", "up", "down"]], "contexts[0]", "repeats member 'up'"),
+        ("exclusive_pairs", [["up", "ghost"]], "exclusive_pairs[0]", "unknown label 'ghost'"),
+        ("exclusive_pairs", [["up", "up"]], "exclusive_pairs[0]", "repeats label 'up'"),
+    ], ids=["dangling-context-label", "repeated-member", "dangling-pair-label", "self-pair"])
+    def test_structure_errors_name_the_node(self, field, node, location, message):
+        doc = self.base_doc()
+        doc[field] = node
+        with pytest.raises(ScenarioParseError, match=message) as info:
+            load(self.dump(doc))
+        assert info.value.location == location
 
     def test_exclusive_pair_arity(self):
         doc = self.base_doc()
