@@ -5,8 +5,12 @@ proposition in the package is a rank-1 projector |v><v|, so each
 projector relation is computed from the unit vector v alone: certain
 values from the overlap <v|s>, pair exclusivity from |<a|b>| (the
 spectral norm of the product of the two projectors), and resolutions of
-identity from the spectral norm of V V^† - I.  Every dimension used in
-practice is at most 8, so all storage is dense.
+identity from the spectral norm of V V^† - I.  The two relations a
+scenario applies to many projectors at once, certain values and context
+deviations, take stacked states (:func:`certain_values`,
+:func:`context_deviations`); the single-item functions are one entry of
+those.  Every dimension used in practice is at most 8, so all storage is
+dense.
 
 There is no null-space solver: every state the package builds has a
 closed form, e.g. (-conj(b), conj(a)) completes the qubit state (a, b).
@@ -29,7 +33,9 @@ __all__ = [
     "tensor",
     "inner",
     "certain_value",
+    "certain_values",
     "context_deviation",
+    "context_deviations",
 ]
 
 TOL_NORM = 1e-12
@@ -103,24 +109,47 @@ def inner(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
+def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK) -> np.ndarray:
+    """Definite 0/1 outcomes of the projectors |v_i><v_i| on the states s_j.
+
+    The matrix form of :func:`certain_value`: rows is an (n, dim) array
+    of projector states and states an (m, dim) array.  Entry (i, j) of
+    the (n, m) integer result is 0 when |a| < tol for the overlap
+    a = <v_i|s_j>, else 1 when the residual ||a v_i - s_j|| < tol, else
+    -1 (undetermined).  The residual is computed directly:
+    sqrt(1 - |a|^2) loses about half the digits to cancellation and
+    would miss value 1 at tol 1e-9.
+    """
+    a = rows.conj() @ states.T
+    residual = np.linalg.norm(a[:, :, None] * rows[:, None, :] - states[None, :, :], axis=2)
+    return np.where(np.abs(a) < tol, 0, np.where(residual < tol, 1, -1))
+
+
 def certain_value(v: StateVector, s: StateVector, tol: float = TOL_CHECK) -> int | None:
     """Definite 0/1 outcome of measuring the projector |v><v| on state s, if any.
 
-    With the overlap a = <v|s>, returns 0 when |a| < tol (the projector
-    annihilates s), 1 when the residual ||a v - s|| < tol (s is an
-    eigenvalue-1 eigenstate), and None otherwise.  The residual is
-    computed directly: sqrt(1 - |a|^2) loses about half the digits to
-    cancellation and would miss value 1 at tol 1e-9.
+    One entry of :func:`certain_values`: 0 when the projector annihilates
+    s, 1 when s is an eigenvalue-1 eigenstate, and None otherwise.
 
     Raises:
         ValueError: dimension mismatch.
     """
-    a = inner(v, s)
-    if abs(a) < tol:
-        return 0
-    if float(np.linalg.norm(a * v.amps - s.amps)) < tol:
-        return 1
-    return None
+    if v.dim != s.dim:
+        raise ValueError(f"dimension mismatch: {v.dim} != {s.dim}")
+    value = int(certain_values(v.amps[None], s.amps[None], tol)[0, 0])
+    return None if value < 0 else value
+
+
+def context_deviations(stacks: np.ndarray) -> np.ndarray:
+    """Spectral distances ||V V^† - I||_2 of m contexts from the identity.
+
+    The matrix form of :func:`context_deviation`: stacks is an
+    (m, k, dim) array holding the k member states of each context as
+    rows, so every context in one call has k members.  Each entry is the
+    same arithmetic as a one-context call, bit for bit.
+    """
+    gram = stacks.transpose(0, 2, 1) @ stacks.conj()
+    return np.linalg.norm(gram - np.eye(stacks.shape[2]), 2, axis=(1, 2))
 
 
 def context_deviation(states: list[StateVector]) -> float:
@@ -131,6 +160,7 @@ def context_deviation(states: list[StateVector]) -> float:
     V^† V share their nonzero eigenvalues, so for unit vectors a
     deviation eps < 1/dim forces len(states) == dim and
     |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
+    One entry of :func:`context_deviations`.
 
     Raises:
         ValueError: empty list or mixed dimensions.
@@ -141,5 +171,4 @@ def context_deviation(states: list[StateVector]) -> float:
     for s in states:
         if s.dim != dim:
             raise ValueError(f"dimension mismatch: {s.dim} != {dim}")
-    v = np.array([s.amps for s in states]).T
-    return float(np.linalg.norm(v @ v.conj().T - np.eye(dim), 2))
+    return float(context_deviations(np.array([s.amps for s in states])[None])[0])

@@ -10,6 +10,8 @@ conditioned on both selections.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import hilbert
 from .hilbert import TOL_CHECK
 from .scenario import PREDICTION, RETRODICTION, ForcedValue, PrePostScenario
@@ -43,20 +45,22 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     eigenvalue by prediction; failing that, an eigenvector relation with
     the postselected state forces the value by retrodiction.  When both
     selections force values they must agree, otherwise the scenario has
-    no consistent intermediate history.
+    no consistent intermediate history.  Every value comes from one
+    :func:`hilbert.certain_values` call over ``s.states`` and the two
+    selections, with the rule of :func:`hilbert.certain_value`.
     """
+    values = hilbert.certain_values(s.states, np.array([s.pre.amps, s.post.amps]), tol).tolist()
     out: list[ForcedValue] = []
-    for p in sorted(s.projectors, key=lambda lp: lp.label):
-        vp = hilbert.certain_value(p.state, s.pre, tol)
-        vr = hilbert.certain_value(p.state, s.post, tol)
-        if vp is not None and vr is not None and vp != vr:
+    for label in sorted(s.rows):
+        vp, vr = values[s.rows[label]]
+        if vp >= 0 and vr >= 0 and vp != vr:
             raise SelectionInconsistencyError(
-                f"projector {p.label!r}: prediction gives {vp} but retrodiction gives {vr}"
+                f"projector {label!r}: prediction gives {vp} but retrodiction gives {vr}"
             )
-        if vp is not None:
-            out.append(ForcedValue(p.label, vp, PREDICTION))
-        elif vr is not None:
-            out.append(ForcedValue(p.label, vr, RETRODICTION))
+        if vp >= 0:
+            out.append(ForcedValue(label, vp, PREDICTION))
+        elif vr >= 0:
+            out.append(ForcedValue(label, vr, RETRODICTION))
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class PrePostScenario:
     whose labels all name projectors, pairs of two different labels, and
     string metadata.  A broken rule raises ValueError naming the node,
     e.g. ``projectors[1]: duplicate label 'up'``.
+
+    Construction also stacks the projector states once into ``states``,
+    a read-only (n, dim) complex128 matrix whose row i is
+    ``projectors[i].state.amps``, with ``rows`` mapping each label to
+    its row.  Every relation reads that matrix.  Neither is a dataclass
+    field, so the constructor, ``==`` and ``repr`` do not see them.
     """
 
     dim: int
@@ -144,6 +151,12 @@ class PrePostScenario:
                 raise _RuleError(f"duplicate label {p.label!r}", where)
             known.add(p.label)
         object.__setattr__(self, "projectors", projectors)
+        states = np.array([p.state.amps for p in projectors], dtype=np.complex128)
+        states = states.reshape(len(projectors), self.dim)
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        rows = MappingProxyType({p.label: i for i, p in enumerate(projectors)})
+        object.__setattr__(self, "rows", rows)
 
         contexts = tuple(self.contexts)
         for i, ctx in enumerate(contexts):
@@ -186,35 +199,48 @@ class PrePostScenario:
         return {p.label: p for p in self.projectors}
 
 
+def _check_label_bit(label, bit) -> None:
+    """Refuse anything but a nonempty string label and the int 0 or 1."""
+    if not isinstance(label, str) or not label:
+        raise ValueError(f"label must be a nonempty string, got {label!r}")
+    if type(bit) is not int or bit not in (0, 1):
+        raise ValueError(f"bit must be the int 0 or 1, got {bit!r}")
+
+
 @dataclass(frozen=True)
 class ForcedValue:
-    """A bit forced on a projector by the selection, with its justification."""
+    """A bit forced on a projector by the selection, with its justification.
+
+    The label and bit follow the rule of :class:`ValueAssignment`.
+    """
 
     label: str
     bit: int
     justification: str
 
     def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
+        _check_label_bit(self.label, self.bit)
         if self.justification not in (PREDICTION, RETRODICTION):
             raise ValueError(f"unknown justification {self.justification!r}")
 
 
 @dataclass(frozen=True)
 class ValueAssignment:
-    """A total 0/1 assignment over projector labels, stored sorted by label."""
+    """A total 0/1 assignment over projector labels, stored sorted by label.
+
+    Labels must be nonempty strings and bits the ints 0 or 1 (not bool
+    or float); anything else raises ValueError rather than being coerced.
+    """
 
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        values = tuple(sorted((str(lab), int(bit)) for lab, bit in self.values))
-        labels = [lab for lab, _ in values]
-        if len(set(labels)) != len(labels):
+        pairs = [(lab, bit) for lab, bit in self.values]
+        for lab, bit in pairs:
+            _check_label_bit(lab, bit)
+        values = tuple(sorted(pairs))
+        if len({lab for lab, _ in values}) != len(values):
             raise ValueError("duplicate label in assignment")
-        for _, bit in values:
-            if bit not in (0, 1):
-                raise ValueError(f"assignment bits must be 0 or 1, got {bit!r}")
         object.__setattr__(self, "values", values)
 
     def as_dict(self) -> dict[str, int]:
@@ -258,10 +284,13 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     one resolution-of-identity entry per context, and one exclusivity
     entry per declared pair.  Label structure needs no check here: the
     constructors refuse duplicate and dangling labels.  Both relations
-    use the spectral norm: a context's deviation is
+    use the spectral norm: a context's deviation is that of
     :func:`hilbert.context_deviation`, which also bounds every pairwise
     overlap inside the context, and a pair's is |<a|b>|, the spectral
-    norm of the product of its projectors.  Nothing here raises on bad
+    norm of the product of its projectors.  Contexts with the same
+    number of members are measured together, as one stack of rows of
+    ``s.states`` in :func:`hilbert.context_deviations`; each deviation
+    is bit for bit the one-context value.  Nothing here raises on bad
     content.
     """
     checks: list[CheckResult] = []
@@ -289,13 +318,20 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
         )
     )
 
-    pm = s.projector_map()
+    by_size: dict[int, list[int]] = {}
     for i, ctx in enumerate(s.contexts):
-        dev = hilbert.context_deviation([pm[m].state for m in ctx.members])
+        by_size.setdefault(len(ctx.members), []).append(i)
+    deviations = [0.0] * len(s.contexts)
+    for group in by_size.values():
+        rows = [[s.rows[m] for m in s.contexts[i].members] for i in group]
+        for i, dev in zip(group, hilbert.context_deviations(s.states[rows]).tolist()):
+            deviations[i] = dev
+    for i, (ctx, dev) in enumerate(zip(s.contexts, deviations)):
         checks.append(
             CheckResult(f"context_resolution[{i}]", dev < tol_check, dev, ", ".join(ctx.members))
         )
 
+    pm = s.projector_map()
     for a, b in s.exclusive_pairs:
         dev = abs(hilbert.inner(pm[a].state, pm[b].state))
         checks.append(CheckResult(f"exclusive_pair[{a},{b}]", dev < tol_check, dev, ""))
@@ -303,26 +339,52 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     return ValidationReport(tuple(checks))
 
 
-def _amps_json(sv: StateVector) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in sv.amps.tolist()]
+_quote = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _state_template(dim: int, pad: str) -> str:
+    """%-template of one state's [[re, im], ...] array whose items sit at pad."""
+    inner = pad + "  "
+    amp = f"{pad}[\n{inner}%r,\n{inner}%r\n{pad}]"
+    return "[\n" + ",\n".join([amp] * dim) + f"\n{pad[:-2]}]"
+
+
+def _block(items: list[str], pad: str, opening: str = "[", closing: str = "]") -> str:
+    """Already-encoded items, one per line at pad, in json's indent=2 layout."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}{closing}"
 
 
 def save(s: PrePostScenario) -> bytes:
     """Serialize a scenario to UTF-8 JSON bytes.
 
-    Floats are emitted in shortest round-trip decimal form, so loading
-    the output and saving again reproduces the bytes exactly.
+    The bytes are those of ``json.dumps(doc, indent=2,
+    ensure_ascii=False) + "\n"`` for the document with keys dim,
+    metadata, pre, post, projectors, contexts and exclusive_pairs.  The
+    layout is fixed, so it is written directly: every amplitude comes
+    from one ``tolist()`` of the stacked [pre, post, states] block and is
+    written with ``float.__repr__``, as json does, and strings go
+    through json's C string encoder.  Floats are in shortest round-trip
+    form, so loading the output and saving again reproduces the bytes.
     """
-    doc = {
-        "dim": s.dim,
-        "metadata": dict(s.metadata),
-        "pre": _amps_json(s.pre),
-        "post": _amps_json(s.post),
-        "projectors": [{"label": p.label, "state": _amps_json(p.state)} for p in s.projectors],
-        "contexts": [list(ctx.members) for ctx in s.contexts],
-        "exclusive_pairs": [list(pair) for pair in s.exclusive_pairs],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    amps = np.vstack((s.pre.amps, s.post.amps, s.states)).view(np.float64).tolist()
+    selection, state = _state_template(s.dim, "    "), _state_template(s.dim, "        ")
+    projectors = [
+        f'{{\n      "label": {_quote(p.label)},\n      "state": {state % tuple(row)}\n    }}'
+        for p, row in zip(s.projectors, amps[2:])
+    ]
+    metadata = [f"{_quote(k)}: {_quote(v)}" for k, v in s.metadata.items()]
+    contexts = [_block([_quote(m) for m in ctx.members], "      ") for ctx in s.contexts]
+    pairs = [_block([_quote(a), _quote(b)], "      ") for a, b in s.exclusive_pairs]
+    text = (
+        f'{{\n  "dim": {int(s.dim)},\n  "metadata": {_block(metadata, "    ", "{", "}")},'
+        f'\n  "pre": {selection % tuple(amps[0])},\n  "post": {selection % tuple(amps[1])},'
+        f'\n  "projectors": {_block(projectors, "    ")},'
+        f'\n  "contexts": {_block(contexts, "    ")},'
+        f'\n  "exclusive_pairs": {_block(pairs, "    ")}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def _reject_constant(name: str):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpp import (
     ABLUndefinedError,
     Context,
+    ForcedValue,
     LabeledProjector,
     PREDICTION,
     RETRODICTION,
@@ -16,6 +19,7 @@ from qpp import (
     StateVector,
     abl_probability,
     cabello_scenario,
+    certain_value,
     forced_values,
     hardy_scenario,
     inner,
@@ -96,6 +100,83 @@ class TestForcedValues:
             forced_values(s, tol=1e-4)
         forced = {f.label: f.bit for f in forced_values(s, tol=1e-9)}
         assert forced == {"up": 1, "down": 0}
+
+
+def forced_oracle(s, tol=1e-9):
+    """forced_values one projector at a time, through certain_value."""
+    out = []
+    for p in sorted(s.projectors, key=lambda lp: lp.label):
+        vp, vr = certain_value(p.state, s.pre, tol), certain_value(p.state, s.post, tol)
+        if vp is not None and vr is not None and vp != vr:
+            raise SelectionInconsistencyError(
+                f"projector {p.label!r}: prediction gives {vp} but retrodiction gives {vr}"
+            )
+        if vp is not None:
+            out.append(ForcedValue(p.label, vp, PREDICTION))
+        elif vr is not None:
+            out.append(ForcedValue(p.label, vr, RETRODICTION))
+    return tuple(out)
+
+
+@st.composite
+def selection_scenarios(draw):
+    """dim 2-4 scenarios whose projectors are rephased copies of pre or
+    post, states orthogonal to one or both of them, or generic states.
+    post is generic, orthogonal to pre or a rephased pre, so predictions,
+    retrodictions, values forced by both (where prediction takes
+    precedence) and inconsistencies all occur."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def generic():
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    def rephased(u):
+        return np.exp(1j * rng.uniform(0, 2 * np.pi)) * u
+
+    def orthogonal_to(*us):
+        basis = []
+        for u in us:
+            for b in basis:
+                u = u - np.vdot(b, u) * b
+            if np.linalg.norm(u) > 1e-6:
+                basis.append(u / np.linalg.norm(u))
+        v = generic()
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        return v / np.linalg.norm(v)
+
+    pre = generic()
+    post = draw(st.sampled_from([generic, lambda: orthogonal_to(pre), lambda: rephased(pre)]))()
+    kinds = {
+        "pre": lambda: pre, "post": lambda: post, "not-pre": lambda: orthogonal_to(pre),
+        "not-post": lambda: orthogonal_to(post), "generic": generic,
+    }
+    if dim > 2 or np.isclose(abs(np.vdot(pre, post)), 1.0):
+        kinds["neither"] = lambda: orthogonal_to(pre, post)
+    chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=10))
+    labels = draw(st.lists(st.text("abcé", min_size=1, max_size=3), min_size=len(chosen),
+                           max_size=len(chosen), unique=True))
+    projectors = tuple(
+        LabeledProjector(lab, StateVector(rephased(kinds[k]()))) for lab, k in zip(labels, chosen)
+    )
+    return PrePostScenario(dim=dim, pre=StateVector(pre), post=StateVector(post),
+                           projectors=projectors, contexts=())
+
+
+class TestForcedValuesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(s=selection_scenarios())
+    def test_matrix_form_matches_per_projector_certain_value(self, s):
+        try:
+            expected = forced_oracle(s)
+        except SelectionInconsistencyError as exc:
+            with pytest.raises(SelectionInconsistencyError) as info:
+                forced_values(s)
+            assert str(info.value) == str(exc)
+        else:
+            assert forced_values(s) == expected
 
 
 class TestABLProbability:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_structures
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpp import (
     Context,
@@ -39,6 +40,13 @@ def tiny_scenario(post=None):
         projectors=(LabeledProjector("up", e0), LabeledProjector("down", e1)),
         contexts=(Context(("up", "down")),),
     )
+
+
+# Labels must be nonempty strings and bits the ints 0 or 1.
+_WRONG_LABEL_BITS = [(5, 1), ("", 1), (None, 0), ("a", True), ("a", False), ("a", 1.0),
+                     ("a", np.int64(1))]
+_WRONG_LABEL_BIT_IDS = ["int-label", "empty-label", "none-label", "bool-true", "bool-false",
+                        "float-one", "numpy-bit"]
 
 
 class TestModel:
@@ -128,8 +136,100 @@ class TestModel:
         with pytest.raises(ValueError):
             ValueAssignment((("a", 2),))
 
+    @pytest.mark.parametrize("label, bit", _WRONG_LABEL_BITS + [("a", 1.7)],
+                             ids=_WRONG_LABEL_BIT_IDS + ["float-bit"])
+    def test_value_assignment_refuses_instead_of_coercing(self, label, bit):
+        """((5, 1.7),) must not become (('5', 1),)."""
+        with pytest.raises(ValueError, match="label must be|bit must be"):
+            ValueAssignment((("ok", 0), (label, bit)))
+
+    @pytest.mark.parametrize("label, bit", _WRONG_LABEL_BITS, ids=_WRONG_LABEL_BIT_IDS)
+    def test_forced_value_refuses_what_value_assignment_refuses(self, label, bit):
+        with pytest.raises(ValueError, match="label must be|bit must be"):
+            ForcedValue(label, bit, "Prediction")
+
+
+class TestStateMatrix:
+    def test_rows_are_the_projector_states(self):
+        s = cabello_scenario()
+        assert s.states.shape == (len(s.projectors), s.dim)
+        assert s.states.dtype == np.complex128
+        assert list(s.rows) == s.labels()
+        for p in s.projectors:
+            assert np.array_equal(s.states[s.rows[p.label]], p.state.amps)
+
+    def test_empty_scenario_has_an_empty_matrix(self):
+        s = dataclasses.replace(tiny_scenario(), projectors=(), contexts=())
+        assert s.states.shape == (0, 2)
+        assert dict(s.rows) == {}
+
+    def test_matrix_and_index_reject_writes(self):
+        s = tiny_scenario()
+        with pytest.raises(ValueError, match="read-only"):
+            s.states[0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.states = np.zeros((2, 2))
+        with pytest.raises(TypeError):
+            s.rows["up"] = 1
+
+    def test_equality_and_repr_ignore_the_matrix(self):
+        s = tiny_scenario()
+        twin = dataclasses.replace(s)
+        assert twin.states is not s.states
+        object.__setattr__(twin, "states", np.zeros((2, 2)))
+        assert twin == s
+        assert repr(twin) == repr(s)
+        assert "states=" not in repr(s) and "rows=" not in repr(s)
+        assert [f.name for f in dataclasses.fields(PrePostScenario)] == [
+            "dim", "pre", "post", "projectors", "contexts", "exclusive_pairs", "metadata",
+        ]
+
+
+def context_oracle(s, members):
+    """The one-context-at-a-time deviation, as validate computed it per context."""
+    pm = s.projector_map()
+    v = np.array([pm[m].state.amps for m in members]).T
+    return float(np.linalg.norm(v @ v.conj().T - np.eye(s.dim), 2))
+
+
+@st.composite
+def mixed_context_scenarios(draw):
+    """dim 2-4 scenarios whose contexts have 2 to dim + 2 members, at least
+    two sizes at once: complete, incomplete (fewer members than dim) and
+    over-full ones.  The first dim labels form an orthonormal basis, so
+    some contexts resolve the identity."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(dim + 1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def random_state():
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return StateVector(v / np.linalg.norm(v))
+
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    states = [StateVector(q[:, i]) for i in range(dim)] + [random_state() for _ in range(n - dim)]
+    labels = [f"p{i}" for i in range(n)]
+    sizes = [2, 3] + draw(st.lists(st.integers(2, min(n, dim + 2)), max_size=5))
+    contexts = []
+    for k in draw(st.permutations(sizes)):
+        members = draw(st.lists(st.sampled_from(labels), min_size=k, max_size=k, unique=True))
+        contexts.append(Context(tuple(members)))
+    return PrePostScenario(
+        dim=dim, pre=random_state(), post=random_state(),
+        projectors=tuple(LabeledProjector(lab, state) for lab, state in zip(labels, states)),
+        contexts=tuple(contexts),
+    )
+
 
 class TestValidate:
+    @settings(max_examples=300, deadline=None)
+    @given(s=mixed_context_scenarios())
+    def test_batched_deviations_equal_one_context_at_a_time(self, s):
+        """Exact equality, not approx: grouping by size changes no bit."""
+        measured = {c.name: c.deviation for c in validate(s).checks}
+        for i, ctx in enumerate(s.contexts):
+            assert measured[f"context_resolution[{i}]"] == context_oracle(s, ctx.members)
+
     def test_builtin_scenarios_pass(self):
         for s in (cabello_scenario(), hardy_scenario(0.7, 1.1), single_qubit_scenario(2, 9)):
             report = validate(s)
@@ -193,7 +293,78 @@ class TestValidate:
         assert fail.deviation > 0.1
 
 
+def json_dumps_save(s):
+    """The save oracle: the document built field by field and json's indent=2 encoder."""
+    def amps(sv):
+        return [[float(z.real), float(z.imag)] for z in sv.amps.tolist()]
+
+    doc = {
+        "dim": s.dim,
+        "metadata": dict(s.metadata),
+        "pre": amps(s.pre),
+        "post": amps(s.post),
+        "projectors": [{"label": p.label, "state": amps(p.state)} for p in s.projectors],
+        "contexts": [list(ctx.members) for ctx in s.contexts],
+        "exclusive_pairs": [list(pair) for pair in s.exclusive_pairs],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+# Unit qubit states with negative zeros and subnormal or tiny components.
+_EDGE_STATES = [
+    [1.0, -0.0],
+    [complex(-0.0, -0.0), complex(0.0, 1.0)],
+    [complex(-1.0, 0.0), complex(5e-324, -0.0)],
+    [complex(1.0, -1e-300), complex(-2.5e-310, 1e-320)],
+    [complex(0.6, -0.0), complex(-0.0, -0.8)],
+]
+
+# Any text but surrogates: control characters, quotes, backslashes, non-ASCII.
+_any_text = st.text(max_size=5)
+
+
+@st.composite
+def saveable_scenarios(draw):
+    """random_structures with control-character and non-ASCII labels and
+    metadata, empty metadata and pairs, and edge-case amplitudes."""
+    s, _ = draw(random_structures())
+    labels = s.labels()
+    if draw(st.booleans()):
+        new = draw(st.lists(_any_text.filter(bool), min_size=len(labels),
+                            max_size=len(labels), unique=True))
+        name = dict(zip(labels, new))
+        s = dataclasses.replace(
+            s,
+            projectors=tuple(LabeledProjector(name[p.label], p.state) for p in s.projectors),
+            contexts=tuple(Context(tuple(name[m] for m in c.members)) for c in s.contexts),
+            exclusive_pairs=tuple((name[a], name[b]) for a, b in s.exclusive_pairs),
+        )
+    metadata = st.dictionaries(_any_text, _any_text, max_size=3)
+    edge = st.sampled_from(_EDGE_STATES).map(StateVector)
+    return dataclasses.replace(
+        s,
+        pre=draw(st.one_of(st.just(s.pre), edge)),
+        post=draw(st.one_of(st.just(s.post), edge)),
+        projectors=tuple(
+            LabeledProjector(p.label, draw(st.one_of(st.just(p.state), edge)))
+            for p in s.projectors
+        ),
+        exclusive_pairs=draw(st.sampled_from([(), s.exclusive_pairs])),
+        metadata=draw(st.one_of(st.just({}), st.just(s.metadata), metadata)),
+    )
+
+
 class TestSaveLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(s=saveable_scenarios())
+    def test_save_writes_the_json_encoder_bytes(self, s):
+        assert save(s) == json_dumps_save(s)
+
+    def test_save_of_an_empty_scenario(self):
+        s = dataclasses.replace(tiny_scenario(), projectors=(), contexts=(), metadata={})
+        assert save(s) == json_dumps_save(s)
+        assert b'"projectors": [],' in save(s)
+
     def test_round_trip_is_byte_idempotent(self):
         for s in (cabello_scenario(), hardy_scenario(0.8, 0.6), single_qubit_scenario(3, 4)):
             blob = save(s)
