@@ -30,6 +30,9 @@ __all__ = [
     "TOL_NORM",
     "TOL_CHECK",
     "StateVector",
+    "RowError",
+    "row_norms",
+    "unit_states",
     "tensor",
     "inner",
     "certain_value",
@@ -44,6 +47,8 @@ TOL_CHECK = 1e-9
 
 class StateVector:
     """Unit vector in a finite-dimensional Hilbert space.
+
+    The constructor is the one-row case of :func:`unit_states`.
 
     Args:
         amps: flat sequence of complex amplitudes, length >= 2.
@@ -60,17 +65,7 @@ class StateVector:
         arr = np.array(amps, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError(f"amplitudes must form a flat sequence, got shape {arr.shape}")
-        if arr.size < 2:
-            raise ValueError(f"dimension must be at least 2, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > tol_norm:
-            raise ValueError(
-                f"norm deviates from 1 by {abs(norm - 1.0):.3e}, tolerance {tol_norm:.1e}"
-            )
-        arr.setflags(write=False)
-        self._amps = arr
+        self._amps = unit_states(arr[None], tol_norm)[0]._amps
 
     @property
     def dim(self) -> int:
@@ -90,6 +85,52 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector({self._amps.tolist()!r})"
+
+
+class RowError(ValueError):
+    """A row of an amplitude block is not a unit state; ``row`` is its index."""
+
+    def __init__(self, message: str, row: int) -> None:
+        self.row = row
+        super().__init__(message)
+
+
+def row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, dim) complex array.
+
+    Each is sqrt(re.re + im.im) with the stacked (n, 1, dim) @ (n, dim, 1)
+    products on the dot kernel np.linalg.norm uses for one row, so it
+    equals that norm bit for bit; norm(axis=1) sums in another order.
+    """
+    re, im = block.real[:, None, :], block.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVector]:
+    """StateVectors over the rows of an (n, dim) complex128 block.
+
+    Every row must be finite with a norm within ``tol_norm`` of 1.  The
+    block is made read-only and each state's amps is a view of its row.
+
+    Raises:
+        RowError: dim < 2 (named at row 0), or the first row that is
+            not finite or not of unit norm.
+    """
+    if block.shape[1] < 2:
+        raise RowError(f"dimension must be at least 2, got {block.shape[1]}", 0)
+    finite = np.isfinite(block).all(axis=1)
+    deviations = np.abs(row_norms(block) - 1.0)
+    bad = ~finite | (deviations > tol_norm)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise RowError("amplitudes must be finite", i)
+        raise RowError(f"norm deviates from 1 by {deviations[i]:.3e}, tolerance {tol_norm:.1e}", i)
+    block.setflags(write=False)
+    states = [StateVector.__new__(StateVector) for _ in range(len(block))]
+    for state, row in zip(states, block):
+        state._amps = row
+    return states
 
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:

@@ -76,11 +76,10 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
         ABLUndefinedError: N1 + N0 below tol; the conditional
             probability is not defined.
     """
-    pm = s.projector_map()
-    if label not in pm:
+    if label not in s.rows:
         raise ValueError(f"unknown projector label {label!r}")
-    v = pm[label].state
-    amp1 = hilbert.inner(s.post, v) * hilbert.inner(v, s.pre)
+    v = s.states[s.rows[label]]
+    amp1 = complex(np.vdot(s.post.amps, v)) * complex(np.vdot(v, s.pre.amps))
     amp_total = hilbert.inner(s.post, s.pre)
     n1 = abs(amp1) ** 2
     n0 = abs(amp_total - amp1) ** 2

@@ -280,7 +280,8 @@ class ValidationReport:
 def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationReport:
     """Measure every semantic invariant and report pass/fail per check.
 
-    Checks, in order: state normalization, postselection possibility,
+    Checks, in order: state normalization (every norm from one
+    :func:`hilbert.row_norms` call), postselection possibility,
     one resolution-of-identity entry per context, and one exclusivity
     entry per declared pair.  Label structure needs no check here: the
     constructors refuse duplicate and dangling labels.  Both relations
@@ -295,10 +296,12 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     """
     checks: list[CheckResult] = []
 
-    norm_devs = [("pre", s.pre), ("post", s.post)]
-    norm_devs += [(f"projector {p.label!r}", p.state) for p in s.projectors]
-    measured = [(name, abs(float(np.linalg.norm(sv.amps)) - 1.0)) for name, sv in norm_devs]
-    worst_name, worst_dev = max(measured, key=lambda item: item[1])
+    norms = hilbert.row_norms(np.vstack((s.pre.amps, s.post.amps, s.states)))
+    deviations = np.abs(norms - 1.0)
+    worst = int(deviations.argmax())
+    worst_dev = float(deviations[worst])
+    worst_name = (("pre", "post")[worst] if worst < 2
+                  else f"projector {s.projectors[worst - 2].label!r}")
     checks.append(
         CheckResult(
             "states_normalized",
@@ -331,9 +334,8 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
             CheckResult(f"context_resolution[{i}]", dev < tol_check, dev, ", ".join(ctx.members))
         )
 
-    pm = s.projector_map()
     for a, b in s.exclusive_pairs:
-        dev = abs(hilbert.inner(pm[a].state, pm[b].state))
+        dev = abs(complex(np.vdot(s.states[s.rows[a]], s.states[s.rows[b]])))
         checks.append(CheckResult(f"exclusive_pair[{a},{b}]", dev < tol_check, dev, ""))
 
     return ValidationReport(tuple(checks))
@@ -391,12 +393,6 @@ def _reject_constant(name: str):
     raise ScenarioParseError(f"non-finite literal {name!r} is not allowed")
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"expected a number, got {value!r}", where)
-    return float(value)
-
-
 def _build(where: str, build, *args):
     """build(*args), with a ValueError reported as a parse error at where."""
     try:
@@ -405,17 +401,56 @@ def _build(where: str, build, *args):
         raise ScenarioParseError(str(exc), where) from exc
 
 
-def _parse_state(node, where: str, tol_norm: float) -> StateVector:
+def _state_node(node, where: str) -> list:
+    """A state node, checked to be an array of [re, im] pairs of numbers."""
     if not isinstance(node, list):
         raise ScenarioParseError("state must be an array of [re, im] pairs", where)
-    amps = []
     for j, pair in enumerate(node):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioParseError("amplitude must be a [re, im] pair", f"{where}[{j}]")
-        re = _require_number(pair[0], f"{where}[{j}]")
-        im = _require_number(pair[1], f"{where}[{j}]")
-        amps.append(complex(re, im))
-    return _build(where, StateVector, amps, tol_norm)
+        if type(pair[0]) is not float or type(pair[1]) is not float:
+            _check_numbers(pair, f"{where}[{j}]")
+    return node
+
+
+def _check_numbers(pair: list, where: str) -> None:
+    """Refuse an entry that is not an int or float (bool included), or an int no float holds."""
+    for x in pair:
+        if type(x) is not int and type(x) is not float:
+            raise ScenarioParseError(f"expected a number, got {x!r}", where)
+        try:
+            float(x)
+        except OverflowError:
+            raise ScenarioParseError("integer is out of the float range", where) from None
+
+
+def _load_states(nodes: list[tuple[str, list]], tol_norm: float) -> list[StateVector]:
+    """One StateVector per checked (location, state node), in order.
+
+    Nodes of one length share one amplitude block and one
+    :func:`hilbert.unit_states` check; a node of another length reaches
+    the constructor's dimension rule.  A bad row is reported at its
+    node, the first in the file when several blocks have one.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, (_, node) in enumerate(nodes):
+        by_length.setdefault(len(node), []).append(i)
+    states = [None] * len(nodes)
+    failures: list[tuple[int, str]] = []
+    for length, members in by_length.items():
+        block = np.array([nodes[i][1] for i in members], np.float64)
+        block = block.reshape(len(members), length, 2).view(np.complex128)[..., 0]
+        try:
+            rows = hilbert.unit_states(block, tol_norm)
+        except hilbert.RowError as exc:
+            failures.append((members[exc.row], str(exc)))
+            continue
+        for i, state in zip(members, rows):
+            states[i] = state
+    if failures:
+        i, message = min(failures)
+        raise ScenarioParseError(message, nodes[i][0])
+    return states
 
 
 def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) -> PrePostScenario:
@@ -430,8 +465,11 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         tol_check: normalization tolerance applied to loaded states.
 
     Raises:
-        ScenarioParseError: malformed syntax, unknown fields (strict
-            mode), unnormalized states, or a scenario the constructors
+        ScenarioParseError: malformed syntax (an integer past the
+            interpreter's digit limit and nesting past its recursion
+            limit included), an amplitude that is not a number or that
+            no float holds, unknown fields (strict mode), non-finite or
+            unnormalized states, or a scenario the constructors
             refuse: a bad dim, wrong dimensions, duplicate labels,
             context or pair labels that name no projector, repeated
             context members, self-pairs, or non-string labels or
@@ -449,6 +487,10 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except ScenarioParseError:
+        raise
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep a nesting
+        raise ScenarioParseError(str(exc)) from exc
 
     if not isinstance(doc, dict):
         raise ScenarioParseError("top-level value must be an object")
@@ -460,12 +502,9 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     if unknown and not lax:
         raise ScenarioParseError(f"unknown field {unknown[0]!r}")
 
-    pre = _parse_state(doc["pre"], "pre", tol_check)
-    post = _parse_state(doc["post"], "post", tol_check)
-
+    nodes = [("pre", _state_node(doc["pre"], "pre")), ("post", _state_node(doc["post"], "post"))]
     if not isinstance(doc["projectors"], list):
         raise ScenarioParseError("projectors must be an array", "projectors")
-    projectors: list[LabeledProjector] = []
     for i, node in enumerate(doc["projectors"]):
         where = f"projectors[{i}]"
         if not isinstance(node, dict):
@@ -476,8 +515,13 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         unknown = sorted(set(node) - _PROJECTOR_FIELDS)
         if unknown and not lax:
             raise ScenarioParseError(f"unknown field {unknown[0]!r}", where)
-        state = _parse_state(node["state"], f"{where}.state ({node['label']!r})", tol_check)
-        projectors.append(_build(where, LabeledProjector, node["label"], state))
+        where = f"{where}.state ({node['label']!r})"
+        nodes.append((where, _state_node(node["state"], where)))
+    pre, post, *states = _load_states(nodes, tol_check)
+    projectors = [
+        _build(f"projectors[{i}]", LabeledProjector, node["label"], state)
+        for i, (node, state) in enumerate(zip(doc["projectors"], states))
+    ]
 
     if not isinstance(doc["contexts"], list):
         raise ScenarioParseError("contexts must be an array", "contexts")

@@ -184,6 +184,27 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude, location", [
+        ("1" + "0" * 400, "pre[0]"),
+        ("1" + "0" * 5000, None),
+    ], ids=["beyond-float-range", "integer-digit-limit"])
+    def test_oversized_integer_exit_3(self, tmp_path, capsys, amplitude, location):
+        doc = json.loads(save(single_qubit_scenario(1, 5)))
+        doc["pre"][0][0] = "BIG"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', amplitude))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "parse error" in err and "Traceback" not in err
+        if location is not None:
+            assert location in err
+
+    def test_deep_nesting_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        assert main(["check", str(path)]) == 3
+        assert "recursion depth" in capsys.readouterr().err
+
     def test_non_array_exclusive_pairs_exit_3(self, tmp_path, capsys):
         doc = json.loads(save(single_qubit_scenario(1, 5)))
         doc["exclusive_pairs"] = None

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpp.hilbert import (
+    RowError,
     StateVector,
     certain_value,
     context_deviation,
     inner,
+    row_norms,
     tensor,
+    unit_states,
 )
 
 
@@ -247,3 +250,58 @@ class TestDenseOracle:
             for i, a in enumerate(states):
                 for b in states[i + 1:]:
                     assert abs(inner(a, b)) <= dev + 1e-15
+
+
+# Entries that stress the summation order: exact units and zeros, subnormals,
+# and magnitudes near 1e-150 and 1e150 whose squares sit near the float range's ends.
+norm_entries = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 5e-324, -2.2250738585072014e-308]),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.sampled_from([-150, 150])),
+    st.floats(-2.0, 2.0),
+)
+
+
+class TestUnitStates:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=unit_dims, data=st.data())
+    def test_row_norms_equal_the_one_row_norm(self, dim, data):
+        """Exact equality: the stacked norm is np.linalg.norm row by row, to the bit."""
+        n = data.draw(st.integers(1, 6))
+        flat = data.draw(st.lists(norm_entries, min_size=2 * dim * n, max_size=2 * dim * n))
+        block = np.array(flat).reshape(n, dim, 2).view(np.complex128)[..., 0]
+        assert row_norms(block).tolist() == [float(np.linalg.norm(row)) for row in block]
+
+    def test_rows_become_read_only_views(self):
+        block = np.eye(3, dtype=np.complex128)
+        states = unit_states(block)
+        assert [s.amps.tolist() for s in states] == block.tolist()
+        assert all(np.shares_memory(s.amps, block) for s in states)
+        with pytest.raises(ValueError):
+            states[0].amps[0] = 0.5
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "amplitudes must be finite"),
+        (np.inf, "amplitudes must be finite"),
+        (2.0, "norm deviates from 1 by 1.236e[+]00"),
+    ], ids=["nan", "inf", "unnormalized"])
+    def test_error_names_the_first_bad_row(self, bad, message):
+        block = np.eye(4, dtype=np.complex128)
+        block[2, 1] = block[3, 0] = bad
+        with pytest.raises(RowError, match=f"^{message}") as info:
+            unit_states(block)
+        assert info.value.row == 2
+
+    def test_finite_row_with_overflowing_norm(self):
+        """Finite entries pass the finite rule; the norm rule then reads inf."""
+        block = np.eye(2, dtype=np.complex128)
+        block[1, 0] = 1e200
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(RowError, match="^norm deviates from 1 by inf") as info:
+                unit_states(block)
+        assert info.value.row == 1
+
+    def test_dimension_is_named_at_row_zero(self):
+        with pytest.raises(RowError, match="^dimension must be at least 2, got 1$") as info:
+            unit_states(np.ones((3, 1), dtype=np.complex128))
+        assert info.value.row == 0

@@ -179,7 +179,27 @@ class TestForcedValuesOracle:
             assert forced_values(s) == expected
 
 
+def abl_oracle(s, label, tol=1e-9):
+    """abl_probability through the projector's StateVector and inner; None when undefined."""
+    v = s.projector_map()[label].state
+    amp1 = inner(s.post, v) * inner(v, s.pre)
+    n1, n0 = abs(amp1) ** 2, abs(inner(s.post, s.pre) - amp1) ** 2
+    return None if n1 + n0 < tol else n1 / (n1 + n0)
+
+
 class TestABLProbability:
+    @settings(max_examples=200, deadline=None)
+    @given(s=selection_scenarios())
+    def test_rows_give_the_state_vector_value(self, s):
+        """Exact equality: reading the row of s.states changes no bit."""
+        for p in s.projectors:
+            expected = abl_oracle(s, p.label)
+            if expected is None:
+                with pytest.raises(ABLUndefinedError):
+                    abl_probability(s, p.label)
+            else:
+                assert abl_probability(s, p.label) == expected
+
     def test_cabello_deltas_are_certain(self):
         s = cabello_scenario()
         assert abl_probability(s, "delta+") == pytest.approx(1.0, abs=1e-15)

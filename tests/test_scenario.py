@@ -230,6 +230,28 @@ class TestValidate:
         for i, ctx in enumerate(s.contexts):
             assert measured[f"context_resolution[{i}]"] == context_oracle(s, ctx.members)
 
+    @settings(max_examples=300, deadline=None)
+    @given(s=mixed_context_scenarios(), scale=st.sampled_from([0.0, 1e-13, 1e-10, 1e-6]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_normalization_equals_the_per_state_formula(self, s, scale, seed):
+        """Exact equality with one np.linalg.norm per state, worst name included."""
+        rng = np.random.default_rng(seed)
+
+        def perturbed(sv):
+            return StateVector(sv.amps * (1.0 + scale * rng.uniform(-1, 1)), tol_norm=1e-3)
+
+        s = dataclasses.replace(
+            s, pre=perturbed(s.pre), post=perturbed(s.post),
+            projectors=tuple(LabeledProjector(p.label, perturbed(p.state)) for p in s.projectors),
+        )
+        named = [("pre", s.pre), ("post", s.post)]
+        named += [(f"projector {p.label!r}", p.state) for p in s.projectors]
+        measured = [(name, abs(float(np.linalg.norm(sv.amps)) - 1.0)) for name, sv in named]
+        worst_name, worst_dev = max(measured, key=lambda item: item[1])
+        check = validate(s).checks[0]
+        assert check.name == "states_normalized"
+        assert (check.deviation, check.detail) == (worst_dev, f"worst: {worst_name}")
+
     def test_builtin_scenarios_pass(self):
         for s in (cabello_scenario(), hardy_scenario(0.7, 1.1), single_qubit_scenario(2, 9)):
             report = validate(s)
@@ -459,6 +481,65 @@ class TestLoadErrors:
         doc["pre"][0] = [True, 0.0]
         with pytest.raises(ScenarioParseError, match=r"pre\[0\]"):
             load(self.dump(doc))
+
+    @pytest.mark.parametrize("node, location, message", [
+        ([[1.0, "0.5"], [0.0, 0.0]], "pre[0]", "expected a number, got '0.5'"),
+        ([[1.0, None], [0.0, 0.0]], "pre[0]", "expected a number, got None"),
+        ([[1.0, False], [0.0, 0.0]], "pre[0]", "expected a number, got False"),
+        ([[1.0, 0.0], [0.0, 0.0, 0.0]], "pre[1]", "amplitude must be a [re, im] pair"),
+        ({"re": 1.0}, "pre", "state must be an array of [re, im] pairs"),
+        ([], "pre", "dimension must be at least 2, got 0"),
+        ([[1, 0]], "pre", "dimension must be at least 2, got 1"),
+    ], ids=["numeric-string", "null", "false", "three-element-pair", "not-a-list", "empty",
+            "one-amplitude"])
+    def test_state_node_refusals(self, node, location, message):
+        doc = self.base_doc()
+        doc["pre"] = node
+        with pytest.raises(ScenarioParseError) as info:
+            load(self.dump(doc))
+        assert (info.value.location, info.value.reason) == (location, message)
+
+    def test_projector_of_another_dimension(self):
+        """A ragged file gets a block per length and reaches the constructor's rule."""
+        doc = self.base_doc()
+        doc["projectors"][1]["state"] = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ScenarioParseError, match="has dimension 3, expected 2") as info:
+            load(self.dump(doc))
+        assert info.value.location == "projectors[1]"
+
+    @pytest.mark.parametrize("amplitude", ["2.0", "1e999"], ids=["unnormalized", "overflow"])
+    def test_bad_projector_after_good_ones_names_its_node(self, amplitude):
+        doc = json.loads(save(cabello_scenario()))
+        doc["projectors"][4]["state"][0] = ["BAD", 0.0]
+        text = json.dumps(doc).replace('"BAD"', amplitude)
+        with pytest.raises(ScenarioParseError) as info:
+            load(text)
+        label = doc["projectors"][4]["label"]
+        assert info.value.location == f"projectors[4].state ({label!r})"
+
+    def test_first_bad_node_is_named_across_blocks(self):
+        """Bad rows in two blocks: the node that comes first in the file is named."""
+        doc = self.base_doc()
+        doc["projectors"][1]["state"] = [[0.5, 0.0], [0.5, 0.0]]
+        doc["post"] = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]
+        with pytest.raises(ScenarioParseError, match="norm deviates") as info:
+            load(self.dump(doc))
+        assert info.value.location == "post"
+
+    def test_integer_beyond_float_range(self):
+        doc = self.base_doc()
+        doc["pre"][0] = [0.0, 10**400]
+        with pytest.raises(ScenarioParseError, match="out of the float range") as info:
+            load(self.dump(doc))
+        assert info.value.location == "pre[0]"
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 1' + "0" * 5000 + "}",
+        "[" * 100000,
+    ], ids=["integer-digit-limit", "deep-nesting"])
+    def test_decoder_limits_are_parse_errors(self, text):
+        with pytest.raises(ScenarioParseError):
+            load(text)
 
     def test_non_finite_literals_rejected(self):
         doc = self.base_doc()
