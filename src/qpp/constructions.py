@@ -20,6 +20,9 @@ closed form: (sin, -cos) completes a real qubit (cos, sin), and
 (-conj(b), conj(a)) a complex one (a, b); the Hardy preselection and the
 family's gamma+/- and delta+/- are given in their builders.  Their norms
 are positive over the open parameter ranges, so none can degenerate.
+Each builder writes its states as plain amplitudes and checks all of
+them, pre and post included, as one block in one
+:func:`hilbert.unit_states` call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .hilbert import StateVector, TOL_CHECK
+from .hilbert import TOL_CHECK
 from .scenario import Context, LabeledProjector, PrePostScenario
 
 __all__ = [
@@ -71,18 +74,20 @@ class CandidateConstruction:
     delta_overlap: float
 
 
-def _two_spin_scenario(
-    pre: StateVector,
-    post: StateVector,
-    states: dict[str, StateVector],
-    metadata: dict[str, str],
-) -> PrePostScenario:
-    projectors = tuple(LabeledProjector(lab, states[lab]) for lab in _LABEL_ORDER)
+def _two_spin_scenario(pre, post, states: dict, metadata: dict[str, str]) -> PrePostScenario:
+    """The two-context scenario over plain amplitude lists, checked as one block.
+
+    pre, post and the seven projector states (keyed by label) are
+    stacked into one (9, 4) complex128 block, and one
+    :func:`hilbert.unit_states` call checks every row.
+    """
+    block = np.array([pre, post, *(states[lab] for lab in _LABEL_ORDER)], dtype=np.complex128)
+    pre_state, post_state, *rows = hilbert.unit_states(block)
     return PrePostScenario(
         dim=4,
-        pre=pre,
-        post=post,
-        projectors=projectors,
+        pre=pre_state,
+        post=post_state,
+        projectors=tuple(map(LabeledProjector, _LABEL_ORDER, rows)),
         contexts=(Context(CONTEXT_PLUS), Context(CONTEXT_MINUS)),
         exclusive_pairs=(DELTA_PAIR,),
         metadata=metadata,
@@ -101,16 +106,16 @@ def cabello_scenario() -> PrePostScenario:
     contradicting their exclusivity.
     """
     r3 = math.sqrt(3.0)
-    pre = StateVector([1.0, 0.0, 0.0, 0.0])
-    post = StateVector([1.0 / 3.0, 0.0, -math.sqrt(8.0) / 3.0, 0.0])
+    pre = [1.0, 0.0, 0.0, 0.0]
+    post = [1.0 / 3.0, 0.0, -math.sqrt(8.0) / 3.0, 0.0]
     states = {
-        "alpha": StateVector([0.0, 0.0, 0.0, 1.0]),
-        "beta+": StateVector([0.0, 0.5, r3 / 2.0, 0.0]),
-        "beta-": StateVector([0.0, 0.5, -r3 / 2.0, 0.0]),
-        "gamma+": StateVector([math.sqrt(2.0 / 3.0), -0.5, 1.0 / (2.0 * r3), 0.0]),
-        "gamma-": StateVector([math.sqrt(2.0 / 3.0), 0.5, 1.0 / (2.0 * r3), 0.0]),
-        "delta+": StateVector([1.0 / r3, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(6.0), 0.0]),
-        "delta-": StateVector([-1.0 / r3, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0), 0.0]),
+        "alpha": [0.0, 0.0, 0.0, 1.0],
+        "beta+": [0.0, 0.5, r3 / 2.0, 0.0],
+        "beta-": [0.0, 0.5, -r3 / 2.0, 0.0],
+        "gamma+": [math.sqrt(2.0 / 3.0), -0.5, 1.0 / (2.0 * r3), 0.0],
+        "gamma-": [math.sqrt(2.0 / 3.0), 0.5, 1.0 / (2.0 * r3), 0.0],
+        "delta+": [1.0 / r3, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(6.0), 0.0],
+        "delta-": [-1.0 / r3, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0), 0.0],
     }
     metadata = {
         "name": "cabello",
@@ -140,31 +145,21 @@ def cabello_family(c: float, p: float) -> CandidateConstruction:
     s = math.sqrt(1.0 - c * c)
     q = math.sqrt(1.0 - p * p)
     g = math.hypot(c, s * p)
-    pre = StateVector([1.0, 0.0, 0.0, 0.0])
-    post = StateVector([c, 0.0, -s, 0.0])
-
-    alpha = StateVector([0.0, 0.0, 0.0, 1.0])
-    beta_p = StateVector([0.0, p, q, 0.0])
-    beta_m = StateVector([0.0, p, -q, 0.0])
-    gamma_p = StateVector([s * p / g, -c * q / g, c * p / g, 0.0])
-    gamma_m = StateVector([s * p / g, c * q / g, c * p / g, 0.0])
-    delta_p = StateVector([c / g, s * p * q / g, -s * p * p / g, 0.0])
-    delta_m = StateVector([c / g, -s * p * q / g, -s * p * p / g, 0.0])
-
     states = {
-        "alpha": alpha,
-        "beta+": beta_p,
-        "beta-": beta_m,
-        "gamma+": gamma_p,
-        "gamma-": gamma_m,
-        "delta+": delta_p,
-        "delta-": delta_m,
+        "alpha": [0.0, 0.0, 0.0, 1.0],
+        "beta+": [0.0, p, q, 0.0],
+        "beta-": [0.0, p, -q, 0.0],
+        "gamma+": [s * p / g, -c * q / g, c * p / g, 0.0],
+        "gamma-": [s * p / g, c * q / g, c * p / g, 0.0],
+        "delta+": [c / g, s * p * q / g, -s * p * p / g, 0.0],
+        "delta-": [c / g, -s * p * q / g, -s * p * p / g, 0.0],
     }
     metadata = {
         "name": "cabello-family",
         "description": f"c={c!r}, p={p!r}",
     }
-    scenario = _two_spin_scenario(pre, post, states, metadata)
+    scenario = _two_spin_scenario([1.0, 0.0, 0.0, 0.0], [c, 0.0, -s, 0.0], states, metadata)
+    delta_p, delta_m = (scenario.projectors[scenario.rows[lab]].state for lab in DELTA_PAIR)
     overlap = abs(hilbert.inner(delta_p, delta_m))
     return CandidateConstruction(scenario=scenario, c=c, p=p, delta_overlap=overlap)
 
@@ -207,36 +202,25 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
     ca, sa = math.cos(theta_a), math.sin(theta_a)
     cb, sb = math.cos(theta_b), math.sin(theta_b)
 
-    basis0 = StateVector([1.0, 0.0])
-    basis1 = StateVector([0.0, 1.0])
-    a = StateVector([ca, sa])
-    b = StateVector([cb, sb])
-    a_perp = StateVector([sa, -ca])
-    b_perp = StateVector([sb, -cb])
-
-    states = {
-        "alpha": hilbert.tensor(basis0, basis0),
-        "beta+": hilbert.tensor(a, basis1),
-        "beta-": hilbert.tensor(basis1, b),
-        "gamma+": hilbert.tensor(a_perp, basis1),
-        "gamma-": hilbert.tensor(basis1, b_perp),
-        "delta+": hilbert.tensor(basis1, basis0),
-        "delta-": hilbert.tensor(basis0, basis1),
-    }
+    # Rows 0, 1, a, a_perp, b, b_perp; each two-qubit row is the product
+    # of one left and one right row, entry by entry as np.kron forms it.
+    qubits = np.array(
+        [[1.0, 0.0], [0.0, 1.0], [ca, sa], [sa, -ca], [cb, sb], [sb, -cb]], dtype=np.complex128
+    )
+    left, right = [2, 0, 2, 1, 3, 1, 1, 0], [4, 0, 1, 4, 1, 5, 0, 1]
+    post, *rows = (qubits[left][:, :, None] * qubits[right][:, None, :]).reshape(8, 4)
     n = math.hypot(sa * cb, ca * sb, ca * cb)
-    pre = StateVector([0.0, sa * cb / n, ca * sb / n, -ca * cb / n])
-    post = hilbert.tensor(a, b)
-
-    if abs(hilbert.inner(post, pre)) < tol:
-        raise DegenerateConfigurationError(
-            "degenerate configuration: postselection overlap vanishes"
-        )
-
+    pre = [0.0, sa * cb / n, ca * sb / n, -ca * cb / n]
     metadata = {
         "name": "hardy",
         "description": f"theta_a={theta_a!r}, theta_b={theta_b!r}",
     }
-    return _two_spin_scenario(pre, post, states, metadata)
+    scenario = _two_spin_scenario(pre, post, dict(zip(_LABEL_ORDER, rows)), metadata)
+    if abs(hilbert.inner(scenario.post, scenario.pre)) < tol:
+        raise DegenerateConfigurationError(
+            "degenerate configuration: postselection overlap vanishes"
+        )
+    return scenario
 
 
 def single_qubit_scenario(n_contexts: int, seed: int) -> PrePostScenario:
@@ -250,30 +234,26 @@ def single_qubit_scenario(n_contexts: int, seed: int) -> PrePostScenario:
         raise ValueError(f"n_contexts must be at least 1, got {n_contexts}")
     rng = np.random.default_rng(seed)
 
-    def random_state() -> StateVector:
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        return StateVector(raw / np.linalg.norm(raw))
+    def random_states(count: int) -> np.ndarray:
+        raw = rng.standard_normal((count, 2, 2))
+        z = raw[:, 0] + 1j * raw[:, 1]
+        return z / hilbert.row_norms(z)[:, None]
 
-    pre = random_state()
-    post = random_state()
-    while abs(hilbert.inner(post, pre)) < 1e-3:
-        post = random_state()
-
-    projectors: list[LabeledProjector] = []
-    contexts: list[Context] = []
-    for k in range(n_contexts):
-        base = random_state()
-        perp = StateVector([-np.conj(base.amps[1]), np.conj(base.amps[0])])
-        projectors.append(LabeledProjector(f"q{k}", base))
-        projectors.append(LabeledProjector(f"q{k}_perp", perp))
-        contexts.append(Context((f"q{k}", f"q{k}_perp")))
-
+    pre, post = random_states(2)
+    while abs(np.vdot(post, pre)) < 1e-3:
+        (post,) = random_states(1)
+    base = random_states(n_contexts)
+    perp = np.stack((-base[:, 1].conj(), base[:, 0].conj()), axis=1)
+    pre_state, post_state, *rows = hilbert.unit_states(
+        np.vstack((pre, post, np.stack((base, perp), axis=1).reshape(-1, 2)))
+    )
+    labels = [f"q{k}{suffix}" for k in range(n_contexts) for suffix in ("", "_perp")]
     metadata = {"name": "single-qubit", "description": f"n_contexts={n_contexts}, seed={seed}"}
     return PrePostScenario(
         dim=2,
-        pre=pre,
-        post=post,
-        projectors=tuple(projectors),
-        contexts=tuple(contexts),
+        pre=pre_state,
+        post=post_state,
+        projectors=tuple(map(LabeledProjector, labels, rows)),
+        contexts=tuple(Context(pair) for pair in zip(labels[::2], labels[1::2])),
         metadata=metadata,
     )

@@ -5,12 +5,14 @@ proposition in the package is a rank-1 projector |v><v|, so each
 projector relation is computed from the unit vector v alone: certain
 values from the overlap <v|s>, pair exclusivity from |<a|b>| (the
 spectral norm of the product of the two projectors), and resolutions of
-identity from the spectral norm of V V^† - I.  The two relations a
+identity from the spectral norm of V V^† - I.  Both relations a
 scenario applies to many projectors at once, certain values and context
-deviations, take stacked states (:func:`certain_values`,
-:func:`context_deviations`); the single-item functions are one entry of
-those.  Every dimension used in practice is at most 8, so all storage is
-dense.
+deviations, exist only in matrix form over stacked states
+(:func:`certain_values`, :func:`context_deviations`); a single
+projector or context is a stack of one.  States are checked the same
+way: a caller with many states builds one (n, dim) block and makes one
+:func:`unit_states` call.  Every dimension used in practice is at most
+8, so all storage is dense.
 
 There is no null-space solver: every state the package builds has a
 closed form, e.g. (-conj(b), conj(a)) completes the qubit state (a, b).
@@ -33,11 +35,8 @@ __all__ = [
     "RowError",
     "row_norms",
     "unit_states",
-    "tensor",
     "inner",
-    "certain_value",
     "certain_values",
-    "context_deviation",
     "context_deviations",
 ]
 
@@ -95,12 +94,14 @@ class RowError(ValueError):
         super().__init__(message)
 
 
+@np.errstate(over="ignore")
 def row_norms(block: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (n, dim) complex array.
 
     Each is sqrt(re.re + im.im) with the stacked (n, 1, dim) @ (n, dim, 1)
     products on the dot kernel np.linalg.norm uses for one row, so it
     equals that norm bit for bit; norm(axis=1) sums in another order.
+    A finite row too large to square has norm inf, without a warning.
     """
     re, im = block.real[:, None, :], block.imag[:, None, :]
     return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
@@ -133,16 +134,6 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
     return states
 
 
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Tensor product of two states.
-
-    The result lives in the product space with amplitude layout
-    amps[i * v.dim + j] = u.amps[i] * v.amps[j], so the product basis of
-    two qubits is ordered (00, 01, 10, 11).
-    """
-    return StateVector(np.kron(u.amps, v.amps), tol_norm=TOL_NORM)
-
-
 def inner(u: StateVector, v: StateVector) -> complex:
     """Inner product <u|v>, conjugate-linear in the first argument."""
     if u.dim != v.dim:
@@ -153,11 +144,11 @@ def inner(u: StateVector, v: StateVector) -> complex:
 def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK) -> np.ndarray:
     """Definite 0/1 outcomes of the projectors |v_i><v_i| on the states s_j.
 
-    The matrix form of :func:`certain_value`: rows is an (n, dim) array
-    of projector states and states an (m, dim) array.  Entry (i, j) of
-    the (n, m) integer result is 0 when |a| < tol for the overlap
-    a = <v_i|s_j>, else 1 when the residual ||a v_i - s_j|| < tol, else
-    -1 (undetermined).  The residual is computed directly:
+    rows is an (n, dim) array of projector states and states an (m, dim)
+    array.  Entry (i, j) of the (n, m) integer result is 0 when the
+    projector annihilates s_j (|a| < tol for the overlap a = <v_i|s_j>),
+    else 1 when s_j is an eigenvalue-1 eigenstate (the residual
+    ||a v_i - s_j|| < tol), else -1 (undetermined).  The residual is computed directly:
     sqrt(1 - |a|^2) loses about half the digits to cancellation and
     would miss value 1 at tol 1e-9.
     """
@@ -166,50 +157,17 @@ def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK)
     return np.where(np.abs(a) < tol, 0, np.where(residual < tol, 1, -1))
 
 
-def certain_value(v: StateVector, s: StateVector, tol: float = TOL_CHECK) -> int | None:
-    """Definite 0/1 outcome of measuring the projector |v><v| on state s, if any.
-
-    One entry of :func:`certain_values`: 0 when the projector annihilates
-    s, 1 when s is an eigenvalue-1 eigenstate, and None otherwise.
-
-    Raises:
-        ValueError: dimension mismatch.
-    """
-    if v.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} != {s.dim}")
-    value = int(certain_values(v.amps[None], s.amps[None], tol)[0, 0])
-    return None if value < 0 else value
-
-
 def context_deviations(stacks: np.ndarray) -> np.ndarray:
-    """Spectral distances ||V V^† - I||_2 of m contexts from the identity.
+    """Spectral distances ||sum_i |v_i><v_i| - I||_2 of m contexts from the identity.
 
-    The matrix form of :func:`context_deviation`: stacks is an
-    (m, k, dim) array holding the k member states of each context as
-    rows, so every context in one call has k members.  Each entry is the
-    same arithmetic as a one-context call, bit for bit.
+    stacks is an (m, k, dim) array holding the k member states of each
+    context as rows, so every context in one call has k members.  Each
+    entry is the same arithmetic as a one-context call, bit for bit.  A
+    deviation is zero exactly when the members form an orthonormal
+    basis, and a missing member reads as 1.  With V the matrix of the
+    member states, V V^† and V^† V share their nonzero eigenvalues, so
+    for unit vectors a deviation eps < 1/dim forces k == dim and
+    |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
     """
     gram = stacks.transpose(0, 2, 1) @ stacks.conj()
     return np.linalg.norm(gram - np.eye(stacks.shape[2]), 2, axis=(1, 2))
-
-
-def context_deviation(states: list[StateVector]) -> float:
-    """Spectral distance ||sum_i |v_i><v_i| - I||_2 of a context from the identity.
-
-    Zero exactly when the states form an orthonormal basis; a missing
-    member reads as 1.  With V the matrix of column vectors, V V^† and
-    V^† V share their nonzero eigenvalues, so for unit vectors a
-    deviation eps < 1/dim forces len(states) == dim and
-    |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
-    One entry of :func:`context_deviations`.
-
-    Raises:
-        ValueError: empty list or mixed dimensions.
-    """
-    if not states:
-        raise ValueError("empty state list")
-    dim = states[0].dim
-    for s in states:
-        if s.dim != dim:
-            raise ValueError(f"dimension mismatch: {s.dim} != {dim}")
-    return float(context_deviations(np.array([s.amps for s in states])[None])[0])

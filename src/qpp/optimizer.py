@@ -29,6 +29,8 @@ __all__ = [
 
 DEFAULT_EXCLUSIVITY_TOL = 1e-9
 MAX_REFINE_ITERATIONS = 60
+# The initial scan holds grid**ndim points in memory; 256 keeps Hardy's at 65536.
+MAX_GRID = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -98,6 +100,8 @@ def _grid_refine(f, lows, highs, grid, refine_tol):
 def _check_search_args(grid: int, refine_tol: float) -> None:
     if grid < 16:
         raise ValueError(f"grid must be at least 16, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
 

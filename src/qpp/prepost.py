@@ -47,7 +47,7 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     selections force values they must agree, otherwise the scenario has
     no consistent intermediate history.  Every value comes from one
     :func:`hilbert.certain_values` call over ``s.states`` and the two
-    selections, with the rule of :func:`hilbert.certain_value`.
+    selections.
     """
     values = hilbert.certain_values(s.states, np.array([s.pre.amps, s.post.amps]), tol).tolist()
     out: list[ForcedValue] = []

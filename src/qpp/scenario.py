@@ -194,10 +194,6 @@ class PrePostScenario:
     def labels(self) -> list[str]:
         return [p.label for p in self.projectors]
 
-    def projector_map(self) -> dict[str, LabeledProjector]:
-        """Label -> projector mapping."""
-        return {p.label: p for p in self.projectors}
-
 
 def _check_label_bit(label, bit) -> None:
     """Refuse anything but a nonempty string label and the int 0 or 1."""
@@ -285,14 +281,13 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     one resolution-of-identity entry per context, and one exclusivity
     entry per declared pair.  Label structure needs no check here: the
     constructors refuse duplicate and dangling labels.  Both relations
-    use the spectral norm: a context's deviation is that of
-    :func:`hilbert.context_deviation`, which also bounds every pairwise
-    overlap inside the context, and a pair's is |<a|b>|, the spectral
-    norm of the product of its projectors.  Contexts with the same
-    number of members are measured together, as one stack of rows of
-    ``s.states`` in :func:`hilbert.context_deviations`; each deviation
-    is bit for bit the one-context value.  Nothing here raises on bad
-    content.
+    use the spectral norm: a context's deviation is
+    ||sum_i |v_i><v_i| - I||_2, which also bounds every pairwise overlap
+    inside the context, and a pair's is |<a|b>|, the spectral norm of
+    the product of its projectors.  Contexts with the same number of
+    members are measured together, as one stack of rows of ``s.states``
+    in :func:`hilbert.context_deviations`; each deviation is bit for bit
+    the one-context value.  Nothing here raises on bad content.
     """
     checks: list[CheckResult] = []
 

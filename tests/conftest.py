@@ -92,6 +92,14 @@ def witness_heavy_scenario(free_labels, seed=0, context=("c", "c_perp")):
     )
 
 
+def context_stack(s):
+    """The member states of every context of s as one (m, k, dim) stack.
+
+    All contexts of s must have the same number k of members.
+    """
+    return s.states[[[s.rows[m] for m in ctx.members] for ctx in s.contexts]]
+
+
 def random_qubit_state(rng):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return StateVector(v / np.linalg.norm(v))
@@ -145,3 +153,33 @@ def family_delta_overlap(c, p):
     den = a2 + b2 * (p * p + q2)
     out = np.abs(num) / den
     return float(out) if out.ndim == 0 else out
+
+
+def single_qubit_oracle(n_contexts, seed):
+    """single_qubit_scenario drawn and checked one state at a time.
+
+    Each state takes two 2-vectors from the generator (real, then
+    imaginary parts) and is normalized by np.linalg.norm; post is redrawn
+    while its overlap with pre is below 1e-3, and each base state b is
+    completed by (-conj(b1), conj(b0)).
+    """
+    rng = np.random.default_rng(seed)
+
+    def random_state():
+        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return StateVector(raw / np.linalg.norm(raw))
+
+    pre = random_state()
+    post = random_state()
+    while abs(np.vdot(post.amps, pre.amps)) < 1e-3:
+        post = random_state()
+    projectors, contexts = [], []
+    for k in range(n_contexts):
+        base = random_state()
+        perp = StateVector([-np.conj(base.amps[1]), np.conj(base.amps[0])])
+        projectors += [LabeledProjector(f"q{k}", base), LabeledProjector(f"q{k}_perp", perp)]
+        contexts.append(Context((f"q{k}", f"q{k}_perp")))
+    return PrePostScenario(
+        dim=2, pre=pre, post=post, projectors=tuple(projectors), contexts=tuple(contexts),
+        metadata={"name": "single-qubit", "description": f"n_contexts={n_contexts}, seed={seed}"},
+    )

@@ -8,6 +8,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from conftest import context_stack
 
 from qpp import (
     PREDICTION,
@@ -16,13 +17,12 @@ from qpp import (
     UNSAT,
     cabello_scenario,
     abl_probability,
-    context_deviation,
+    context_deviations,
     contradiction_trace,
     enumerate_assignments,
     feasibility_root,
     forced_values,
     hardy_scenario,
-    inner,
     load,
     maximize_cabello_family,
     maximize_hardy,
@@ -45,11 +45,6 @@ def criterion(number, description):
     print(f"PASS criterion {number}: {description}")
 
 
-def context_states(s, members):
-    pm = s.projector_map()
-    return [pm[m].state for m in members]
-
-
 def test_criterion_01_selection_probability_is_one_ninth():
     with criterion(1, "postselection succeeds with probability 1/9"):
         prob = selection_probability(cabello_scenario())
@@ -59,10 +54,8 @@ def test_criterion_01_selection_probability_is_one_ninth():
 def test_criterion_02_contexts_resolve_identity_and_deltas_exclude():
     with criterion(2, "both contexts resolve identity; delta pair exclusive"):
         s = cabello_scenario()
-        for ctx in s.contexts:
-            assert context_deviation(context_states(s, ctx.members)) < 1e-12
-        pm = s.projector_map()
-        assert abs(inner(pm["delta+"].state, pm["delta-"].state)) < 1e-12
+        assert (context_deviations(context_stack(s)) < 1e-12).all()
+        assert abs(np.vdot(s.states[s.rows["delta+"]], s.states[s.rows["delta-"]])) < 1e-12
 
 
 def test_criterion_03_exactly_five_forced_zeros():
@@ -128,8 +121,7 @@ def test_criterion_08_random_hardy_scenarios_reproduce_the_argument():
         for _ in range(20):
             ta, tb = rng.uniform(0.15, math.pi / 2.0 - 0.15, 2)
             s = hardy_scenario(ta, tb)
-            for ctx in s.contexts:
-                assert context_deviation(context_states(s, ctx.members)) < 1e-9
+            assert (context_deviations(context_stack(s)) < 1e-9).all()
             forced = forced_values(s)
             assert [f.bit for f in forced] == [0, 0, 0, 0, 0]
             assert len(forced) == 5

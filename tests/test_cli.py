@@ -199,6 +199,17 @@ class TestCheck:
         if location is not None:
             assert location in err
 
+    def test_overflowing_norm_exit_3_without_a_warning(self, tmp_path, capsys):
+        """Finite amplitudes whose norm overflows give one qpp: line, no numpy warning."""
+        doc = json.loads(save(single_qubit_scenario(1, 5)))
+        doc["pre"] = [[1e200, 0.0], [0.0, 0.0]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "qpp: parse error: pre: norm deviates from 1 by inf, tolerance 1.0e-09\n"
+        )
+
     def test_deep_nesting_exit_3(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000)
@@ -279,6 +290,10 @@ class TestOptimize:
         assert main(["optimize", "hardy", "--grid", "8"]) == 2
         assert main(["optimize", "hardy", "--refine-tol", "0"]) == 2
         assert main(["optimize", "cabello-family", "--exclusivity-tol", "0"]) == 2
+
+    def test_grid_above_cap_exit_2(self, capsys):
+        assert main(["optimize", "hardy", "--grid", "257"]) == 2
+        assert capsys.readouterr().err == "qpp: grid must be at most 256, got 257\n"
 
     def test_hardy_json(self, capsys):
         assert main(["optimize", "hardy", "--grid", "16", "--json"]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import family_delta_overlap
+from conftest import context_stack, family_delta_overlap, single_qubit_oracle
 
 from qpp import (
     CONTEXT_MINUS,
@@ -15,19 +15,18 @@ from qpp import (
     DegenerateConfigurationError,
     cabello_family,
     cabello_scenario,
-    context_deviation,
+    context_deviations,
     hardy_probability,
     hardy_scenario,
-    inner,
+    save,
     selection_probability,
     single_qubit_scenario,
     validate,
 )
 
-
-def context_states(s, members):
-    pm = s.projector_map()
-    return [pm[m].state for m in members]
+open_quarter_turn = st.floats(
+    min_value=0.0, max_value=math.pi / 2.0, exclude_min=True, exclude_max=True
+)
 
 
 def dense_projector(v):
@@ -41,13 +40,12 @@ class TestCabelloScenario:
         np.testing.assert_allclose(
             s.post.amps, [1.0 / 3.0, 0.0, -math.sqrt(8.0) / 3.0, 0.0], atol=0
         )
-        pm = s.projector_map()
-        np.testing.assert_array_equal(pm["alpha"].state.amps, [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(s.states[s.rows["alpha"]], [0.0, 0.0, 0.0, 1.0])
         np.testing.assert_allclose(
-            pm["beta+"].state.amps, [0.0, 0.5, math.sqrt(3.0) / 2.0, 0.0], atol=0
+            s.states[s.rows["beta+"]], [0.0, 0.5, math.sqrt(3.0) / 2.0, 0.0], atol=0
         )
         np.testing.assert_allclose(
-            pm["delta+"].state.amps,
+            s.states[s.rows["delta+"]],
             [1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(6.0), 0.0],
             atol=0,
         )
@@ -64,14 +62,11 @@ class TestCabelloScenario:
         assert s.metadata["name"] == "cabello"
 
     def test_contexts_resolve_identity(self):
-        s = cabello_scenario()
-        for ctx in s.contexts:
-            assert context_deviation(context_states(s, ctx.members)) < 1e-12
+        assert (context_deviations(context_stack(cabello_scenario())) < 1e-12).all()
 
     def test_delta_pair_exclusive(self):
         s = cabello_scenario()
-        pm = s.projector_map()
-        assert abs(inner(pm["delta+"].state, pm["delta-"].state)) < 1e-12
+        assert abs(np.vdot(s.states[s.rows["delta+"]], s.states[s.rows["delta-"]])) < 1e-12
 
     def test_selection_probability_is_one_ninth(self):
         assert selection_probability(cabello_scenario()) == pytest.approx(1.0 / 9.0, abs=1e-15)
@@ -89,11 +84,11 @@ class TestCabelloFamily:
     def test_reproduces_fixed_scenario_at_third_and_half(self):
         cand = cabello_family(1.0 / 3.0, 0.5)
         assert cand.delta_overlap < 1e-12
-        ref = cabello_scenario().projector_map()
-        fam = cand.scenario.projector_map()
-        for lab in ref:
-            gap = np.max(np.abs(dense_projector(ref[lab].state) - dense_projector(fam[lab].state)))
-            assert gap < 1e-13, lab
+        ref, fam = cabello_scenario(), cand.scenario
+        for p in ref.projectors:
+            other = fam.projectors[fam.rows[p.label]].state
+            gap = np.max(np.abs(dense_projector(p.state) - dense_projector(other)))
+            assert gap < 1e-13, p.label
 
     def test_selection_probability_is_c_squared(self):
         rng = np.random.default_rng(19)
@@ -116,12 +111,36 @@ class TestCabelloFamily:
         dependent."""
         cand = cabello_family(c, p)
         s = cand.scenario
-        for ctx in s.contexts:
-            assert context_deviation(context_states(s, ctx.members)) < 1e-12
-        pm = s.projector_map()
+        assert (context_deviations(context_stack(s)) < 1e-12).all()
         for lab in ("gamma+", "gamma-"):
-            assert abs(inner(pm[lab].state, s.post)) < 1e-12
+            assert abs(np.vdot(s.states[s.rows[lab]], s.post.amps)) < 1e-12
         assert abs(cand.delta_overlap - family_delta_overlap(c, p)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
+        p=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
+    )
+    @example(c=1.0 / 3.0, p=0.5)
+    @example(c=sys.float_info.min, p=sys.float_info.min)
+    def test_rows_equal_docstring_closed_forms(self, c, p):
+        """Bit for bit: s = sqrt(1 - c^2), q = sqrt(1 - p^2), g = hypot(c, s p)."""
+        s_, q = math.sqrt(1.0 - c * c), math.sqrt(1.0 - p * p)
+        g = math.hypot(c, s_ * p)
+        expected = {
+            "alpha": [0.0, 0.0, 0.0, 1.0],
+            "beta+": [0.0, p, q, 0.0],
+            "beta-": [0.0, p, -q, 0.0],
+            "gamma+": [s_ * p / g, -c * q / g, c * p / g, 0.0],
+            "gamma-": [s_ * p / g, c * q / g, c * p / g, 0.0],
+            "delta+": [c / g, s_ * p * q / g, -s_ * p * p / g, 0.0],
+            "delta-": [c / g, -s_ * p * q / g, -s_ * p * p / g, 0.0],
+        }
+        s = cabello_family(c, p).scenario
+        assert s.pre.amps.tobytes() == np.array([1.0, 0.0, 0.0, 0.0], complex).tobytes()
+        assert s.post.amps.tobytes() == np.array([c, 0.0, -s_, 0.0], complex).tobytes()
+        for label, amps in expected.items():
+            assert s.states[s.rows[label]].tobytes() == np.array(amps, complex).tobytes(), label
 
     def test_fast_overlap_matches_construction(self):
         rng = np.random.default_rng(27)
@@ -185,6 +204,26 @@ class TestHardyScenario:
             slow = 0.0
         assert abs(fast - slow) <= 1e-15
 
+    @settings(max_examples=300, deadline=None)
+    @given(ta=open_quarter_turn, tb=open_quarter_turn)
+    def test_rows_are_kronecker_products(self, ta, tb):
+        """Every product row, and post, is np.kron of its single-qubit factors, to the bit."""
+        try:
+            s = hardy_scenario(ta, tb)
+        except DegenerateConfigurationError:
+            return
+        ca, sa, cb, sb = math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb)
+        e0, e1 = np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)
+        a, a_perp = np.array([ca, sa], complex), np.array([sa, -ca], complex)
+        b, b_perp = np.array([cb, sb], complex), np.array([sb, -cb], complex)
+        factors = {
+            "alpha": (e0, e0), "beta+": (a, e1), "beta-": (e1, b), "gamma+": (a_perp, e1),
+            "gamma-": (e1, b_perp), "delta+": (e1, e0), "delta-": (e0, e1),
+        }
+        assert s.post.amps.tobytes() == np.kron(a, b).tobytes()
+        for label, (left, right) in factors.items():
+            assert s.states[s.rows[label]].tobytes() == np.kron(left, right).tobytes(), label
+
     def test_probability_stays_below_one_ninth(self):
         rng = np.random.default_rng(39)
         for _ in range(100):
@@ -194,8 +233,6 @@ class TestHardyScenario:
 
 class TestSingleQubitScenario:
     def test_deterministic_for_seed(self):
-        from qpp import save
-
         assert save(single_qubit_scenario(3, 7)) == save(single_qubit_scenario(3, 7))
         assert save(single_qubit_scenario(3, 7)) != save(single_qubit_scenario(3, 8))
 
@@ -208,6 +245,14 @@ class TestSingleQubitScenario:
     def test_validates(self):
         for seed in range(5):
             assert validate(single_qubit_scenario(seed % 3 + 1, seed)).passed
+
+    @pytest.mark.parametrize("n_contexts", [1, 2, 5, 11])
+    def test_bytes_match_per_state_draws(self, n_contexts):
+        """One batched draw and one block check give the per-state oracle's bytes."""
+        for seed in range(10):
+            assert save(single_qubit_scenario(n_contexts, seed)) == save(
+                single_qubit_oracle(n_contexts, seed)
+            )
 
     def test_rejects_nonpositive_contexts(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from qpp.hilbert import (
     RowError,
     StateVector,
-    certain_value,
-    context_deviation,
+    certain_values,
+    context_deviations,
     inner,
     row_norms,
-    tensor,
     unit_states,
 )
 
@@ -44,6 +43,11 @@ def dense_context_deviation(states):
 
 def basis(dim):
     return [StateVector(np.eye(dim)[i]) for i in range(dim)]
+
+
+def stack(states):
+    """One context's member states as the (1, k, dim) stack context_deviations takes."""
+    return np.array([[v.amps for v in states]])
 
 
 class TestStateVector:
@@ -91,14 +95,6 @@ class TestStateVector:
 
 
 class TestProducts:
-    def test_tensor_orders_first_factor_slowest(self):
-        e0 = StateVector([1.0, 0.0])
-        e1 = StateVector([0.0, 1.0])
-        t = tensor(e0, e1)
-        np.testing.assert_array_equal(t.amps, [0.0, 1.0, 0.0, 0.0])
-        t = tensor(e1, e0)
-        np.testing.assert_array_equal(t.amps, [0.0, 0.0, 1.0, 0.0])
-
     def test_inner_conjugates_first_argument(self):
         u = StateVector([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
         v = StateVector([1.0, 0.0])
@@ -113,43 +109,40 @@ class TestProducts:
             inner(StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0]))
 
     def test_tensor_inner_factorizes(self):
+        """<a (x) b|c (x) d> = <a|c><b|d> for the np.kron layout the constructions use."""
         rng = np.random.default_rng(17)
         for _ in range(50):
             a, b = random_state(rng, 2), random_state(rng, 3)
             c, d = random_state(rng, 2), random_state(rng, 3)
-            lhs = inner(tensor(a, b), tensor(c, d))
+            lhs = inner(StateVector(np.kron(a.amps, b.amps)), StateVector(np.kron(c.amps, d.amps)))
             assert lhs == pytest.approx(inner(a, c) * inner(b, d))
 
 
 class TestCertainValue:
     def test_eigenvalue_one(self):
-        u = StateVector([1.0, 0.0])
-        assert certain_value(u, u) == 1
+        u = np.array([[1.0, 0.0]], dtype=np.complex128)
+        assert certain_values(u, u).tolist() == [[1]]
 
     def test_eigenvalue_zero(self):
-        u = StateVector([1.0, 0.0])
-        v = StateVector([0.0, 1.0])
-        assert certain_value(u, v) == 0
+        u = np.array([[1.0, 0.0]], dtype=np.complex128)
+        v = np.array([[0.0, 1.0]], dtype=np.complex128)
+        assert certain_values(u, v).tolist() == [[0]]
 
     def test_generic_state_undetermined(self):
-        u = StateVector([1.0, 0.0])
-        w = StateVector([0.6, 0.8])
-        assert certain_value(u, w) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            certain_value(StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0]))
+        u = np.array([[1.0, 0.0]], dtype=np.complex128)
+        w = np.array([[0.6, 0.8]], dtype=np.complex128)
+        assert certain_values(u, w).tolist() == [[-1]]
 
     def test_agrees_with_expectation_value(self):
-        """A certain value v implies <s|P|s> = v; None implies neither."""
+        """A certain value v implies <s|P|s> = v; -1 implies neither."""
         rng = np.random.default_rng(29)
         for _ in range(200):
             dim = int(rng.integers(2, 5))
             u = random_state(rng, dim)
             s = random_state(rng, dim)
-            v = certain_value(u, s)
+            v = int(certain_values(u.amps[None], s.amps[None])[0, 0])
             expect = abs(inner(u, s)) ** 2
-            if v is not None:
+            if v >= 0:
                 assert expect == pytest.approx(float(v), abs=1e-12)
             else:
                 assert 1e-12 < expect < 1.0 - 1e-12
@@ -157,25 +150,19 @@ class TestCertainValue:
 
 class TestResolutions:
     def test_basis_projectors_resolve_identity(self):
-        assert context_deviation(basis(4)) < 1e-15
+        assert context_deviations(stack(basis(4)))[0] < 1e-15
 
     def test_missing_member_fails(self):
-        assert context_deviation(basis(3)[:2]) == pytest.approx(1.0)
+        assert context_deviations(stack(basis(3)[:2]))[0] == pytest.approx(1.0)
 
     def test_overlapping_members_fail(self):
         """A non-orthogonal context: a third qubit state on top of a basis."""
         u = StateVector([1.0, 0.0])
         w = StateVector([0.6, 0.8])
         v = StateVector([0.0, 1.0])
-        assert context_deviation([u, w, v]) == pytest.approx(1.0)
+        assert context_deviations(stack([u, w, v]))[0] == pytest.approx(1.0)
         # a complete but non-orthogonal pair deviates by its overlap
-        assert context_deviation([u, w]) == pytest.approx(abs(inner(u, w)))
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ValueError):
-            context_deviation([])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            context_deviation([StateVector([1.0, 0.0]), StateVector([0.0, 0.0, 1.0])])
+        assert context_deviations(stack([u, w]))[0] == pytest.approx(abs(inner(u, w)))
 
     def test_random_orthonormal_bases_resolve(self):
         rng = np.random.default_rng(31)
@@ -183,7 +170,7 @@ class TestResolutions:
             dim = int(rng.integers(2, 6))
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             q, _ = np.linalg.qr(m)
-            assert context_deviation([StateVector(q[:, i]) for i in range(dim)]) < 1e-9
+            assert context_deviations(q.T[None])[0] < 1e-9
 
     def test_exclusivity(self):
         """Pair exclusivity |<a|b>| is the spectral norm of the product PQ."""
@@ -212,16 +199,17 @@ class TestDenseOracle:
         # the component of a random state orthogonal to v
         raw = generic.amps - inner(v, generic) * v.amps
         orthogonal = StateVector(raw / np.linalg.norm(raw))
-        for s in (generic, orthogonal):
-            assert certain_value(v, s) == dense_certain_value(v, s)
-        assert certain_value(v, orthogonal) == 0
+        values = certain_values(v.amps[None], np.array([generic.amps, orthogonal.amps]))[0]
+        for value, s in zip(values.tolist(), (generic, orthogonal)):
+            assert (None if value < 0 else value) == dense_certain_value(v, s)
+        assert values[1] == 0
 
     @settings(max_examples=200, deadline=None)
     @given(dim=unit_dims, seed=seeds, phi=st.floats(min_value=0.0, max_value=2.0 * np.pi))
     def test_rephased_state_has_value_one(self, dim, seed, phi):
         v = random_state(np.random.default_rng(seed), dim)
         s = StateVector(np.exp(1j * phi) * v.amps)
-        assert certain_value(v, s, tol=1e-9) == 1
+        assert certain_values(v.amps[None], s.amps[None], tol=1e-9).tolist() == [[1]]
         assert dense_certain_value(v, s) == 1
 
     @settings(max_examples=200, deadline=None)
@@ -241,7 +229,7 @@ class TestDenseOracle:
             StateVector(x / np.linalg.norm(x))
             for x in (s.amps + noise * rng.standard_normal(dim) for s in states)
         ]
-        dev = context_deviation(states)
+        dev = float(context_deviations(stack(states))[0])
         assert dev == pytest.approx(dense_context_deviation(states), abs=1e-12)
         # a small spectral deviation already implies a complete,
         # pairwise exclusive context, so no pairwise check is needed
@@ -293,13 +281,16 @@ class TestUnitStates:
         assert info.value.row == 2
 
     def test_finite_row_with_overflowing_norm(self):
-        """Finite entries pass the finite rule; the norm rule then reads inf."""
+        """Finite entries pass the finite rule; the norm rule then reads inf, silently."""
         block = np.eye(2, dtype=np.complex128)
         block[1, 0] = 1e200
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(RowError, match="^norm deviates from 1 by inf") as info:
-                unit_states(block)
+        with pytest.raises(RowError, match="^norm deviates from 1 by inf") as info:
+            unit_states(block)
         assert info.value.row == 1
+
+    def test_state_with_overflowing_norm_raises_without_a_warning(self):
+        with pytest.raises(ValueError, match="^norm deviates from 1 by inf"):
+            StateVector([1e200, 0.0])
 
     def test_dimension_is_named_at_row_zero(self):
         with pytest.raises(RowError, match="^dimension must be at least 2, got 1$") as info:

@@ -40,7 +40,7 @@ from qpp import (
 
 def brute_force_witnesses(s, forced):
     """Independent reference: check all assignments with plain Python."""
-    labels = sorted(s.projector_map())
+    labels = sorted(s.rows)
     forced_map = {f.label: f.bit for f in forced}
     out = []
     for bits in itertools.product((0, 1), repeat=len(labels)):
@@ -223,7 +223,7 @@ def scenarios_with_forced(draw):
         s = single_qubit_scenario(draw(st.integers(1, 5)), seed)
     else:
         s = witness_heavy_scenario(draw(st.integers(0, 8)), seed)
-    chosen = draw(st.lists(st.sampled_from(sorted(s.projector_map())), unique=True))
+    chosen = draw(st.lists(st.sampled_from(sorted(s.rows)), unique=True))
     forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
     return s, forced
 
@@ -296,7 +296,7 @@ class TestWitnesses:
 
     def test_multi_block_boundaries(self):
         s = witness_heavy_scenario(20)  # 22 labels: four blocks of nchv._BLOCK masks
-        labels = sorted(s.projector_map())
+        labels = sorted(s.rows)
         n = len(labels)
         first, end = 1 << (n - 2), 3 << (n - 2)  # witnesses are the masks in [first, end)
         rep = enumerate_assignments(s, ())

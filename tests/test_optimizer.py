@@ -16,7 +16,7 @@ from qpp import (
     maximize_hardy,
     selection_probability,
 )
-from qpp.optimizer import _grid_refine
+from qpp.optimizer import MAX_GRID, _grid_refine
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
 
@@ -74,6 +74,12 @@ class TestMaximizeHardy:
             maximize_hardy(grid=15)
         with pytest.raises(ValueError, match="refine_tol"):
             maximize_hardy(refine_tol=0.0)
+
+    def test_grid_is_capped(self):
+        """The initial scan holds grid**2 points, so grids above the cap are refused."""
+        assert MAX_GRID == 256
+        with pytest.raises(ValueError, match="^grid must be at most 256, got 257$"):
+            maximize_hardy(grid=MAX_GRID + 1)
 
 
 class TestFeasibilityRoot:
@@ -144,6 +150,11 @@ class TestMaximizeCabelloFamily:
             maximize_cabello_family(grid=8)
         with pytest.raises(ValueError, match="exclusivity_tol"):
             maximize_cabello_family(exclusivity_tol=0.0)
+
+    def test_grid_is_capped(self):
+        with pytest.raises(ValueError, match="^grid must be at most 256, got 257$"):
+            maximize_cabello_family(grid=MAX_GRID + 1)
+        assert maximize_cabello_family(grid=MAX_GRID).grid_resolution == MAX_GRID
 
     def test_overlap_identity_on_grid(self):
         """The vectorized overlap agrees with the scenario construction on

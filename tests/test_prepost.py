@@ -19,7 +19,7 @@ from qpp import (
     StateVector,
     abl_probability,
     cabello_scenario,
-    certain_value,
+    certain_values,
     forced_values,
     hardy_scenario,
     inner,
@@ -65,9 +65,8 @@ class TestForcedValues:
     def test_justifications_reflect_eigenvector_relations(self):
         """Prediction entries hold against pre, retrodiction against post."""
         s = cabello_scenario()
-        pm = s.projector_map()
         for f in forced_values(s):
-            v = pm[f.label].state
+            v = s.projectors[s.rows[f.label]].state
             if f.justification == PREDICTION:
                 assert abs(inner(v, s.pre)) < 1e-12
             else:
@@ -103,10 +102,12 @@ class TestForcedValues:
 
 
 def forced_oracle(s, tol=1e-9):
-    """forced_values one projector at a time, through certain_value."""
+    """forced_values one projector at a time, through one-row certain_values calls."""
+    selections = np.array([s.pre.amps, s.post.amps])
     out = []
     for p in sorted(s.projectors, key=lambda lp: lp.label):
-        vp, vr = certain_value(p.state, s.pre, tol), certain_value(p.state, s.post, tol)
+        vp, vr = (None if v < 0 else v
+                  for v in certain_values(p.state.amps[None], selections, tol)[0].tolist())
         if vp is not None and vr is not None and vp != vr:
             raise SelectionInconsistencyError(
                 f"projector {p.label!r}: prediction gives {vp} but retrodiction gives {vr}"
@@ -181,7 +182,7 @@ class TestForcedValuesOracle:
 
 def abl_oracle(s, label, tol=1e-9):
     """abl_probability through the projector's StateVector and inner; None when undefined."""
-    v = s.projector_map()[label].state
+    v = s.projectors[s.rows[label]].state
     amp1 = inner(s.post, v) * inner(v, s.pre)
     n1, n0 = abs(amp1) ** 2, abs(inner(s.post, s.pre) - amp1) ** 2
     return None if n1 + n0 < tol else n1 / (n1 + n0)

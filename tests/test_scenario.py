@@ -109,13 +109,6 @@ class TestModel:
         with pytest.raises(ValueError, match="dim must be an integer|exclusive pair|expected a"):
             dataclasses.replace(tiny_scenario(), **change)
 
-    def test_projector_map_has_one_entry_per_label(self):
-        """Labels are distinct by construction, so no projector is shadowed."""
-        s = cabello_scenario()
-        pm = s.projector_map()
-        assert list(pm) == s.labels()
-        assert all(pm[p.label] is p for p in s.projectors)
-
     def test_forced_value_validation(self):
         with pytest.raises(ValueError):
             ForcedValue("x", 2, "Prediction")
@@ -187,8 +180,7 @@ class TestStateMatrix:
 
 def context_oracle(s, members):
     """The one-context-at-a-time deviation, as validate computed it per context."""
-    pm = s.projector_map()
-    v = np.array([pm[m].state.amps for m in members]).T
+    v = np.array([s.projectors[s.rows[m]].state.amps for m in members]).T
     return float(np.linalg.norm(v @ v.conj().T - np.eye(s.dim), 2))
 
 
