@@ -109,6 +109,13 @@ class TestModel:
         with pytest.raises(ValueError, match="dim must be an integer|exclusive pair|expected a"):
             dataclasses.replace(tiny_scenario(), **change)
 
+    def test_projector_map_has_one_entry_per_label(self):
+        """Labels are distinct by construction, so no projector is shadowed."""
+        s = cabello_scenario()
+        assert list(s.rows) == s.labels()
+        assert len(set(s.rows.values())) == len(s.projectors)
+        assert all(s.projectors[s.rows[p.label]] is p for p in s.projectors)
+
     def test_forced_value_validation(self):
         with pytest.raises(ValueError):
             ForcedValue("x", 2, "Prediction")
