@@ -29,15 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, hilbert, nchv, prepost, scenario
-from .constructions import (
-    DELTA_PAIR,
-    DegenerateConfigurationError,
-    cabello_scenario,
-    hardy_scenario,
-)
+from .constructions import DELTA_PAIR, cabello_scenario, hardy_scenario
 from .nchv import UNSAT, EnumerationLimitError
 from .optimizer import ConvergenceError, maximize_cabello_family, maximize_hardy
-from .prepost import SelectionInconsistencyError
 from .scenario import ScenarioParseError
 
 __all__ = [
@@ -58,6 +52,17 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 ARTIFACT_VERSION = 1
+
+# README's exit-code table, in order: the first row whose error type
+# matches an error raised by a command gives its exit code and the
+# prefix of its one stderr line.
+_EXIT_CODES = (
+    (ScenarioParseError, EXIT_IO, "parse error: "),
+    (OSError, EXIT_IO, ""),
+    (EnumerationLimitError, EXIT_NUMERIC, ""),
+    (ConvergenceError, EXIT_NUMERIC, ""),
+    (ValueError, EXIT_VALIDATION, ""),
+)
 
 CABELLO_PROBABILITY = 1.0 / 9.0
 HARDY_MAX_PROBABILITY = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
@@ -96,7 +101,6 @@ class Report:
     command: str
     checks: tuple[Check, ...]
     details: dict | None = None
-    artifact_version: int = ARTIFACT_VERSION
 
     @property
     def overall(self) -> bool:
@@ -104,7 +108,7 @@ class Report:
 
     def to_dict(self) -> dict:
         doc = {
-            "artifact_version": self.artifact_version,
+            "artifact_version": ARTIFACT_VERSION,
             "command": self.command,
             "checks": [c.to_dict() for c in self.checks],
             "overall": self.overall,
@@ -171,26 +175,15 @@ def _cmd_verify(args, tol_check: float) -> int:
     if hardy:
         has_angles = args.theta_a is not None or args.theta_b is not None
         if args.optimal and has_angles:
-            return _fail("verify hardy: --optimal conflicts with --theta-a/--theta-b", EXIT_VALIDATION)
+            raise ValueError("verify hardy: --optimal conflicts with --theta-a/--theta-b")
         if not args.optimal and (args.theta_a is None or args.theta_b is None):
-            return _fail(
-                "verify hardy: supply both --theta-a and --theta-b, or --optimal",
-                EXIT_VALIDATION,
-            )
+            raise ValueError("verify hardy: supply both --theta-a and --theta-b, or --optimal")
         theta_a, theta_b = args.theta_a, args.theta_b
         if args.optimal:
-            try:
-                result = maximize_hardy(args.grid, args.refine_tol)
-            except ValueError as exc:
-                return _fail(str(exc), EXIT_VALIDATION)
-            except ConvergenceError as exc:
-                return _fail(str(exc), EXIT_NUMERIC)
+            result = maximize_hardy(args.grid, args.refine_tol)
             params = dict(result.parameters)
             theta_a, theta_b = params["theta_a"], params["theta_b"]
-        try:
-            s = hardy_scenario(theta_a, theta_b, tol_check)
-        except DegenerateConfigurationError as exc:
-            return _fail(str(exc), EXIT_VALIDATION)
+        s = hardy_scenario(theta_a, theta_b, tol_check)
     else:
         s = cabello_scenario()
 
@@ -273,15 +266,8 @@ def _cmd_verify(args, tol_check: float) -> int:
 
 def _cmd_check(args, tol_check: float) -> int:
     if args.max_witnesses < 0:
-        return _fail(f"--max-witnesses must be nonnegative, got {args.max_witnesses}", EXIT_VALIDATION)
-    try:
-        data = Path(args.path).read_bytes()
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        s = scenario.load(data, lax=args.lax, tol_check=tol_check)
-    except ScenarioParseError as exc:
-        return _fail(f"parse error: {exc}", EXIT_IO)
+        raise ValueError(f"--max-witnesses must be nonnegative, got {args.max_witnesses}")
+    s = scenario.load(Path(args.path).read_bytes(), lax=args.lax, tol_check=tol_check)
 
     command = f"check {args.path}"
     vreport = scenario.validate(s, tol_check)
@@ -296,14 +282,8 @@ def _cmd_check(args, tol_check: float) -> int:
         _emit(Report(command, (valid_check,), details), args.json)
         return EXIT_VALIDATION
 
-    try:
-        forced = prepost.forced_values(s, tol_check)
-    except SelectionInconsistencyError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    try:
-        sat = nchv.enumerate_assignments(s, forced)
-    except EnumerationLimitError as exc:
-        return _fail(str(exc), EXIT_NUMERIC)
+    forced = prepost.forced_values(s, tol_check)
+    sat = nchv.enumerate_assignments(s, forced)
 
     details = {
         "status": sat.status,
@@ -324,15 +304,10 @@ def _cmd_check(args, tol_check: float) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        if args.target == "hardy":
-            result = maximize_hardy(args.grid, args.refine_tol)
-        else:
-            result = maximize_cabello_family(args.grid, args.refine_tol, args.exclusivity_tol)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except ConvergenceError as exc:
-        return _fail(str(exc), EXIT_NUMERIC)
+    if args.target == "hardy":
+        result = maximize_hardy(args.grid, args.refine_tol)
+    else:
+        result = maximize_cabello_family(args.grid, args.refine_tol, args.exclusivity_tol)
 
     details = {
         "parameters": dict(result.parameters),
@@ -414,11 +389,15 @@ def main(argv=None) -> int:
         if not 0.0 < tol_check < math.inf:
             return _fail(f"QPP_TOL must be positive and finite, got {env!r}", EXIT_VALIDATION)
 
-    if args.command == "verify":
-        return _cmd_verify(args, tol_check)
-    if args.command == "check":
-        return _cmd_check(args, tol_check)
-    return _cmd_optimize(args)
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args, tol_check)
+        if args.command == "check":
+            return _cmd_check(args, tol_check)
+        return _cmd_optimize(args)
+    except tuple(error for error, _, _ in _EXIT_CODES) as exc:
+        code, prefix = next((c, pre) for error, c, pre in _EXIT_CODES if isinstance(exc, error))
+        return _fail(f"{prefix}{exc}", code)
 
 
 def entry() -> None:

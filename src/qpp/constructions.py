@@ -28,6 +28,7 @@ them, pre and post included, as one block in one
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,18 +130,19 @@ def cabello_family(c: float, p: float) -> CandidateConstruction:
 
     c is the first postselection amplitude (the fixed scenario has 1/3)
     and p the first beta amplitude (fixed scenario 1/2); both must lie
-    strictly inside (0, 1).  With s = sqrt(1 - c^2), q = sqrt(1 - p^2)
-    and g = hypot(c, s p) > 0, gamma+/- = (s p, -/+c q, c p, 0) / g is
-    orthogonal to the postselection and to beta+/-, and
+    in [sys.float_info.min, 1), since below the smallest normal float
+    hypot(c, s p) loses the digits that keep gamma+/- unit.  With
+    s = sqrt(1 - c^2), q = sqrt(1 - p^2) and g = hypot(c, s p) > 0,
+    gamma+/- = (s p, -/+c q, c p, 0) / g is orthogonal to the
+    postselection and to beta+/-, and
     delta+/- = (c, +/-s p q, -s p^2, 0) / g completes each context.
 
     The returned construction is a valid scenario only when its
     delta_overlap vanishes; callers decide what tolerance to apply.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    for name, val in (("c", c), ("p", p)):
+        if not sys.float_info.min <= val < 1.0:
+            raise ValueError(f"{name} must lie in [{sys.float_info.min!r}, 1), got {val!r}")
 
     s = math.sqrt(1.0 - c * c)
     q = math.sqrt(1.0 - p * p)

@@ -1,12 +1,11 @@
 """Derivative-free maximization of selection probabilities.
 
-The search strategy is a coarse cell-centered grid over the open
-parameter box followed by local refinement: around the incumbent, a
-9-point-per-axis lattice of halving half-width is rescanned until the
-lattice diameter drops below the refinement tolerance.  The incumbent
-never regresses, so per-iteration best values are monotone
-nondecreasing.  Ties prefer the lexicographically smallest parameter
-point, making results deterministic.
+The search is one loop over lattices: first a coarse cell-centered grid
+over the open parameter box, then, around the incumbent, 9-point-per-axis
+lattices of halving half-width until the lattice diameter drops below the
+refinement tolerance.  The incumbent never regresses, so the returned
+value is at least every value of the first grid.  Ties prefer the
+lexicographically smallest parameter point, making results deterministic.
 """
 
 from __future__ import annotations
@@ -50,51 +49,37 @@ class OptimizationResult:
 
 
 def _grid_refine(f, lows, highs, grid, refine_tol):
-    """Shared search engine; returns (best_point, best_value, evals, history).
+    """Shared search engine: maximize f(*point); returns (point, value, evals).
 
-    history holds the best value after the initial scan and after each
-    refinement pass; it is monotone nondecreasing by construction.
+    One loop scans a lattice and keeps the best point seen so far: first
+    the cell-centered grid, then 9-point-per-axis lattices around that
+    point, of half-width span/grid halving each pass, clamped inside the
+    open box.  It stops once the lattice diameter is below refine_tol.
     """
-    ndim = len(lows)
-    spans = [hi - lo for lo, hi in zip(lows, highs)]
-
-    axes = [
-        [lows[d] + (i + 0.5) * spans[d] / grid for i in range(grid)]
-        for d in range(ndim)
-    ]
-    points = [tuple(pt) for pt in itertools.product(*axes)]
-    values = [f(pt) for pt in points]
-    evals = len(points)
-    best_point, best_value = points[0], values[0]
-    for pt, v in zip(points[1:], values[1:]):
-        if v > best_value or (v == best_value and pt < best_point):
-            best_point, best_value = pt, v
-    history = [best_value]
-
-    half_widths = [span / grid for span in spans]
-    iterations = 0
-    while 2.0 * max(half_widths) >= refine_tol:
-        iterations += 1
-        if iterations > MAX_REFINE_ITERATIONS:
+    axes = [[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
+            for lo, hi in zip(lows, highs)]
+    half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
+    best_point, best_value, evals = None, None, 0
+    for passes in itertools.count():
+        points = list(itertools.product(*axes))
+        evals += len(points)
+        for pt in points:
+            v = f(*pt)
+            if best_point is None or v > best_value or (v == best_value and pt < best_point):
+                best_point, best_value = pt, v
+        if 2.0 * max(half_widths) < refine_tol:
+            return best_point, best_value, evals
+        if passes == MAX_REFINE_ITERATIONS:
             raise ConvergenceError(
                 f"refinement did not reach tolerance {refine_tol!r} "
                 f"within {MAX_REFINE_ITERATIONS} iterations"
             )
-        axes = []
-        for d in range(ndim):
-            lo = max(best_point[d] - half_widths[d], np.nextafter(lows[d], highs[d]))
-            hi = min(best_point[d] + half_widths[d], np.nextafter(highs[d], lows[d]))
-            axes.append(np.linspace(lo, hi, 9).tolist())
-        points = [tuple(pt) for pt in itertools.product(*axes)]
-        values = [f(pt) for pt in points]
-        evals += len(points)
-        for pt, v in zip(points, values):
-            if v > best_value or (v == best_value and pt < best_point):
-                best_point, best_value = pt, v
-        history.append(best_value)
+        axes = [
+            np.linspace(max(x - hw, np.nextafter(lo, hi)), min(x + hw, np.nextafter(hi, lo)), 9)
+            .tolist()
+            for x, hw, lo, hi in zip(best_point, half_widths, lows, highs)
+        ]
         half_widths = [hw / 2.0 for hw in half_widths]
-
-    return best_point, best_value, evals, history
 
 
 def _check_search_args(grid: int, refine_tol: float) -> None:
@@ -114,8 +99,8 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
     """
     _check_search_args(grid, refine_tol)
     half_pi = math.pi / 2.0
-    point, value, evals, _ = _grid_refine(
-        lambda pt: hardy_probability(*pt), (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
+    point, value, evals = _grid_refine(
+        hardy_probability, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
     )
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
@@ -166,12 +151,11 @@ def maximize_cabello_family(
     if not exclusivity_tol > 0.0:
         raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
 
-    def objective(pt):
-        (c,) = pt
+    def objective(c):
         _, overlap = feasibility_root(c)
         return c * c if overlap < exclusivity_tol else 0.0
 
-    point, value, evals, _ = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
+    point, value, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     c = point[0]
     p, _ = feasibility_root(c)
     if not value > 0.0:

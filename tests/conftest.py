@@ -1,9 +1,12 @@
 """Shared test constructions, strategies and oracles."""
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
 from qpp import Context, ForcedValue, LabeledProjector, PrePostScenario, StateVector
+from qpp.optimizer import MAX_REFINE_ITERATIONS, ConvergenceError
 
 # The 18-vector Kochen-Specker set in dimension 4: nine orthogonal bases,
 # each vector appearing in exactly two of them.  Exactly-one-per-context
@@ -183,3 +186,53 @@ def single_qubit_oracle(n_contexts, seed):
         dim=2, pre=pre, post=post, projectors=tuple(projectors), contexts=tuple(contexts),
         metadata={"name": "single-qubit", "description": f"n_contexts={n_contexts}, seed={seed}"},
     )
+
+
+def grid_refine_oracle(f, lows, highs, grid, refine_tol):
+    """The optimizer's search written as two scans, first grid then refinements.
+
+    Maximizes f(*point) and returns (point, value, evals), like
+    qpp.optimizer._grid_refine: the cell-centered grid is evaluated in
+    full and then scanned for the best point (ties to the
+    lexicographically smallest), after which each refinement pass
+    evaluates a 9-point-per-axis lattice around that point, clamped
+    inside the open box, and scans it the same way.
+    """
+    ndim = len(lows)
+    spans = [hi - lo for lo, hi in zip(lows, highs)]
+
+    axes = [
+        [lows[d] + (i + 0.5) * spans[d] / grid for i in range(grid)]
+        for d in range(ndim)
+    ]
+    points = [tuple(pt) for pt in itertools.product(*axes)]
+    values = [f(*pt) for pt in points]
+    evals = len(points)
+    best_point, best_value = points[0], values[0]
+    for pt, v in zip(points[1:], values[1:]):
+        if v > best_value or (v == best_value and pt < best_point):
+            best_point, best_value = pt, v
+
+    half_widths = [span / grid for span in spans]
+    iterations = 0
+    while 2.0 * max(half_widths) >= refine_tol:
+        iterations += 1
+        if iterations > MAX_REFINE_ITERATIONS:
+            raise ConvergenceError(
+                f"refinement did not reach tolerance {refine_tol!r} "
+                f"within {MAX_REFINE_ITERATIONS} iterations"
+            )
+        axes = []
+        for d in range(ndim):
+            lo = max(best_point[d] - half_widths[d], np.nextafter(lows[d], highs[d]))
+            hi = min(best_point[d] + half_widths[d], np.nextafter(highs[d], lows[d]))
+            axes.append(np.linspace(lo, hi, 9).tolist())
+        points = [tuple(pt) for pt in itertools.product(*axes)]
+        values = [f(*pt) for pt in points]
+        evals += len(points)
+        for pt, v in zip(points, values):
+            if v > best_value or (v == best_value and pt < best_point):
+                best_point, best_value = pt, v
+        half_widths = [hw / 2.0 for hw in half_widths]
+
+    return best_point, best_value, evals

@@ -68,7 +68,9 @@ class TestVerifyCabello:
     def test_export_to_missing_directory_fails(self, tmp_path, capsys):
         target = tmp_path / "nodir" / "cabello.json"
         assert main(["verify", "cabello", "--export", str(target)]) == 3
-        assert "export failed" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out.endswith("overall: PASS\n")  # the export runs after the report
+        assert err == f"qpp: export failed: [Errno 2] No such file or directory: '{target}'\n"
 
 
 class TestVerifyHardy:
@@ -182,7 +184,9 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_bytes(b"{broken")
         assert main(["check", str(path)]) == 3
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "qpp: parse error: line 1 column 2: Expecting property name enclosed in double quotes\n"
+        )
 
     @pytest.mark.parametrize("amplitude, location", [
         ("1" + "0" * 400, "pre[0]"),
@@ -235,6 +239,9 @@ class TestCheck:
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["check", "/no/such/file.json"]) == 3
+        assert capsys.readouterr().err == (
+            "qpp: [Errno 2] No such file or directory: '/no/such/file.json'\n"
+        )
 
     def test_lax_accepts_unknown_fields(self, tmp_path, capsys):
         doc = json.loads(save(single_qubit_scenario(1, 5)))
@@ -313,7 +320,48 @@ class TestOptimize:
     def test_convergence_failure_exit_4(self, capsys):
         code = main(["optimize", "hardy", "--grid", "16", "--refine-tol", "1e-40"])
         assert code == 4
-        assert "refinement" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "qpp: refinement did not reach tolerance 1e-40 within 60 iterations\n"
+        )
+
+
+class TestExitCodeTable:
+    """Rows of README's exit-code table that no other test reaches: the exit
+    code and the one exact stderr line, with nothing on stdout."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert out == ""
+        return code, err
+
+    def test_enumeration_limit_exit_4(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, single_qubit_scenario(13, 1))  # 26 labels
+        assert self.run(capsys, ["check", path]) == (
+            4, "qpp: 26 projectors exceed the exhaustive limit of 24\n"
+        )
+
+    def test_convergence_error_exit_4(self, capsys):
+        argv = ["verify", "hardy", "--optimal", "--refine-tol", "1e-40"]
+        assert self.run(capsys, argv) == (
+            4, "qpp: refinement did not reach tolerance 1e-40 within 60 iterations\n"
+        )
+
+    def test_value_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Under QPP_TOL=1e-3, e0 is certain under pre but excluded by post."""
+        d = 9e-4
+        r = np.sqrt(1.0 - d * d)
+        basis = [StateVector(np.eye(3)[i]) for i in range(3)]
+        s = PrePostScenario(
+            dim=3, pre=StateVector([r, 0.0, d]), post=StateVector([d, 0.0, r]),
+            projectors=tuple(LabeledProjector(f"e{i}", basis[i]) for i in range(3)),
+            contexts=(Context(("e0", "e1", "e2")),),
+        )
+        path = write_scenario(tmp_path, s)
+        monkeypatch.setenv("QPP_TOL", "1e-3")
+        assert self.run(capsys, ["check", path]) == (
+            2, "qpp: projector 'e0': prediction gives 1 but retrodiction gives 0\n"
+        )
 
 
 class TestUsage:
@@ -345,6 +393,8 @@ class TestReportModel:
             "overall": True, "details": {"k": [1, 2]},
         }
         assert r.overall is True
+        with pytest.raises(TypeError):  # the version is the module constant, not a field
+            Report("demo", (), None, 2)
 
     def test_render_text_shows_failures(self):
         r = Report("demo", (Check("a", 0.0, 1.0, 1.0, False),))

@@ -1,5 +1,6 @@
 """Tests for the built-in scenario constructions."""
 
+import itertools
 import math
 import sys
 
@@ -80,6 +81,20 @@ class TestCabelloFamily:
         for c, p in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.5)):
             with pytest.raises(ValueError):
                 cabello_family(c, p)
+
+    def test_subnormal_parameters_are_refused(self):
+        """Below the smallest normal float hypot(c, s p) loses gamma+/-'s
+        norm, so such a c or p is refused by name, not by a norm check."""
+        values = (5e-324, 1e-320, 1e-315, 1e-310, sys.float_info.min, 1e-300, 0.5, 1.0 - 2.0**-53)
+        for c, p in itertools.product(values, repeat=2):
+            low = [name for name, v in (("c", c), ("p", p)) if v < sys.float_info.min]
+            if not low:
+                assert cabello_family(c, p).c == c
+                continue
+            with pytest.raises(ValueError) as info:
+                cabello_family(c, p)
+            bad = c if low[0] == "c" else p
+            assert str(info.value) == f"{low[0]} must lie in [2.2250738585072014e-308, 1), got {bad!r}"
 
     def test_reproduces_fixed_scenario_at_third_and_half(self):
         cand = cabello_family(1.0 / 3.0, 0.5)

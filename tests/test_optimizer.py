@@ -1,22 +1,24 @@
 """Tests for the grid-refinement searches and the family feasibility root."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import family_delta_overlap
+from conftest import family_delta_overlap, grid_refine_oracle
 
 from qpp import (
     ConvergenceError,
     cabello_family,
     feasibility_root,
+    hardy_probability,
     maximize_cabello_family,
     maximize_hardy,
     selection_probability,
 )
-from qpp.optimizer import MAX_GRID, _grid_refine
+from qpp.optimizer import DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _grid_refine
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
 
@@ -24,34 +26,67 @@ open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
 
 
+@st.composite
+def search_problems(draw):
+    """A 1-D or 2-D box and an objective f(*point) on it: a shifted
+    quadratic, a constant, or a step function whose plateaus tie."""
+    ndim = draw(st.integers(1, 2))
+    lows = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(ndim))
+    highs = tuple(lo + draw(st.floats(0.1, 2.0)) for lo in lows)
+    centers = tuple(draw(st.floats(lo, hi)) for lo, hi in zip(lows, highs))
+    kind = draw(st.sampled_from(["quadratic", "constant", "steps"]))
+    if kind == "quadratic":
+        def f(*x):
+            return -sum((xi - a) ** 2 for xi, a in zip(x, centers))
+    elif kind == "constant":
+        k = draw(st.floats(-1.0, 1.0))
+
+        def f(*x):
+            return k
+    else:
+        m = draw(st.integers(1, 8))
+
+        def f(*x):
+            return -float(sum(math.floor(abs(xi - a) * m) for xi, a in zip(x, centers)))
+    return f, lows, highs
+
+
 class TestGridRefine:
     def test_finds_smooth_maximum(self):
-        point, value, evals, history = _grid_refine(
-            lambda x: 1.0 - (x[0] - 0.3) ** 2, (0.0,), (1.0,), 16, 1e-9
-        )
+        point, value, evals = _grid_refine(lambda x: 1.0 - (x - 0.3) ** 2, (0.0,), (1.0,), 16, 1e-9)
         assert abs(point[0] - 0.3) < 1e-8
         assert value == pytest.approx(1.0, abs=1e-15)
-        assert evals == 16 + 9 * (len(history) - 1)
+        assert evals > 16 and (evals - 16) % 9 == 0
 
-    def test_history_is_monotone(self):
+    def test_value_is_at_least_first_grid(self):
         rng = np.random.default_rng(61)
         for _ in range(5):
             a, b = rng.uniform(0.2, 0.8, 2)
 
-            def f(x, a=a, b=b):
-                return -((x[0] - a) ** 2) - (x[1] - b) ** 2
+            def f(x, y, a=a, b=b):
+                return -((x - a) ** 2) - (y - b) ** 2
 
-            _, _, _, history = _grid_refine(f, (0.0, 0.0), (1.0, 1.0), 16, 1e-6)
-            assert all(later >= earlier for earlier, later in zip(history, history[1:]))
+            _, value, _ = _grid_refine(f, (0.0, 0.0), (1.0, 1.0), 16, 1e-6)
+            centers = [(i + 0.5) / 16 for i in range(16)]
+            assert all(value >= f(x, y) for x in centers for y in centers)
 
     def test_constant_objective_prefers_lexicographic_minimum(self):
-        point, value, _, _ = _grid_refine(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-9)
+        point, value, _ = _grid_refine(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-9)
         assert value == 0.0
         assert point[0] < 1e-3
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError, match="60"):
             _grid_refine(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-40)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=search_problems(), grid=st.integers(16, 64),
+           refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_matches_two_scan_oracle(self, problem, grid, refine_tol):
+        """Point, value and evaluation count equal the oracle's bit for bit."""
+        f, lows, highs = problem
+        got = _grid_refine(f, lows, highs, grid, refine_tol)
+        assert repr(got) == repr(grid_refine_oracle(f, lows, highs, grid, refine_tol))
 
 
 class TestMaximizeHardy:
@@ -68,6 +103,17 @@ class TestMaximizeHardy:
         assert result.grid_resolution == 16
         assert result.refine_tolerance == 1e-9
         assert result.exclusivity_tol is None
+
+    @pytest.mark.parametrize("grid", [16, 17, 64, 256])
+    def test_matches_grid_refine_oracle(self, grid):
+        half_pi = math.pi / 2.0
+        point, value, evals = grid_refine_oracle(
+            hardy_probability, (0.0, 0.0), (half_pi, half_pi), grid, 1e-9
+        )
+        result = maximize_hardy(grid)
+        assert repr(result.parameters) == repr((("theta_a", point[0]), ("theta_b", point[1])))
+        assert repr(result.objective) == repr(value)
+        assert result.evaluations == evals
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
@@ -107,7 +153,7 @@ class TestFeasibilityRoot:
         assert abs(c * c - (1.0 - c * c) * p * p * (1.0 - 2.0 * p * p)) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
-    @given(c=open_unit)
+    @given(c=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True))
     def test_root_overlap_matches_direct_construction(self, c):
         p, overlap = feasibility_root(c)
         assert cabello_family(c, p).delta_overlap == pytest.approx(overlap, abs=1e-12)
@@ -144,6 +190,17 @@ class TestMaximizeCabelloFamily:
         cand = cabello_family(params["c"], params["p"])
         assert cand.delta_overlap < 1e-6
         assert selection_probability(cand.scenario) == pytest.approx(result.objective)
+
+    @pytest.mark.parametrize("grid", [16, 17, 64, 256])
+    def test_matches_grid_refine_oracle(self, grid):
+        def objective(c):
+            return c * c if feasibility_root(c)[1] < DEFAULT_EXCLUSIVITY_TOL else 0.0
+
+        (c,), _, evals = grid_refine_oracle(objective, (0.0,), (1.0,), grid, 1e-9)
+        result = maximize_cabello_family(grid)
+        assert repr(result.parameters) == repr((("c", c), ("p", feasibility_root(c)[0])))
+        assert repr(result.objective) == repr(c ** 2)
+        assert result.evaluations == evals
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
