@@ -179,13 +179,17 @@ def hardy_probability(theta_a: float, theta_b: float) -> float:
     """The selection probability of :func:`hardy_scenario`, in closed form.
 
     |<a b|pre>|^2 = (c_a s_a c_b s_b)^2 / (s_a^2 c_b^2 + s_b^2 c_a^2 + c_a^2 c_b^2)
-    with c = cos(theta), s = sin(theta).  Angles outside (0, pi/2) raise
+    with c = cos(theta), s = sin(theta); the square is n * n, so floats and
+    broadcast arrays give the same bits.  Angles outside (0, pi/2) raise
     DegenerateConfigurationError.
     """
     _check_hardy_angles(theta_a, theta_b)
-    ca, sa = math.cos(theta_a), math.sin(theta_a)
-    cb, sb = math.cos(theta_b), math.sin(theta_b)
-    return (ca * sa * cb * sb) ** 2 / (sa * sa * cb * cb + sb * sb * ca * ca + ca * ca * cb * cb)
+    return _hardy_ratio(math.cos(theta_a), math.sin(theta_a), math.cos(theta_b), math.sin(theta_b))
+
+
+def _hardy_ratio(ca, sa, cb, sb):
+    n = ca * sa * cb * sb
+    return n * n / (sa * sa * cb * cb + sb * sb * ca * ca + ca * ca * cb * cb)
 
 
 def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> PrePostScenario:

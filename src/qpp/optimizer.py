@@ -1,22 +1,23 @@
 """Derivative-free maximization of selection probabilities.
 
-The search is one loop over lattices: first a coarse cell-centered grid
-over the open parameter box, then, around the incumbent, 9-point-per-axis
-lattices of halving half-width until the lattice diameter drops below the
-refinement tolerance.  The incumbent never regresses, so the returned
-value is at least every value of the first grid.  Ties prefer the
-lexicographically smallest parameter point, making results deterministic.
+The search is one loop over lattices, each evaluated in one objective
+call: a coarse cell-centered grid over the open parameter box, then, around
+the incumbent, 9-point-per-axis lattices of halving half-width until the
+lattice diameter drops below the refinement tolerance.  The incumbent never
+regresses, so the returned value is at least every value of the first grid.
+Ties prefer the lexicographically smallest point, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import hardy_probability
+from .constructions import _hardy_ratio
 
 __all__ = [
     "ConvergenceError",
@@ -48,25 +49,36 @@ class OptimizationResult:
     exclusivity_tol: float | None = None
 
 
-def _grid_refine(f, lows, highs, grid, refine_tol):
-    """Shared search engine: maximize f(*point); returns (point, value, evals).
+def _axis9(a, b):
+    """np.linspace(a, b, 9) term for term, as a list of Python floats."""
+    step = (b - a) / 8
+    return [i * step + a for i in range(8)] + [b]
 
-    One loop scans a lattice and keeps the best point seen so far: first
-    the cell-centered grid, then 9-point-per-axis lattices around that
-    point, of half-width span/grid halving each pass, clamped inside the
-    open box.  It stops once the lattice diameter is below refine_tol.
+
+def _grid_refine(f, lows, highs, grid, refine_tol):
+    """Shared search engine: maximize f over lattices; returns (point, value, evals).
+
+    f(*axes) maps one ascending list of floats per axis to an array of the
+    lattice's values in itertools.product order, so its first argmax is the
+    lexicographically smallest maximizer.  The loop keeps the best point
+    seen, on the cell-centered grid and then on 9-point lattices per axis
+    around it, of half-width span/grid halving each pass and clamped inside
+    the open box, until the lattice diameter is below refine_tol.
     """
     axes = [[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
             for lo, hi in zip(lows, highs)]
     half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
     best_point, best_value, evals = None, None, 0
     for passes in itertools.count():
-        points = list(itertools.product(*axes))
-        evals += len(points)
-        for pt in points:
-            v = f(*pt)
-            if best_point is None or v > best_value or (v == best_value and pt < best_point):
-                best_point, best_value = pt, v
+        values = f(*axes)
+        evals += values.size
+        k = int(values.argmax())
+        v, pt = values.item(k), ()
+        for axis in reversed(axes):
+            k, j = divmod(k, len(axis))
+            pt = (axis[j], *pt)
+        if best_point is None or v > best_value or (v == best_value and pt < best_point):
+            best_point, best_value = pt, v
         if 2.0 * max(half_widths) < refine_tol:
             return best_point, best_value, evals
         if passes == MAX_REFINE_ITERATIONS:
@@ -75,32 +87,43 @@ def _grid_refine(f, lows, highs, grid, refine_tol):
                 f"within {MAX_REFINE_ITERATIONS} iterations"
             )
         axes = [
-            np.linspace(max(x - hw, np.nextafter(lo, hi)), min(x + hw, np.nextafter(hi, lo)), 9)
-            .tolist()
+            _axis9(max(x - hw, math.nextafter(lo, hi)), min(x + hw, math.nextafter(hi, lo)))
             for x, hw, lo, hi in zip(best_point, half_widths, lows, highs)
         ]
         half_widths = [hw / 2.0 for hw in half_widths]
 
 
-def _check_search_args(grid: int, refine_tol: float) -> None:
+def _check_search_args(grid: int, refine_tol: float) -> int:
+    try:
+        grid = operator.index(grid)
+    except TypeError:
+        raise TypeError(f"grid must be an integer, got {grid!r}") from None
     if grid < 16:
         raise ValueError(f"grid must be at least 16, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
+    return grid
+
+
+def _hardy_lattice(ta, tb):
+    """hardy_probability over the lattice ta x tb, one cos and sin per axis value."""
+    ca, sa = (np.array([[f(t)] for t in ta]) for f in (math.cos, math.sin))
+    cb, sb = (np.array([f(t) for t in tb]) for f in (math.cos, math.sin))
+    return _hardy_ratio(ca, sa, cb, sb)
 
 
 def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
     """Maximize the Hardy selection probability over both angles.
 
-    The objective is the closed form :func:`hardy_probability`; the
-    search only evaluates it inside the open box (0, pi/2)^2.
+    The objective is the closed form :func:`hardy_probability`, one lattice
+    at a time; the search only evaluates it inside the open box (0, pi/2)^2.
     """
-    _check_search_args(grid, refine_tol)
+    grid = _check_search_args(grid, refine_tol)
     half_pi = math.pi / 2.0
     point, value, evals = _grid_refine(
-        hardy_probability, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
+        _hardy_lattice, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
     )
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
@@ -147,23 +170,20 @@ def maximize_cabello_family(
     feasibility_root finds a delta overlap below exclusivity_tol and 0
     otherwise.  The reported p is the root at the winning c.
     """
-    _check_search_args(grid, refine_tol)
+    grid = _check_search_args(grid, refine_tol)
     if not exclusivity_tol > 0.0:
         raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
 
-    def objective(c):
-        _, overlap = feasibility_root(c)
-        return c * c if overlap < exclusivity_tol else 0.0
+    def objective(cs):
+        return np.array([c * c if feasibility_root(c)[1] < exclusivity_tol else 0.0 for c in cs])
 
-    point, value, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
-    c = point[0]
-    p, _ = feasibility_root(c)
+    (c,), value, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     if not value > 0.0:
         raise ConvergenceError(
             f"no feasible family member found at exclusivity tolerance {exclusivity_tol!r}"
         )
     return OptimizationResult(
-        parameters=(("c", c), ("p", p)),
+        parameters=(("c", c), ("p", feasibility_root(c)[0])),
         objective=c ** 2,
         evaluations=evals,
         grid_resolution=grid,

@@ -19,7 +19,8 @@ from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, s
 from qpp import single_qubit_scenario
 from qpp.cli import Check, Report, main
 
-GOLDEN = Path(__file__).parent / "data" / "verify_cabello_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_cabello_golden.json"
 
 
 def qubit(theta):
@@ -316,6 +317,17 @@ class TestOptimize:
         assert abs(doc["details"]["parameters"]["c"] - 1.0 / 3.0) < 1e-4
         assert abs(doc["details"]["parameters"]["p"] - 0.5) < 1e-4
         assert doc["details"]["exclusivity_tol"] == 1e-9
+
+    @pytest.mark.parametrize("target, golden", [
+        ("hardy", "optimize_hardy_golden.json"),
+        ("cabello-family", "optimize_family_golden.json"),
+    ])
+    def test_json_matches_golden(self, capsys, target, golden):
+        """The default search's report, byte for byte as the scalar engine wrote it."""
+        assert main(["optimize", target, "--json"]) == 0
+        out = capsys.readouterr()
+        assert out.out == (DATA / golden).read_text()
+        assert out.err == ""
 
     def test_convergence_failure_exit_4(self, capsys):
         code = main(["optimize", "hardy", "--grid", "16", "--refine-tol", "1e-40"])

@@ -1,5 +1,7 @@
 """Tests for the grid-refinement searches and the family feasibility root."""
 
+import itertools
+import json
 import math
 import sys
 
@@ -18,9 +20,12 @@ from qpp import (
     maximize_hardy,
     selection_probability,
 )
-from qpp.optimizer import DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _grid_refine
+from qpp.optimizer import (
+    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _grid_refine, _hardy_lattice,
+)
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
+HALF_PI = math.pi / 2.0
 
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
@@ -51,9 +56,44 @@ def search_problems(draw):
     return f, lows, highs
 
 
+def lattice(f):
+    """The lattice form of a scalar objective f(*point), as _grid_refine calls it."""
+    return lambda *axes: np.array([f(*p) for p in itertools.product(*axes)])
+
+
+def refine_both(f, lows, highs, grid, refine_tol):
+    """_grid_refine on the lattice form of f; asserts it equals the scalar oracle bit for bit."""
+    got = _grid_refine(lattice(f), lows, highs, grid, refine_tol)
+    assert repr(got) == repr(grid_refine_oracle(f, lows, highs, grid, refine_tol))
+    return got
+
+
+def hardy_oracle(grid, refine_tol):
+    """maximize_hardy's (parameters, objective, evaluations), one scalar call per point."""
+    point, value, evals = grid_refine_oracle(
+        hardy_probability, (0.0, 0.0), (HALF_PI, HALF_PI), grid, refine_tol
+    )
+    return (("theta_a", point[0]), ("theta_b", point[1])), value, evals
+
+
+def family_oracle(grid, refine_tol):
+    """maximize_cabello_family's (parameters, objective, evaluations), likewise."""
+    def objective(c):
+        return c * c if feasibility_root(c)[1] < DEFAULT_EXCLUSIVITY_TOL else 0.0
+
+    (c,), _, evals = grid_refine_oracle(objective, (0.0,), (1.0,), grid, refine_tol)
+    return (("c", c), ("p", feasibility_root(c)[0])), c ** 2, evals
+
+
+def assert_matches_oracle(search, oracle, grid, refine_tol):
+    result = search(grid, refine_tol)
+    got = (result.parameters, result.objective, result.evaluations)
+    assert repr(got) == repr(oracle(grid, refine_tol))
+
+
 class TestGridRefine:
     def test_finds_smooth_maximum(self):
-        point, value, evals = _grid_refine(lambda x: 1.0 - (x - 0.3) ** 2, (0.0,), (1.0,), 16, 1e-9)
+        point, value, evals = refine_both(lambda x: 1.0 - (x - 0.3) ** 2, (0.0,), (1.0,), 16, 1e-9)
         assert abs(point[0] - 0.3) < 1e-8
         assert value == pytest.approx(1.0, abs=1e-15)
         assert evals > 16 and (evals - 16) % 9 == 0
@@ -61,23 +101,26 @@ class TestGridRefine:
     def test_value_is_at_least_first_grid(self):
         rng = np.random.default_rng(61)
         for _ in range(5):
-            a, b = rng.uniform(0.2, 0.8, 2)
+            a, b = rng.uniform(0.2, 0.8, 2).tolist()
 
             def f(x, y, a=a, b=b):
                 return -((x - a) ** 2) - (y - b) ** 2
 
-            _, value, _ = _grid_refine(f, (0.0, 0.0), (1.0, 1.0), 16, 1e-6)
+            _, value, _ = refine_both(f, (0.0, 0.0), (1.0, 1.0), 16, 1e-6)
             centers = [(i + 0.5) / 16 for i in range(16)]
             assert all(value >= f(x, y) for x in centers for y in centers)
 
     def test_constant_objective_prefers_lexicographic_minimum(self):
-        point, value, _ = _grid_refine(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-9)
+        point, value, _ = refine_both(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-9)
         assert value == 0.0
         assert point[0] < 1e-3
 
     def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError, match="60"):
-            _grid_refine(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-40)
+        for search, f in ((_grid_refine, lattice(lambda x: 0.0)),
+                          (grid_refine_oracle, lambda x: 0.0)):
+            with pytest.raises(ConvergenceError, match="^refinement did not reach tolerance "
+                               "1e-40 within 60 iterations$"):
+                search(f, (0.0,), (1.0,), 16, 1e-40)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=search_problems(), grid=st.integers(16, 64),
@@ -85,8 +128,44 @@ class TestGridRefine:
     def test_matches_two_scan_oracle(self, problem, grid, refine_tol):
         """Point, value and evaluation count equal the oracle's bit for bit."""
         f, lows, highs = problem
-        got = _grid_refine(f, lows, highs, grid, refine_tol)
-        assert repr(got) == repr(grid_refine_oracle(f, lows, highs, grid, refine_tol))
+        refine_both(f, lows, highs, grid, refine_tol)
+
+
+class TestLatticeKernels:
+    """The vectorized pieces of the search equal their scalar definitions bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(box=st.sampled_from([(0.0, 1.0), (0.0, HALF_PI)]),
+           start=st.one_of(st.just(None), st.floats(0.0, 1.0)),
+           log_width=st.floats(-19.0, math.log10(2.0)),
+           clamp_end=st.booleans())
+    def test_axis_equals_linspace(self, box, start, log_width, clamp_end):
+        """Axes in the engine's range: widths 1e-19 to 2 (or 0, once a pass's
+        half-width falls below the spacing of floats at the point), ends at
+        nextafter of the box."""
+        lo, hi = box
+        a_min, b_max = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        a = a_min if start is None else max(a_min, min(start * hi, b_max))
+        b = b_max if clamp_end else min(a + 10.0 ** log_width, b_max)
+        axis = _axis9(a, b)
+        assert repr(axis) == repr(np.linspace(a, b, 9).tolist())
+        assert all(type(x) is float for x in axis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ta=st.lists(st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True), min_size=1,
+                       max_size=12),
+           tb=st.lists(st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True), min_size=1,
+                       max_size=12))
+    def test_hardy_lattice_equals_hardy_probability(self, ta, tb):
+        got = _hardy_lattice(ta, tb)
+        assert got.shape == (len(ta), len(tb))
+        want = [hardy_probability(a, b) for a, b in itertools.product(ta, tb)]
+        assert repr(got.ravel().tolist()) == repr(want)
+
+    def test_hardy_lattice_on_first_grid_256(self):
+        axis = [0.0 + (i + 0.5) * (HALF_PI - 0.0) / 256 for i in range(256)]
+        want = [hardy_probability(a, b) for a, b in itertools.product(axis, axis)]
+        assert _hardy_lattice(axis, axis).ravel().tolist() == want
 
 
 class TestMaximizeHardy:
@@ -106,14 +185,12 @@ class TestMaximizeHardy:
 
     @pytest.mark.parametrize("grid", [16, 17, 64, 256])
     def test_matches_grid_refine_oracle(self, grid):
-        half_pi = math.pi / 2.0
-        point, value, evals = grid_refine_oracle(
-            hardy_probability, (0.0, 0.0), (half_pi, half_pi), grid, 1e-9
-        )
-        result = maximize_hardy(grid)
-        assert repr(result.parameters) == repr((("theta_a", point[0]), ("theta_b", point[1])))
-        assert repr(result.objective) == repr(value)
-        assert result.evaluations == evals
+        assert_matches_oracle(maximize_hardy, hardy_oracle, grid, 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_matches_oracle_at_any_grid(self, grid, refine_tol):
+        assert_matches_oracle(maximize_hardy, hardy_oracle, grid, refine_tol)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
@@ -193,14 +270,12 @@ class TestMaximizeCabelloFamily:
 
     @pytest.mark.parametrize("grid", [16, 17, 64, 256])
     def test_matches_grid_refine_oracle(self, grid):
-        def objective(c):
-            return c * c if feasibility_root(c)[1] < DEFAULT_EXCLUSIVITY_TOL else 0.0
+        assert_matches_oracle(maximize_cabello_family, family_oracle, grid, 1e-9)
 
-        (c,), _, evals = grid_refine_oracle(objective, (0.0,), (1.0,), grid, 1e-9)
-        result = maximize_cabello_family(grid)
-        assert repr(result.parameters) == repr((("c", c), ("p", feasibility_root(c)[0])))
-        assert repr(result.objective) == repr(c ** 2)
-        assert result.evaluations == evals
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_matches_oracle_at_any_grid(self, grid, refine_tol):
+        assert_matches_oracle(maximize_cabello_family, family_oracle, grid, refine_tol)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
@@ -222,3 +297,23 @@ class TestMaximizeCabelloFamily:
             fast = family_delta_overlap(float(c), p)
             direct = cabello_family(float(c), p).delta_overlap
             assert fast == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("search", [maximize_hardy, maximize_cabello_family])
+class TestSearchResultTypes:
+    def test_parameters_and_objective_are_floats(self, search):
+        result = search(16, 1e-6)
+        assert all(type(value) is float for _, value in result.parameters)
+        assert type(result.objective) is float
+        assert type(result.evaluations) is int
+
+    @pytest.mark.parametrize("grid", [16.0, 16.5, "16"])
+    def test_non_integer_grid_is_refused(self, search, grid):
+        with pytest.raises(TypeError, match=f"^grid must be an integer, got {grid!r}$"):
+            search(grid)
+
+    def test_integer_like_grid_is_a_plain_int(self, search):
+        result = search(np.int64(16))
+        assert type(result.grid_resolution) is int
+        assert result == search(16)
+        json.dumps(result.grid_resolution)
