@@ -121,7 +121,7 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
         raise RowError(f"dimension must be at least 2, got {block.shape[1]}", 0)
     finite = np.isfinite(block).all(axis=1)
     deviations = np.abs(row_norms(block) - 1.0)
-    bad = ~finite | (deviations > tol_norm)
+    bad = ~finite | ~(deviations <= tol_norm)  # a NaN tolerance fails closed
     if bad.any():
         i = int(bad.argmax())
         if not finite[i]:

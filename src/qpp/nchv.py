@@ -12,9 +12,9 @@ Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
 satisfying assignments as bitmasks, decoding a ValueAssignment only when
 one is read.
 When the constraints are unsatisfiable, a human-readable refutation is
-built by unit propagation with exactly two rules: completing a context
-whose other members are all 0, and flagging an exclusive pair driven to
-a double 1.
+built by unit propagation over the search's masks with exactly two
+rules: completing a context whose other members are all 0, and flagging
+an exclusive pair driven to a double 1.
 """
 
 from __future__ import annotations
@@ -224,42 +224,32 @@ def enumerate_assignments(
         )
     pos = {lab: n - 1 - i for i, lab in enumerate(labels)}
 
-    forced_bits = _forced_map(forced)
-    for lab in forced_bits:
+    known = ones = 0
+    for lab, bit in _forced_map(forced).items():
         if lab not in pos:
             raise ValueError(f"forced value references unknown label {lab!r}")
+        known |= 1 << pos[lab]
+        ones |= bit << pos[lab]
     context_masks = [sum(1 << pos[m] for m in ctx.members) for ctx in s.contexts]
     pair_masks = [(1 << pos[a]) | (1 << pos[b]) for a, b in s.exclusive_pairs]
 
-    total = 1 << n
-    force_mask = 0
-    force_bits = 0
-    for lab, bit in forced_bits.items():
-        force_mask |= 1 << pos[lab]
-        force_bits |= bit << pos[lab]
-
     # A check is decided on j-bit prefixes once its last sorted member,
     # the lowest set bit of its mask, is among them: j = n - that bit.
-    checks = sorted(
-        [(n + 1 - (m & -m).bit_length(), False, m) for m in context_masks]
-        + [(n + 1 - (m & -m).bit_length(), True, m) for m in pair_masks]
-    )
-    stops = [stop for stop, _, _ in checks] + [n]
-    prefixes, done, contexts, pairs = None, 0, [], []
-    for k, stop in enumerate(stops):
-        if k < len(checks):
-            _, is_pair, mask = checks[k]
-            (pairs if is_pair else contexts).append(mask)
-        after = stops[k + 1] if k + 1 < len(stops) else None
-        if after == stop:  # more checks are decided at this stop
-            continue
-        count = 1 if prefixes is None else len(prefixes)
-        if after is not None and count << (after - done) <= _SMALL:
+    checks: dict[int, tuple[list[int], list[int]]] = {n: ([], [])}
+    for is_pair, masks in enumerate((context_masks, pair_masks)):
+        for m in masks:
+            checks.setdefault(n + 1 - (m & -m).bit_length(), ([], []))[is_pair].append(m)
+    stops = sorted(checks)
+    prefixes, done, contexts, pairs = np.zeros(1, np.uint32), 0, [], []
+    for stop, after in zip(stops, stops[1:] + [None]):
+        contexts += checks[stop][0]
+        pairs += checks[stop][1]
+        if after is not None and len(prefixes) << (after - done) <= _SMALL:
             continue  # still few candidates at the next stop: the checks wait
         shift = n - stop
         masks = np.array([m >> shift for m in contexts + pairs], dtype=np.uint32)
         prefixes = _search_run(
-            prefixes, stop - done, force_mask >> shift, force_bits >> shift, masks, len(contexts)
+            prefixes, stop - done, known >> shift, ones >> shift, masks, len(contexts)
         )
         done, contexts, pairs = stop, [], []
         if not len(prefixes):
@@ -267,23 +257,18 @@ def enumerate_assignments(
 
     witnesses = Witnesses(tuple(labels), prefixes)
     if witnesses:
-        return SatisfiabilityReport(SAT, witnesses, total, None)
-    return SatisfiabilityReport(UNSAT, witnesses, total, _propagate(s, forced_bits))
+        return SatisfiabilityReport(SAT, witnesses, 1 << n, None)
+    trace = _propagate(s, labels, context_masks, pair_masks, known, ones)
+    return SatisfiabilityReport(UNSAT, witnesses, 1 << n, trace)
 
 
-def _run(w: int, force_mask: int, force_bits: int) -> np.ndarray:
-    """The w-bit strings, ascending, that agree with the low w forced bits."""
+def _extend(prefixes: np.ndarray, w: int, force_mask: int, force_bits: int) -> np.ndarray:
+    """Every prefix followed by every w-bit string that agrees with the low
+    w forced bits, in ascending order."""
     run = np.arange(1 << w, dtype=np.uint32)
     low = (1 << w) - 1
     if force_mask & low:
         run = run[(run & (force_mask & low)) == (force_bits & low)]
-    return run
-
-
-def _extend(prefixes: np.ndarray | None, run: np.ndarray, w: int) -> np.ndarray:
-    """Every prefix followed by every w-bit string of run, in ascending order."""
-    if prefixes is None:
-        return run
     return ((prefixes[:, None] << w) | run).ravel()
 
 
@@ -298,7 +283,7 @@ def _passes(cand: np.ndarray, masks: np.ndarray, n_contexts: int) -> np.ndarray:
 
 
 def _search_run(
-    prefixes: np.ndarray | None, w: int, force_mask: int, force_bits: int,
+    prefixes: np.ndarray, w: int, force_mask: int, force_bits: int,
     masks: np.ndarray, n_contexts: int,
 ) -> np.ndarray:
     """Extend the prefixes over w labels and keep the candidates whose
@@ -310,53 +295,56 @@ def _search_run(
     packed bits and gathered into one exactly-sized array.
     """
     if not len(masks):
-        return _extend(prefixes, _run(w, force_mask, force_bits), w)
+        return _extend(prefixes, w, force_mask, force_bits)
     room = max(1, _BLOCK // len(masks))
     lead = max(0, w - (room.bit_length() - 1))
     if lead:
         w -= lead
-        prefixes = _extend(prefixes, _run(lead, force_mask >> w, force_bits >> w), lead)
-    run = _run(w, force_mask, force_bits)
-    if prefixes is None or len(prefixes) * len(run) <= room:
-        cand = _extend(prefixes, run, w)
+        prefixes = _extend(prefixes, lead, force_mask >> w, force_bits >> w)
+    if len(prefixes) << w <= room:
+        cand = _extend(prefixes, w, force_mask, force_bits)
         return cand[_passes(cand, masks, n_contexts)]
-    step = room // len(run)
+    step = room >> w
     slices = [prefixes[i:i + step] for i in range(0, len(prefixes), step)]
     kept = []
     for part in slices:
-        ok = _passes(_extend(part, run, w), masks, n_contexts)
+        ok = _passes(_extend(part, w, force_mask, force_bits), masks, n_contexts)
         kept.append((np.packbits(ok), int(np.count_nonzero(ok))))
     out = np.empty(sum(count for _, count in kept), dtype=np.uint32)
     at = 0
     for part, (bits, count) in zip(slices, kept):
-        cand = _extend(part, run, w)
+        cand = _extend(part, w, force_mask, force_bits)
         out[at:at + count] = cand[np.unpackbits(bits, count=len(cand)).view(bool)]
         at += count
     return out
 
 
-def _propagate(s: PrePostScenario, forced_bits: dict[str, int]) -> ContradictionTrace | None:
-    """Unit propagation from the forced values; None if it stalls.
+def _propagate(
+    s: PrePostScenario, labels: list[str], context_masks: list[int], pair_masks: list[int],
+    known: int, ones: int,
+) -> ContradictionTrace | None:
+    """Unit propagation from the forced bits (known, with ones at 1); None if it stalls.
 
     Two rules only, applied in a fixed order so traces are deterministic:
     first any declared exclusive pair with both members at 1 yields
     CONFLICT, then the first context with exactly one unassigned member
     and all others at 0 concludes that member is 1.
     """
-    assigned = dict(forced_bits)
+    n = len(labels)
     steps: list[TraceStep] = []
     while True:
-        for a, b in s.exclusive_pairs:
-            if assigned.get(a) == 1 and assigned.get(b) == 1:
+        for (a, b), m in zip(s.exclusive_pairs, pair_masks):
+            if ones & m == m:
                 steps.append(TraceStep((f"{a}=1", f"{b}=1"), EXCLUSIVITY, CONFLICT))
                 return ContradictionTrace(tuple(steps))
-        for ctx in s.contexts:
-            unassigned = [m for m in ctx.members if m not in assigned]
-            if len(unassigned) == 1 and all(assigned[m] == 0 for m in ctx.members if m in assigned):
-                target = unassigned[0]
-                premises = tuple(f"{m}=0" for m in ctx.members if m != target)
+        for ctx, m in zip(s.contexts, context_masks):
+            free = m & ~known
+            if free and not free & (free - 1) and not ones & m:
+                target = labels[n - free.bit_length()]
+                premises = tuple(f"{x}=0" for x in ctx.members if x != target)
                 steps.append(TraceStep(premises, SUM_RULE, f"{target}=1"))
-                assigned[target] = 1
+                known |= free
+                ones |= free
                 break
         else:
             return None

@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from qpp import Context, ForcedValue, LabeledProjector, PrePostScenario, StateVector
+from qpp import (
+    CONFLICT, EXCLUSIVITY, SUM_RULE, Context, ContradictionTrace, ForcedValue, LabeledProjector,
+    PrePostScenario, StateVector, TraceStep,
+)
 from qpp.optimizer import MAX_REFINE_ITERATIONS, ConvergenceError
 
 # The 18-vector Kochen-Specker set in dimension 4: nine orthogonal bases,
@@ -132,6 +135,33 @@ def random_structures(draw):
     chosen = draw(st.lists(st.sampled_from(labels), unique=True))
     forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
     return s, forced
+
+
+def propagation_oracle(s, forced):
+    """Unit propagation over a label -> bit dict, rescanned after every step.
+
+    The slow reference for the engine's mask propagation: the same two
+    rules in the same order, first an exclusive pair with both members at
+    1 (CONFLICT), then the first context with one unassigned member and
+    all others at 0.  Returns the ContradictionTrace, or None if it stalls.
+    """
+    assigned = {fv.label: fv.bit for fv in forced}
+    steps = []
+    while True:
+        for a, b in s.exclusive_pairs:
+            if assigned.get(a) == 1 and assigned.get(b) == 1:
+                steps.append(TraceStep((f"{a}=1", f"{b}=1"), EXCLUSIVITY, CONFLICT))
+                return ContradictionTrace(tuple(steps))
+        for ctx in s.contexts:
+            unassigned = [m for m in ctx.members if m not in assigned]
+            if len(unassigned) == 1 and all(assigned[m] == 0 for m in ctx.members if m in assigned):
+                target = unassigned[0]
+                premises = tuple(f"{m}=0" for m in ctx.members if m != target)
+                steps.append(TraceStep(premises, SUM_RULE, f"{target}=1"))
+                assigned[target] = 1
+                break
+        else:
+            return None
 
 
 def family_delta_overlap(c, p):

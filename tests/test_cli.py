@@ -156,6 +156,12 @@ class TestCheck:
             "delta+=1", "delta-=1", "CONFLICT",
         ]
 
+    def test_reversed_contexts_match_golden(self, capsys, monkeypatch):
+        """The trace's premises keep each context's member order."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/reversed_contexts.json", "--json"]) == 0
+        assert capsys.readouterr().out == (DATA / "check_reversed_golden.json").read_text()
+
     def test_unsat_without_certificate(self, tmp_path, capsys):
         from conftest import ks18_scenario
 

@@ -80,6 +80,8 @@ class TestStateVector:
             StateVector(amps)
         s = StateVector(amps, tol_norm=1e-3)
         assert s.dim == 2
+        with pytest.raises(ValueError, match="tolerance nan"):
+            StateVector([5.0, 0.0], tol_norm=float("nan"))
 
     def test_amps_are_read_only(self):
         s = StateVector([1.0, 0.0])

@@ -7,7 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_qubit_state, random_structures, witness_heavy_scenario
+from conftest import (
+    propagation_oracle, random_qubit_state, random_structures, witness_heavy_scenario,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +127,10 @@ class TestEnumeration:
         forced = (ForcedValue("alpha", 0, "Prediction"), ForcedValue("alpha", 1, "Prediction"))
         with pytest.raises(ValueError, match="alpha"):
             enumerate_assignments(s, forced)
+        # The conflict is named before an unknown label that comes first.
+        unknown = (ForcedValue("epsilon", 0, "Prediction"),)
+        with pytest.raises(ValueError, match="^conflicting forced values for 'alpha'$"):
+            enumerate_assignments(s, unknown + forced)
 
     def test_unknown_labels_rejected(self):
         """A forced label is caller input and is checked here; a context
@@ -234,7 +240,8 @@ class TestPrefixSearch:
         [{}, {"_SMALL": 1}, {"_BLOCK": 64}, {"_SMALL": 1, "_BLOCK": 64}]))
     def test_matches_brute_force_on_random_structures(self, case, constants):
         """Also with checks at every stop and with sliced candidates, which
-        inputs this small reach only through the two module constants."""
+        inputs this small reach only through the two module constants.  An
+        UNSAT report's refutation matches the label-dict propagation."""
         s, forced = case
         with mock.patch.dict(nchv.__dict__, constants):
             rep = enumerate_assignments(s, forced)
@@ -243,6 +250,7 @@ class TestPrefixSearch:
         assert len(rep.witnesses) == len(expected)
         assert [w.as_dict() for w in rep.witnesses] == expected
         assert rep.assignments_examined == 2 ** len(s.projectors)
+        assert rep.conflict == (None if expected else propagation_oracle(s, forced))
 
     @pytest.mark.parametrize("context", [("c", "c_perp"), ("z", "z_perp")])
     def test_label_cap_memory(self, context):

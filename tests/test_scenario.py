@@ -565,6 +565,8 @@ class TestLoadErrors:
             load(self.dump(doc))
         s = load(self.dump(doc), tol_check=1e-3)
         assert s.dim == 2
+        with pytest.raises(ScenarioParseError, match="tolerance nan"):
+            load(self.dump(doc), tol_check=float("nan"))
 
     def test_context_errors(self):
         doc = self.base_doc()
