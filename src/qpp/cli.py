@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, hilbert, nchv, prepost, scenario
@@ -85,13 +85,9 @@ class Check:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "deviation": self.deviation,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 @dataclass(frozen=True)
@@ -134,11 +130,7 @@ class Report:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "-" if value is None else str(value)
 
 
 def _emit(report: Report, as_json: bool) -> None:
@@ -155,17 +147,6 @@ def _fail(message: str, code: int) -> int:
 
 def _forced_string(forced) -> str:
     return ", ".join(f"{fv.label}={fv.bit}({fv.justification})" for fv in forced)
-
-
-def _forced_details(forced) -> list[dict]:
-    return [{"label": fv.label, "bit": fv.bit, "justification": fv.justification} for fv in forced]
-
-
-def _trace_details(trace: nchv.ContradictionTrace) -> list[dict]:
-    return [
-        {"premises": list(step.premises), "rule": step.rule, "conclusion": step.conclusion}
-        for step in trace.steps
-    ]
 
 
 def _cmd_verify(args, tol_check: float) -> int:
@@ -225,7 +206,7 @@ def _cmd_verify(args, tol_check: float) -> int:
     )
     if sat.conflict is not None:
         actual_trace = "; ".join(sat.conflict.conclusions())
-        trace_detail = _trace_details(sat.conflict)
+        trace_detail = [asdict(step) for step in sat.conflict.steps]
     else:
         actual_trace = "(no certificate)"
         trace_detail = []
@@ -234,7 +215,7 @@ def _cmd_verify(args, tol_check: float) -> int:
               actual_trace == _TRACE_EXPECTED)
     )
 
-    details = {"forced_values": _forced_details(forced), "trace": trace_detail}
+    details = {"forced_values": [asdict(fv) for fv in forced], "trace": trace_detail}
 
     if hardy:
         details["selection_probability"] = prob
@@ -288,13 +269,13 @@ def _cmd_check(args, tol_check: float) -> int:
     details = {
         "status": sat.status,
         "assignments_examined": sat.assignments_examined,
-        "forced_values": _forced_details(forced),
+        "forced_values": [asdict(fv) for fv in forced],
         "witnesses": [w.as_dict() for w in sat.witnesses[: args.max_witnesses]],
         "witnesses_total": len(sat.witnesses),
     }
     if sat.status == UNSAT:
         if sat.conflict is not None:
-            details["trace"] = _trace_details(sat.conflict)
+            details["trace"] = [asdict(step) for step in sat.conflict.steps]
         else:
             details["trace_note"] = "UNSAT without unit-propagation certificate"
 
@@ -374,10 +355,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_VALIDATION
+        return exc.code
 
     tol_check = hilbert.TOL_CHECK
     env = os.environ.get("QPP_TOL")

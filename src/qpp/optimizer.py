@@ -34,7 +34,7 @@ MAX_GRID = 256
 
 
 class ConvergenceError(RuntimeError):
-    """A search failed to reach the requested tolerance or a feasible point."""
+    """A search failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,13 @@ def feasibility_root(c: float) -> tuple[float, float]:
     """The p minimizing the family's delta overlap at fixed c, in closed form.
 
     With u = p^2 the overlap is |c^2 + s^2 u (2u - 1)| / (c^2 + s^2 u),
-    s^2 = 1 - c^2.  When disc = 1 - 8c^2/s^2 >= 0 (c <= 1/3) the
-    numerator vanishes at u = (1 + sqrt(disc)) / 4; otherwise the
-    overlap is smallest at u = c / (1 + c), where it equals
-    (3c - 1) / (1 + c).  Returns (p, overlap), the overlap evaluated in
-    this u-form with plain floats (it agrees with the delta overlap of
-    constructions.cabello_family(c, p) to rounding).  The overlap
-    at the returned p is the feasibility defect: zero (to rounding)
-    exactly when some family member at this c forms a valid scenario.
+    s^2 = 1 - c^2.  When disc = 1 - 8c^2/s^2 >= 0 (c <= 1/3) it vanishes
+    at u = (1 + sqrt(disc)) / 4, and the overlap returned is exactly 0.0,
+    not the u-form's rounding noise; otherwise it is smallest at
+    u = c / (1 + c), where it equals (3c - 1) / (1 + c) (evaluated in
+    the u-form).  Returns (p, overlap), the overlap agreeing with
+    constructions.cabello_family(c, p).delta_overlap to rounding: it is
+    0.0 exactly when some family member at this c forms a valid scenario.
 
     Raises:
         ValueError: c outside (0, 1).
@@ -154,7 +153,9 @@ def feasibility_root(c: float) -> tuple[float, float]:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
     s2 = 1.0 - c * c
     disc = 1.0 - 8.0 * c * c / s2
-    u = (1.0 + math.sqrt(disc)) / 4.0 if disc >= 0.0 else c / (1.0 + c)
+    if disc >= 0.0:
+        return math.sqrt((1.0 + math.sqrt(disc)) / 4.0), 0.0
+    u = c / (1.0 + c)
     return math.sqrt(u), abs(c * c + s2 * u * (2.0 * u - 1.0)) / (c * c + s2 * u)
 
 
@@ -168,7 +169,9 @@ def maximize_cabello_family(
     The family's selection probability is c^2 and feasibility ties p to
     c, so the search is one-dimensional: a c scores c^2 when
     feasibility_root finds a delta overlap below exclusivity_tol and 0
-    otherwise.  The reported p is the root at the winning c.
+    otherwise.  Feasible members (c <= 1/3) have overlap exactly 0, so
+    any positive exclusivity_tol admits them all.  The reported p is the
+    root at the winning c.
     """
     grid = _check_search_args(grid, refine_tol)
     if not exclusivity_tol > 0.0:
@@ -177,11 +180,7 @@ def maximize_cabello_family(
     def objective(cs):
         return np.array([c * c if feasibility_root(c)[1] < exclusivity_tol else 0.0 for c in cs])
 
-    (c,), value, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
-    if not value > 0.0:
-        raise ConvergenceError(
-            f"no feasible family member found at exclusivity tolerance {exclusivity_tol!r}"
-        )
+    (c,), _, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     return OptimizationResult(
         parameters=(("c", c), ("p", feasibility_root(c)[0])),
         objective=c ** 2,

@@ -73,8 +73,8 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
 
     Raises:
         ValueError: unknown label.
-        ABLUndefinedError: N1 + N0 below tol; the conditional
-            probability is not defined.
+        ABLUndefinedError: N1 + N0 is zero or below tol (a NaN tol
+            fails closed); the conditional probability is not defined.
     """
     if label not in s.rows:
         raise ValueError(f"unknown projector label {label!r}")
@@ -82,9 +82,9 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     amp1 = complex(np.vdot(s.post.amps, v)) * complex(np.vdot(v, s.pre.amps))
     amp_total = hilbert.inner(s.post, s.pre)
     n1 = abs(amp1) ** 2
-    n0 = abs(amp_total - amp1) ** 2
-    if n1 + n0 < tol:
+    total = n1 + abs(amp_total - amp1) ** 2
+    if not (total > 0.0 and total >= tol):
         raise ABLUndefinedError(
-            f"projector {label!r}: both branches vanish (N1 + N0 = {n1 + n0:.3e})"
+            f"projector {label!r}: both branches vanish (N1 + N0 = {total:.3e})"
         )
-    return n1 / (n1 + n0)
+    return n1 / total

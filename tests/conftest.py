@@ -115,7 +115,13 @@ def random_qubit_state(rng):
 def random_structures(draw):
     """1-12 labels with random names, some non-ASCII, overlapping contexts
     of 2-4 distinct members, random exclusive pairs, random metadata and a
-    random forced subset."""
+    random forced subset.
+
+    Half the draws with contexts also pick a free target in every context
+    that holds no earlier target, force the context's other members to 0,
+    and pair targets with each other or with labels forced to 1, so that
+    propagation fires several contexts, in an order that depends on the
+    context order, before it reaches a conflict."""
     labels = draw(st.lists(st.text("abcxyzé→量", min_size=1, max_size=3), min_size=1,
                            max_size=12, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -127,13 +133,28 @@ def random_structures(draw):
         contexts = tuple(Context(tuple(m)) for m in draw(st.lists(members, max_size=5)))
         pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
         pairs = tuple(tuple(p) for p in draw(st.lists(pair, max_size=5)))
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+    bits = {lab: draw(st.integers(0, 1)) for lab in chosen}
+    if contexts and draw(st.booleans()):
+        zeros, targets = {}, []
+        for ctx in contexts:
+            free = [m for m in ctx.members if m not in zeros]
+            if free and not set(ctx.members) & set(targets):
+                targets.append(draw(st.sampled_from(free)))
+                zeros.update((m, 0) for m in ctx.members if m != targets[-1])
+        bits.update(zeros)
+        for target in targets:
+            bits.pop(target, None)
+        ends = targets + [lab for lab, bit in bits.items() if bit]
+        if targets and len(ends) > 1:
+            pair = st.lists(st.sampled_from(ends), min_size=2, max_size=2, unique=True)
+            pairs += tuple(tuple(p) for p in draw(st.lists(pair, min_size=1, max_size=3)))
     s = PrePostScenario(
         dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
         projectors=projs, contexts=contexts, exclusive_pairs=pairs,
         metadata=draw(st.dictionaries(st.text(max_size=4), st.text(max_size=8), max_size=3)),
     )
-    chosen = draw(st.lists(st.sampled_from(labels), unique=True))
-    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    forced = tuple(ForcedValue(lab, bit, "Prediction") for lab, bit in bits.items())
     return s, forced
 
 

@@ -99,13 +99,16 @@ class TestVerifyHardy:
         assert "optimal_probability" in out
         assert "overall: PASS" in out
 
-    @pytest.mark.parametrize("argv, extra_checks, extra_details", [
-        (["--theta-a", "0.9", "--theta-b", "0.7"], [], []),
+    @pytest.mark.parametrize("argv, extra_checks, extra_details, failed", [
+        (["--theta-a", "0.9", "--theta-b", "0.7"], [], [], []),
         (["--optimal", "--grid", "16"], ["optimal_probability"],
-         ["evaluations", "grid_resolution", "refine_tolerance"]),
-    ], ids=["angles", "optimal"])
-    def test_json_report_shape(self, capsys, argv, extra_checks, extra_details):
-        assert main(["verify", "hardy", *argv, "--json"]) == 0
+         ["evaluations", "grid_resolution", "refine_tolerance"], []),
+        # A valid scenario whose coarse optimum misses the bound: a numerical failure.
+        (["--optimal", "--grid", "16", "--refine-tol", "0.5"], ["optimal_probability"],
+         ["evaluations", "grid_resolution", "refine_tolerance"], ["optimal_probability"]),
+    ], ids=["angles", "optimal", "coarse-optimum"])
+    def test_json_report_shape(self, capsys, argv, extra_checks, extra_details, failed):
+        assert main(["verify", "hardy", *argv, "--json"]) == (4 if failed else 0)
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["artifact_version", "command", "checks", "overall", "details"]
         assert [c["name"] for c in doc["checks"]] == [
@@ -113,6 +116,8 @@ class TestVerifyHardy:
             "delta_pair_exclusive", "forced_values", "nchv_status", "assignments_examined",
             "contradiction_trace", *extra_checks, "probability_below_bound",
         ]
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == failed
+        assert doc["overall"] is (not failed)
         assert list(doc["details"]) == [
             "forced_values", "trace", "selection_probability", "theta_a", "theta_b",
             *extra_details,
@@ -286,6 +291,16 @@ class TestToleranceOverride:
         monkeypatch.setenv("QPP_TOL", "1e-3")
         assert main(["check", str(path)]) == 0
         assert "SAT" in capsys.readouterr().out
+
+    def test_env_var_too_tight_fails_validation_exit_2(self, capsys, monkeypatch):
+        """At QPP_TOL=1e-17 cabello's own rounding fails validation: the report
+        prints, and its failure is a validation failure, not a numerical one."""
+        monkeypatch.setenv("QPP_TOL", "1e-17")
+        assert main(["verify", "cabello"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1].startswith("FAIL  scenario_valid ")
+        assert out.endswith("overall: FAIL\n")
 
     def test_invalid_env_var_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QPP_TOL", "not-a-number")

@@ -225,7 +225,7 @@ class TestFeasibilityRoot:
     @given(c=st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_min=True))
     def test_feasible_below_one_third(self, c):
         p, overlap = feasibility_root(c)
-        assert overlap < 1e-9
+        assert overlap == 0.0
         # independent algebraic feasibility law at the root
         assert abs(c * c - (1.0 - c * c) * p * p * (1.0 - 2.0 * p * p)) <= 1e-15
 
@@ -276,6 +276,16 @@ class TestMaximizeCabelloFamily:
     @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_matches_oracle_at_any_grid(self, grid, refine_tol):
         assert_matches_oracle(maximize_cabello_family, family_oracle, grid, refine_tol)
+
+    @pytest.mark.parametrize("exclusivity_tol", [1e-17, 1e-20, 1e-300])
+    @pytest.mark.parametrize("grid, refine_tol", [(16, 1e-3), (16, 1e-9), (17, 1e-9), (64, 1e-9)])
+    def test_tiny_exclusivity_tol_reaches_one_third(self, grid, refine_tol, exclusivity_tol):
+        """Feasible members have overlap exactly 0, so a tolerance below the
+        u-form's rounding noise (3e-17 to 7e-17) still admits them all."""
+        result = maximize_cabello_family(grid, refine_tol, exclusivity_tol)
+        c = dict(result.parameters)["c"]
+        assert abs(c - 1.0 / 3.0) < refine_tol
+        assert feasibility_root(c)[1] == 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):

@@ -1,5 +1,6 @@
 """Tests for forced values and the ABL probability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,12 @@ class TestABLProbability:
         # N1 = |<post|up><up|pre>|^2 = eps^2, N0 = 0: total 1e-16 under 1e-9
         with pytest.raises(ABLUndefinedError, match="up"):
             abl_probability(s, "up")
+        # An exactly orthogonal selection makes both branches 0: no tolerance
+        # (zero, negative or NaN) lets the ratio divide 0 by 0.
+        orthogonal = dataclasses.replace(s, post=StateVector([0.0, 1.0]))
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ABLUndefinedError, match=r"^projector 'up': .*= 0\.000e\+00\)$"):
+                abl_probability(orthogonal, "up", tol)
 
     def test_complementary_projectors_sum_to_one(self):
         rng = np.random.default_rng(57)

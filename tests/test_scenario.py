@@ -91,23 +91,26 @@ class TestModel:
             dataclasses.replace(tiny_scenario(), metadata={1: "x"})
 
     @pytest.mark.parametrize(
-        "change",
+        "change, location",
         [
-            {"dim": 2.0},
-            {"dim": np.int64(2)},
-            {"exclusive_pairs": (("up", ""),)},
-            {"exclusive_pairs": ((1, 2),)},
-            {"contexts": (("up", "down"),)},
-            {"projectors": ("up", "down")},
-            {"metadata": ["ab"]},
+            ({"dim": 2.0}, "dim"),
+            ({"dim": np.int64(2)}, "dim"),
+            ({"exclusive_pairs": (("up", ""),)}, "exclusive_pairs[0]"),
+            ({"exclusive_pairs": ((1, 2),)}, "exclusive_pairs[0]"),
+            ({"contexts": (("up", "down"),)}, "contexts[0]"),
+            ({"projectors": ("up", "down")}, "projectors[0]"),
+            ({"metadata": ["ab"]}, "metadata"),
+            ({"pre": [1.0, 0.0]}, "pre"),
         ],
         ids=["float-dim", "numpy-dim", "empty-pair-label", "non-string-pair", "raw-context",
-             "string-projectors", "list-metadata"],
+             "string-projectors", "list-metadata", "raw-pre"],
     )
-    def test_scenario_rejects_what_save_cannot_round_trip(self, change):
+    def test_scenario_rejects_what_save_cannot_round_trip(self, change, location):
         """save would raise, or write bytes that load rejects or reads differently."""
-        with pytest.raises(ValueError, match="dim must be an integer|exclusive pair|expected a"):
+        rules = "dim must be an integer|exclusive pair|expected a"
+        with pytest.raises(ValueError, match=rules) as info:
             dataclasses.replace(tiny_scenario(), **change)
+        assert info.value.location == location
 
     def test_projector_map_has_one_entry_per_label(self):
         """Labels are distinct by construction, so no projector is shadowed."""
@@ -578,17 +581,28 @@ class TestLoadErrors:
             load(self.dump(doc))
 
     @pytest.mark.parametrize("field, node, location, message", [
-        ("contexts", [["up", "ghost"]], "contexts[0]", "unknown label 'ghost'"),
-        ("contexts", [["up", "up", "down"]], "contexts[0]", "repeats member 'up'"),
-        ("exclusive_pairs", [["up", "ghost"]], "exclusive_pairs[0]", "unknown label 'ghost'"),
-        ("exclusive_pairs", [["up", "up"]], "exclusive_pairs[0]", "repeats label 'up'"),
-    ], ids=["dangling-context-label", "repeated-member", "dangling-pair-label", "self-pair"])
+        ("contexts", [["up", "ghost"]], "contexts[0]",
+         "context references unknown label 'ghost'"),
+        ("contexts", [["up", "up", "down"]], "contexts[0]", "context repeats member 'up'"),
+        ("exclusive_pairs", [["up", "ghost"]], "exclusive_pairs[0]",
+         "exclusive pair references unknown label 'ghost'"),
+        ("exclusive_pairs", [["up", "up"]], "exclusive_pairs[0]",
+         "exclusive pair repeats label 'up'"),
+        ("projectors", {"up": [[1.0, 0.0], [0.0, 0.0]]}, "projectors",
+         "projectors must be an array"),
+        ("projectors", ["up"], "projectors[0]", "projector must be an object"),
+        ("projectors", [{"label": "up"}], "projectors[0]", "missing field(s): state"),
+        ("contexts", {"up": "down"}, "contexts", "contexts must be an array"),
+        ("metadata", ["name", "tiny"], "metadata", "metadata must be an object"),
+    ], ids=["dangling-context-label", "repeated-member", "dangling-pair-label", "self-pair",
+            "projectors-not-array", "projector-not-object", "projector-without-state",
+            "contexts-not-array", "metadata-not-object"])
     def test_structure_errors_name_the_node(self, field, node, location, message):
         doc = self.base_doc()
         doc[field] = node
-        with pytest.raises(ScenarioParseError, match=message) as info:
+        with pytest.raises(ScenarioParseError) as info:
             load(self.dump(doc))
-        assert info.value.location == location
+        assert (info.value.location, info.value.reason) == (location, message)
 
     def test_exclusive_pair_arity(self):
         doc = self.base_doc()
