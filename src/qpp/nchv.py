@@ -9,12 +9,11 @@ by a vectorized breadth-first search over bitmask prefixes of the
 sorted labels, which drops a partial assignment as soon as a forced
 value, context or exclusive pair rules it out (the pruning half of
 Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
-satisfying assignments as bitmasks, decoding a ValueAssignment only when
-one is read.
+satisfying assignments as bitmasks, decoding ValueAssignments when read.
 When the constraints are unsatisfiable, a human-readable refutation is
-built by unit propagation over the search's masks with exactly two
-rules: completing a context whose other members are all 0, and flagging
-an exclusive pair driven to a double 1.
+built by unit propagation over the search's masks: it completes a context
+whose other members are all 0 and flags a double 1 in an exclusive pair
+or, once nothing else applies, in a context.
 """
 
 from __future__ import annotations
@@ -107,14 +106,14 @@ class ContradictionTrace:
 class Witnesses(Sequence):
     """Satisfying assignments kept as bitmasks, decoded when read.
 
-    Mask k over the sorted labels maps the i-th label to bit
-    (k >> (n-1-i)) & 1.  An integer index (negative too) decodes one
-    ValueAssignment; a slice decodes a tuple of them.  len is the exact
-    count and decodes nothing.  Equality is element-wise against another
-    Witnesses or any sequence, so an empty Witnesses equals ().  The
-    hash agrees with equality between Witnesses and equals hash(()) when
-    empty; a nonempty one hashes its masks, not its decoded tuple, so
-    that hashing never builds every assignment.
+    Mask k over the sorted, distinct, nonempty string labels maps the i-th
+    label to bit (k >> (n-1-i)) & 1.  An index (negative too) decodes one
+    ValueAssignment and a slice a tuple, all bits in one numpy step and
+    with no label or bit checked again.  len is the exact count and
+    decodes nothing.  Equality is element-wise against another Witnesses
+    or any sequence, so an empty Witnesses equals ().  The hash agrees
+    with equality between Witnesses and equals hash(()) when empty; a
+    nonempty one hashes its masks, so hashing never decodes.
     """
 
     __slots__ = ("_labels", "_masks")
@@ -122,26 +121,28 @@ class Witnesses(Sequence):
     def __init__(self, labels: tuple[str, ...], masks: np.ndarray) -> None:
         masks = np.asarray(masks, dtype=np.uint32).view()
         masks.flags.writeable = False
-        self._labels = tuple(labels)
+        self._labels = labels = tuple(labels)
+        if not all(isinstance(x, str) and x for x in labels) or list(labels) != sorted(set(labels)):
+            raise ValueError(f"labels must be sorted, distinct, nonempty strings: {labels!r}")
         self._masks = masks
 
-    def _decode(self, k: int) -> ValueAssignment:
-        top = len(self._labels) - 1
-        return ValueAssignment(
-            tuple((lab, (k >> (top - i)) & 1) for i, lab in enumerate(self._labels))
-        )
+    def _decode(self, masks: np.ndarray) -> list[ValueAssignment]:
+        labels = self._labels
+        shifts = np.arange(len(labels) - 1, -1, -1, dtype=np.uint32)
+        rows = ((masks[:, None] >> shifts) & 1).tolist()
+        return [ValueAssignment._unchecked(tuple(zip(labels, row))) for row in rows]
 
     def __len__(self) -> int:
         return len(self._masks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self._decode(k) for k in self._masks[index].tolist())
-        return self._decode(int(self._masks[operator.index(index)]))
+            return tuple(self._decode(self._masks[index]))
+        return self._decode(self._masks[[operator.index(index)]])[0]
 
     def __iter__(self):
-        for k in self._masks:
-            yield self._decode(int(k))
+        for at in range(0, len(self._masks), 4096):
+            yield from self._decode(self._masks[at:at + 4096])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Witnesses):
@@ -325,10 +326,10 @@ def _propagate(
 ) -> ContradictionTrace | None:
     """Unit propagation from the forced bits (known, with ones at 1); None if it stalls.
 
-    Two rules only, applied in a fixed order so traces are deterministic:
-    first any declared exclusive pair with both members at 1 yields
-    CONFLICT, then the first context with exactly one unassigned member
-    and all others at 0 concludes that member is 1.
+    Three rules, in a fixed order so traces are deterministic: a declared
+    exclusive pair with both members at 1 yields CONFLICT; else the first
+    context with one unassigned member and all others at 0 sets it to 1;
+    once both stall, the first context with two or more 1s yields CONFLICT.
     """
     n = len(labels)
     steps: list[TraceStep] = []
@@ -347,7 +348,12 @@ def _propagate(
                 ones |= free
                 break
         else:
-            return None
+            break
+    for ctx, m in zip(s.contexts, context_masks):
+        if (at_one := ones & m) & (at_one - 1):
+            premises = tuple(f"{x}=1" for x in ctx.members if ones >> (n - 1 - labels.index(x)) & 1)
+            return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
+    return None
 
 
 def contradiction_trace(s: PrePostScenario, tol: float = TOL_CHECK) -> ContradictionTrace:
@@ -358,7 +364,7 @@ def contradiction_trace(s: PrePostScenario, tol: float = TOL_CHECK) -> Contradic
 
     Raises:
         NoContradictionError: the constraints are satisfiable.
-        PropagationIncompleteError: unsatisfiable, but the two-rule
+        PropagationIncompleteError: unsatisfiable, but the three-rule
             propagation engine cannot certify it.
     """
     forced = prepost.forced_values(s, tol)

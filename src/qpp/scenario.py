@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -239,6 +240,13 @@ class ValueAssignment:
             raise ValueError("duplicate label in assignment")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _unchecked(cls, values: tuple[tuple[str, int], ...]) -> ValueAssignment:
+        """No checks: labels must be sorted, distinct, nonempty strs; bits the Python ints 0 or 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        return self
+
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
@@ -388,52 +396,53 @@ def _reject_constant(name: str):
     raise ScenarioParseError(f"non-finite literal {name!r} is not allowed")
 
 
-def _build(where: str, build, *args):
-    """build(*args), with a ValueError reported as a parse error at where."""
+def _build(name: str, build, *columns) -> list:
+    """build(*row) per row of columns; a ValueError is a parse error at name[row index]."""
+    built = []
     try:
-        return build(*args)
+        for row in zip(*columns):
+            built.append(build(*row))
     except ValueError as exc:
-        raise ScenarioParseError(str(exc), where) from exc
+        raise ScenarioParseError(str(exc), f"{name}[{len(built)}]") from exc
+    return built
 
 
-def _state_node(node, where: str) -> list:
-    """A state node, checked to be an array of [re, im] pairs of numbers."""
+def _state_node(node, i: int, where) -> list:
+    """State node i, checked to be an array of [re, im] number pairs; where(i) names it on failure."""
     if not isinstance(node, list):
-        raise ScenarioParseError("state must be an array of [re, im] pairs", where)
+        raise ScenarioParseError("state must be an array of [re, im] pairs", where(i))
     for j, pair in enumerate(node):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioParseError("amplitude must be a [re, im] pair", f"{where}[{j}]")
-        if type(pair[0]) is not float or type(pair[1]) is not float:
-            _check_numbers(pair, f"{where}[{j}]")
+            raise ScenarioParseError("amplitude must be a [re, im] pair", f"{where(i)}[{j}]")
+        if type(pair[0]) is float and type(pair[1]) is float:
+            continue
+        for x in pair:
+            if type(x) is not int and type(x) is not float:
+                raise ScenarioParseError(f"expected a number, got {x!r}", f"{where(i)}[{j}]")
+            try:
+                float(x)
+            except OverflowError:
+                raise ScenarioParseError("integer is out of the float range",
+                                         f"{where(i)}[{j}]") from None
     return node
 
 
-def _check_numbers(pair: list, where: str) -> None:
-    """Refuse an entry that is not an int or float (bool included), or an int no float holds."""
-    for x in pair:
-        if type(x) is not int and type(x) is not float:
-            raise ScenarioParseError(f"expected a number, got {x!r}", where)
-        try:
-            float(x)
-        except OverflowError:
-            raise ScenarioParseError("integer is out of the float range", where) from None
+def _load_states(nodes: list[list], tol_norm: float, where) -> list[StateVector]:
+    """One StateVector per checked state node, in order.
 
-
-def _load_states(nodes: list[tuple[str, list]], tol_norm: float) -> list[StateVector]:
-    """One StateVector per checked (location, state node), in order.
-
-    Nodes of one length share one amplitude block and one
-    :func:`hilbert.unit_states` check; a node of another length reaches
-    the constructor's dimension rule.  A bad row is reported at its
-    node, the first in the file when several blocks have one.
+    Nodes of one length share one amplitude block, built from one flat
+    stream, and one :func:`hilbert.unit_states` check; a node of another
+    length reaches the constructor's dimension rule.  A bad row is
+    reported at where(i), i the first bad node in the file.
     """
     by_length: dict[int, list[int]] = {}
-    for i, (_, node) in enumerate(nodes):
+    for i, node in enumerate(nodes):
         by_length.setdefault(len(node), []).append(i)
     states = [None] * len(nodes)
     failures: list[tuple[int, str]] = []
     for length, members in by_length.items():
-        block = np.array([nodes[i][1] for i in members], np.float64)
+        flat = chain.from_iterable(chain.from_iterable(nodes[i] for i in members))
+        block = np.fromiter(flat, np.float64, 2 * length * len(members))
         block = block.reshape(len(members), length, 2).view(np.complex128)[..., 0]
         try:
             rows = hilbert.unit_states(block, tol_norm)
@@ -444,7 +453,7 @@ def _load_states(nodes: list[tuple[str, list]], tol_norm: float) -> list[StateVe
             states[i] = state
     if failures:
         i, message = min(failures)
-        raise ScenarioParseError(message, nodes[i][0])
+        raise ScenarioParseError(message, where(i))
     return states
 
 
@@ -497,30 +506,30 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     if unknown and not lax:
         raise ScenarioParseError(f"unknown field {unknown[0]!r}")
 
-    nodes = [("pre", _state_node(doc["pre"], "pre")), ("post", _state_node(doc["post"], "post"))]
-    if not isinstance(doc["projectors"], list):
+    def where(i: int) -> str:  # state node i: pre, post, then each projector's state
+        return ("pre", "post")[i] if i < 2 else f"projectors[{i-2}].state ({nodes[i-2]['label']!r})"
+
+    states = [_state_node(doc["pre"], 0, where), _state_node(doc["post"], 1, where)]
+    nodes = doc["projectors"]
+    if not isinstance(nodes, list):
         raise ScenarioParseError("projectors must be an array", "projectors")
-    for i, node in enumerate(doc["projectors"]):
-        where = f"projectors[{i}]"
+    for i, node in enumerate(nodes):
         if not isinstance(node, dict):
-            raise ScenarioParseError("projector must be an object", where)
-        missing = sorted(_PROJECTOR_FIELDS - set(node))
-        if missing:
-            raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", where)
-        unknown = sorted(set(node) - _PROJECTOR_FIELDS)
-        if unknown and not lax:
-            raise ScenarioParseError(f"unknown field {unknown[0]!r}", where)
-        where = f"{where}.state ({node['label']!r})"
-        nodes.append((where, _state_node(node["state"], where)))
-    pre, post, *states = _load_states(nodes, tol_check)
-    projectors = [
-        _build(f"projectors[{i}]", LabeledProjector, node["label"], state)
-        for i, (node, state) in enumerate(zip(doc["projectors"], states))
-    ]
+            raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
+        if node.keys() != _PROJECTOR_FIELDS:
+            missing = sorted(_PROJECTOR_FIELDS - set(node))
+            if missing:
+                raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", f"projectors[{i}]")
+            unknown = sorted(set(node) - _PROJECTOR_FIELDS)
+            if unknown and not lax:
+                raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
+        states.append(_state_node(node["state"], i + 2, where))
+    pre, post, *states = _load_states(states, tol_check, where)
+    projectors = _build("projectors", LabeledProjector, [node["label"] for node in nodes], states)
 
     if not isinstance(doc["contexts"], list):
         raise ScenarioParseError("contexts must be an array", "contexts")
-    contexts = [_build(f"contexts[{i}]", Context, node) for i, node in enumerate(doc["contexts"])]
+    contexts = _build("contexts", Context, doc["contexts"])
 
     pairs_node = doc.get("exclusive_pairs", [])
     if not isinstance(pairs_node, list):

@@ -161,10 +161,12 @@ def random_structures(draw):
 def propagation_oracle(s, forced):
     """Unit propagation over a label -> bit dict, rescanned after every step.
 
-    The slow reference for the engine's mask propagation: the same two
+    The slow reference for the engine's mask propagation: the same three
     rules in the same order, first an exclusive pair with both members at
     1 (CONFLICT), then the first context with one unassigned member and
-    all others at 0.  Returns the ContradictionTrace, or None if it stalls.
+    all others at 0, and once both stall, the first context with two or
+    more members at 1 (CONFLICT).  Returns the ContradictionTrace, or None
+    if it stalls.
     """
     assigned = {fv.label: fv.bit for fv in forced}
     steps = []
@@ -182,7 +184,14 @@ def propagation_oracle(s, forced):
                 assigned[target] = 1
                 break
         else:
-            return None
+            break
+    for ctx in s.contexts:
+        at_one = [m for m in ctx.members if assigned.get(m) == 1]
+        if len(at_one) >= 2:
+            premises = tuple(f"{m}=1" for m in at_one)
+            steps.append(TraceStep(premises, SUM_RULE, CONFLICT))
+            return ContradictionTrace(tuple(steps))
+    return None
 
 
 def family_delta_overlap(c, p):

@@ -167,6 +167,14 @@ class TestCheck:
         assert main(["check", "tests/data/reversed_contexts.json", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "check_reversed_golden.json").read_text()
 
+    def test_three_box_matches_golden(self, capsys, monkeypatch):
+        """Two 1s in one context refute the three-box paradox: no trace_note."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/three_box.json", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "check_three_box_golden.json").read_text()
+        assert "trace_note" not in json.loads(out)["details"]
+
     def test_unsat_without_certificate(self, tmp_path, capsys):
         from conftest import ks18_scenario
 

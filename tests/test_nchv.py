@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,7 @@ from qpp import (
     enumerate_assignments,
     forced_values,
     hardy_scenario,
+    load,
     single_qubit_scenario,
 )
 
@@ -179,6 +182,40 @@ class TestTrace:
             ("alpha=0", "beta-=0", "gamma-=0"), SUM_RULE, "delta-=1"
         )
         assert trace.steps[2] == TraceStep(("delta+=1", "delta-=1"), EXCLUSIVITY, CONFLICT)
+
+    def test_three_box_trace_ends_in_a_double_one(self):
+        """A, B, C and (B +- C), (A +- C) in d=3: the pinned rules derive
+        A=1 and B=1, then stall; the context {A, B, C} is the conflict."""
+        s = load((Path(__file__).parent / "data" / "three_box.json").read_bytes())
+        forced = forced_values(s)
+        assert sorted((fv.label, fv.bit) for fv in forced) == [
+            ("A+C", 0), ("A-C", 0), ("B+C", 0), ("B-C", 0)]
+        rep = enumerate_assignments(s, forced)
+        assert rep.status == UNSAT and rep.assignments_examined == 128
+        assert rep.conflict.steps == (
+            TraceStep(("B+C=0", "B-C=0"), SUM_RULE, "A=1"),
+            TraceStep(("A+C=0", "A-C=0"), SUM_RULE, "B=1"),
+            TraceStep(("A=1", "B=1"), SUM_RULE, CONFLICT),
+        )
+        assert rep.conflict == propagation_oracle(s, forced)
+
+    def test_double_one_waits_for_the_pinned_rules(self):
+        """A context driven to two 1s by forced values is flagged only after
+        unit propagation and the exclusivity rule have stalled."""
+        rng = np.random.default_rng(0)
+        projs = tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in "abcxy")
+        s = PrePostScenario(
+            dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng), projectors=projs,
+            contexts=(Context(("a", "b", "c")), Context(("x", "y"))),
+        )
+        forced = tuple(ForcedValue(lab, bit, "Prediction") for lab, bit in
+                       (("a", 1), ("c", 1), ("x", 0)))
+        rep = enumerate_assignments(s, forced)
+        assert rep.status == UNSAT
+        assert rep.conflict.steps == (
+            TraceStep(("x=0",), SUM_RULE, "y=1"),
+            TraceStep(("a=1", "c=1"), SUM_RULE, CONFLICT),
+        )
 
     def test_hardy_trace_matches(self):
         trace = contradiction_trace(hardy_scenario(0.8, 0.9))
@@ -325,18 +362,37 @@ class TestWitnesses:
 
     def test_assignments_are_built_only_when_read(self, monkeypatch):
         built = []
+        unchecked = ValueAssignment._unchecked.__func__
 
-        class Counting(ValueAssignment):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
+        def counting(cls, values):
+            built.append(values)
+            return unchecked(cls, values)
 
-        monkeypatch.setattr(nchv, "ValueAssignment", Counting)
+        monkeypatch.setattr(ValueAssignment, "_unchecked", classmethod(counting))
         rep = enumerate_assignments(witness_heavy_scenario(8), ())
         assert len(rep.witnesses) == 2**9 and not built
         rep.witnesses[-1]
         rep.witnesses[:3]
         assert len(built) == 4
+
+    @pytest.mark.parametrize("free_labels", [0, 16, 20])
+    def test_decoded_records_equal_checked_ones(self, free_labels):
+        """At 2, 18 and 22 labels: every decoded bit is a Python int, so
+        json can write it, and each record equals the one the checked
+        constructor builds from the same label/bit pairs."""
+        s = witness_heavy_scenario(free_labels)
+        w = enumerate_assignments(s, ()).witnesses
+        n = len(w)
+        read = [*w[:300], *w[n // 2 - 300:n // 2 + 300], w[-1], w[-n], *itertools.islice(w, 5000)]
+        for record in read:
+            assert all(type(bit) is int for _, bit in record.values)
+            assert record == ValueAssignment(tuple(reversed(record.values)))
+            json.dumps(record.as_dict())
+
+    def test_labels_must_be_sorted_distinct_nonempty_strings(self):
+        for labels in (("b", "a"), ("a", "a"), ("", "a"), ("a", 1)):
+            with pytest.raises(ValueError, match="sorted, distinct, nonempty strings"):
+                nchv.Witnesses(labels, np.zeros(1, np.uint32))
 
     def test_reading_a_few_witnesses_stays_small(self):
         """Building all 2**15 assignments here would peak near 38 MiB."""

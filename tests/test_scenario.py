@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpp import (
+    TOL_CHECK,
     Context,
     ForcedValue,
     LabeledProjector,
@@ -632,3 +633,90 @@ class TestLoadErrors:
             assert exc.location is not None
         else:
             pytest.fail("expected a parse error")
+
+
+# Amplitudes load refuses, with the reason it gives.
+_BAD_AMPLITUDES = [
+    (True, "expected a number, got True"),
+    ("0.5", "expected a number, got '0.5'"),
+    (None, "expected a number, got None"),
+    (10**400, "integer is out of the float range"),
+]
+_NORM_REASON = "norm deviates from 1 by {:.3e}, tolerance " + f"{TOL_CHECK:.1e}"
+
+
+@st.composite
+def corrupted_files(draw):
+    """A saved random scenario with one or two nodes broken, one error class
+    per node, and the (location, reason) README's precedence names first:
+    state and projector shape in file order, then norms in file order, then
+    the constructors' rules, duplicate labels before contexts."""
+    s = draw(saveable_scenarios())
+    doc = json.loads(save(s))
+    projectors, contexts = doc["projectors"], doc["contexts"]
+    nodes = ["pre", "post"] + [("projector", k) for k in range(len(projectors))]
+    nodes += [("context", c) for c in range(len(contexts))]
+    targets = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True))
+    found = []
+    for node in targets:
+        if node in ("pre", "post") or node[0] == "projector" and draw(st.booleans()):
+            if node in ("pre", "post"):
+                state, where, rank = doc[node], node, ("pre", "post").index(node)
+            else:
+                k = node[1]
+                state, rank = projectors[k]["state"], 2 + k
+                where = f"projectors[{k}].state ({projectors[k]['label']!r})"
+            j = draw(st.integers(0, len(state) - 1))
+            kind = draw(st.sampled_from(["pair", "amplitude", "scaled", "padded"]))
+            if kind == "pair":
+                state[j].append(0.0)
+                found.append(((0, rank), f"{where}[{j}]", "amplitude must be a [re, im] pair"))
+            elif kind == "amplitude":
+                value, reason = draw(st.sampled_from(_BAD_AMPLITUDES))
+                state[j][draw(st.integers(0, 1))] = value
+                found.append(((0, rank), f"{where}[{j}]", reason))
+            elif kind == "scaled":  # norm 2
+                state[:] = [[2 * x for x in pair] for pair in state]
+                found.append(((1, rank), where, _NORM_REASON.format(1.0)))
+            else:  # norm sqrt(2), in a block of its own length
+                state.append([1.0, 0.0])
+                found.append(((1, rank), where, _NORM_REASON.format(2**0.5 - 1)))
+        elif node[0] == "projector":
+            k = node[1]
+            kinds = ["drop", "extra", "not-object"] + (["duplicate"] if k else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "drop":
+                field = draw(st.sampled_from(["label", "state"]))
+                del projectors[k][field]
+                found.append(((0, 2 + k), f"projectors[{k}]", f"missing field(s): {field}"))
+            elif kind == "extra":
+                projectors[k]["note"] = "?"
+                found.append(((0, 2 + k), f"projectors[{k}]", "unknown field 'note'"))
+            elif kind == "not-object":
+                projectors[k] = draw(st.sampled_from([[], "p", 3, None]))
+                found.append(((0, 2 + k), f"projectors[{k}]", "projector must be an object"))
+            else:
+                label = s.projectors[draw(st.integers(0, k - 1))].label
+                projectors[k]["label"] = label
+                found.append(((2, 0, k), f"projectors[{k}]", f"duplicate label {label!r}"))
+        else:
+            c = node[1]
+            ghost = "#" * (1 + max(len(label) for label in s.labels()))
+            contexts[c][draw(st.integers(0, len(contexts[c]) - 1))] = ghost
+            found.append(((2, 1, c), f"contexts[{c}]",
+                          f"context references unknown label {ghost!r}"))
+    _, location, reason = min(found)
+    return json.dumps(doc, ensure_ascii=False).encode(), location, reason
+
+
+class TestErrorPrecedence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=corrupted_files())
+    def test_first_bad_node_is_named(self, case):
+        """Locations are formatted only when load fails, so this pins that
+        each one still names the node README's precedence rule puts first."""
+        data, location, reason = case
+        with pytest.raises(ScenarioParseError) as info:
+            load(data)
+        assert (info.value.location, info.value.reason) == (location, reason)
+        assert str(info.value) == f"{location}: {reason}"
