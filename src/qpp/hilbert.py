@@ -148,12 +148,14 @@ def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK)
     array.  Entry (i, j) of the (n, m) integer result is 0 when the
     projector annihilates s_j (|a| < tol for the overlap a = <v_i|s_j>),
     else 1 when s_j is an eigenvalue-1 eigenstate (the residual
-    ||a v_i - s_j|| < tol), else -1 (undetermined).  The residual is computed directly:
+    ||a v_i - s_j|| < tol), else -1 (undetermined).  The residual is computed directly,
+    by the ufuncs np.linalg.norm(axis=2) runs, so it is that norm to the bit:
     sqrt(1 - |a|^2) loses about half the digits to cancellation and
     would miss value 1 at tol 1e-9.
     """
     a = rows.conj() @ states.T
-    residual = np.linalg.norm(a[:, :, None] * rows[:, None, :] - states[None, :, :], axis=2)
+    d = a[:, :, None] * rows[:, None, :] - states[None, :, :]
+    residual = np.sqrt(np.add.reduce((d.conj() * d).real, axis=2))
     return np.where(np.abs(a) < tol, 0, np.where(residual < tol, 1, -1))
 
 
@@ -162,7 +164,9 @@ def context_deviations(stacks: np.ndarray) -> np.ndarray:
 
     stacks is an (m, k, dim) array holding the k member states of each
     context as rows, so every context in one call has k members.  Each
-    entry is the same arithmetic as a one-context call, bit for bit.  A
+    entry is the same arithmetic as a one-context call, bit for bit: the
+    largest singular value of gram - I from the np.linalg.svd call that
+    np.linalg.norm(..., 2, axis=(1, 2)) makes, so it is that norm.  A
     deviation is zero exactly when the members form an orthonormal
     basis, and a missing member reads as 1.  With V the matrix of the
     member states, V V^† and V^† V share their nonzero eigenvalues, so
@@ -170,4 +174,4 @@ def context_deviations(stacks: np.ndarray) -> np.ndarray:
     |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
     """
     gram = stacks.transpose(0, 2, 1) @ stacks.conj()
-    return np.linalg.norm(gram - np.eye(stacks.shape[2]), 2, axis=(1, 2))
+    return np.linalg.svd(gram - np.eye(stacks.shape[2]), compute_uv=False).max(axis=1)

@@ -4,16 +4,17 @@ A noncontextual hidden-variable model assigns a fixed 0 or 1 to every
 projector label, independent of measurement context, such that every
 context contains exactly one 1, every declared exclusive pair contains
 at most one 1, and all forced values are respected.
-enumerate_assignments() decides satisfiability over all 2^n assignments
-by a vectorized breadth-first search over bitmask prefixes of the
-sorted labels, which drops a partial assignment as soon as a forced
-value, context or exclusive pair rules it out (the pruning half of
-Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
-satisfying assignments as bitmasks, decoding ValueAssignments when read.
-When the constraints are unsatisfiable, a human-readable refutation is
-built by unit propagation over the search's masks: it completes a context
+enumerate_assignments() decides satisfiability over all 2^n assignments.
+Unit propagation from the forced bits runs first: it completes a context
 whose other members are all 0 and flags a double 1 in an exclusive pair
-or, once nothing else applies, in a context.
+or, once nothing else applies, in a context.  Every satisfying assignment
+obeys each inference, so a CONFLICT decides UNSAT and is the report's
+human-readable refutation.  Only when propagation stalls does a
+vectorized breadth-first search over bitmask prefixes of the sorted
+labels run, dropping a partial assignment as soon as a forced value,
+context or exclusive pair rules it out (the propagation root and pruning
+of Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
+satisfying assignments as bitmasks, decoding ValueAssignments when read.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ class Witnesses(Sequence):
         self._masks = masks
 
     def _decode(self, masks: np.ndarray) -> list[ValueAssignment]:
+        if not len(masks):
+            return []
         labels = self._labels
         shifts = np.arange(len(labels) - 1, -1, -1, dtype=np.uint32)
         rows = ((masks[:, None] >> shifts) & 1).tolist()
@@ -166,16 +169,16 @@ class Witnesses(Sequence):
 
 @dataclass(frozen=True)
 class SatisfiabilityReport:
-    """Outcome of exhaustive enumeration.
+    """Outcome of deciding all 2^n assignments.
 
     witnesses holds every satisfying assignment in lexicographic order
     of the sorted-label bit string (empty when UNSAT).  They are stored
     as bitmasks and built as ValueAssignment objects only when indexed,
     sliced or iterated; len(witnesses) is the exact count.
-    assignments_examined is 2^n, the number of assignments decided: the
-    search rules out a pruned prefix's extensions without listing them.
-    conflict carries a unit-propagation refutation when one exists,
-    else None.
+    assignments_examined is 2^n, the number of assignments decided: a
+    propagation CONFLICT rules out all of them and the search a pruned
+    prefix's extensions, without listing them.  conflict is the
+    refutation that decided UNSAT, else None: SAT, or propagation stalled.
     """
 
     status: str
@@ -198,6 +201,8 @@ def enumerate_assignments(
 ) -> SatisfiabilityReport:
     """Exhaustively decide whether a noncontextual assignment exists.
 
+    Unit propagation runs first on the compiled masks: a CONFLICT decides
+    UNSAT with that trace, and the search runs only if propagation stalls.
     Labels are sorted; assignment k maps the i-th sorted label to bit
     (k >> (n-1-i)) & 1, so ascending k enumerates bit strings
     lexicographically.  The search extends the surviving prefixes (the
@@ -233,6 +238,9 @@ def enumerate_assignments(
         ones |= bit << pos[lab]
     context_masks = [sum(1 << pos[m] for m in ctx.members) for ctx in s.contexts]
     pair_masks = [(1 << pos[a]) | (1 << pos[b]) for a, b in s.exclusive_pairs]
+    trace = _propagate(s, labels, context_masks, pair_masks, known, ones)
+    if trace is not None:
+        return SatisfiabilityReport(UNSAT, Witnesses(tuple(labels), ()), 1 << n, trace)
 
     # A check is decided on j-bit prefixes once its last sorted member,
     # the lowest set bit of its mask, is among them: j = n - that bit.
@@ -257,10 +265,7 @@ def enumerate_assignments(
             break
 
     witnesses = Witnesses(tuple(labels), prefixes)
-    if witnesses:
-        return SatisfiabilityReport(SAT, witnesses, 1 << n, None)
-    trace = _propagate(s, labels, context_masks, pair_masks, known, ones)
-    return SatisfiabilityReport(UNSAT, witnesses, 1 << n, trace)
+    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, None)
 
 
 def _extend(prefixes: np.ndarray, w: int, force_mask: int, force_bits: int) -> np.ndarray:
@@ -359,8 +364,9 @@ def _propagate(
 def contradiction_trace(s: PrePostScenario, tol: float = TOL_CHECK) -> ContradictionTrace:
     """Refutation of noncontextual assignments for an unsatisfiable scenario.
 
-    Computes the forced values, confirms unsatisfiability by exhaustive
-    enumeration, and returns the unit-propagation refutation.
+    Computes the forced values, decides them with enumerate_assignments
+    (propagation first, the search only if it stalls) and returns the
+    unit-propagation refutation.
 
     Raises:
         NoContradictionError: the constraints are satisfiable.

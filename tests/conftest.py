@@ -50,8 +50,12 @@ _KS18_CONTEXTS = (
 )
 
 
-def ks18_scenario():
-    """A fully valid scenario that is UNSAT with an empty forced set."""
+def ks18_scenario(post=(5, 3, 2, -1)):
+    """A fully valid scenario that is UNSAT with an empty forced set.
+
+    post is the unnormalized postselected state; the preselected one is
+    (1, 2, 3, 5), normalized.
+    """
 
     def normalized(entries):
         v = np.array(entries, dtype=np.complex128)
@@ -62,7 +66,7 @@ def ks18_scenario():
     )
     # generic selections: not orthogonal or parallel to any of the vectors
     pre = normalized((1, 2, 3, 5))
-    post = normalized((5, 3, 2, -1))
+    post = normalized(post)
     return PrePostScenario(
         dim=4,
         pre=pre,

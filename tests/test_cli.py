@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import witness_heavy_scenario
+from conftest import ks18_scenario, witness_heavy_scenario
 
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
-from qpp import single_qubit_scenario
+from qpp import forced_values, single_qubit_scenario
 from qpp.cli import Check, Report, main
 
 DATA = Path(__file__).parent / "data"
@@ -175,9 +175,24 @@ class TestCheck:
         assert out == (DATA / "check_three_box_golden.json").read_text()
         assert "trace_note" not in json.loads(out)["details"]
 
-    def test_unsat_without_certificate(self, tmp_path, capsys):
-        from conftest import ks18_scenario
+    def test_ks18_matches_golden(self, capsys, monkeypatch):
+        """Propagation stalls on the 18-ray set, so the prefix search decides it."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/ks18.json", "--json"]) == 0
+        assert capsys.readouterr().out == (DATA / "check_ks18_golden.json").read_text()
 
+    def test_ks18_fixture_is_the_18_ray_set(self):
+        """The 18 rays with pre and post along (1, 2, 3, 5) and (2, 3, 5, 7),
+        neither orthogonal to any ray, so nothing is forced."""
+        s = load((DATA / "ks18.json").read_bytes())
+        ref = ks18_scenario(post=(2, 3, 5, 7))
+        assert s.labels() == ref.labels() and s.contexts == ref.contexts
+        for got, want in ((s.states, ref.states), (s.pre.amps, ref.pre.amps),
+                          (s.post.amps, ref.post.amps)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert forced_values(s) == ()
+
+    def test_unsat_without_certificate(self, tmp_path, capsys):
         path = write_scenario(tmp_path, ks18_scenario())
         assert main(["check", path, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -298,3 +298,67 @@ class TestUnitStates:
         with pytest.raises(RowError, match="^dimension must be at least 2, got 1$") as info:
             unit_states(np.ones((3, 1), dtype=np.complex128))
         assert info.value.row == 0
+
+
+@st.composite
+def off_unit_stacks(draw, max_stacks=9):
+    """An (m, k, dim) complex stack, 1 <= m <= max_stacks and 2 <= k <= dim <= 8.
+
+    Each stack is k rows of a random unitary, perturbed by noise of one
+    drawn size (0 keeps them orthonormal), and every row is then scaled
+    by 1, 1 + 1e-10, 0.5 or 3, so most draws hold rows that are not
+    unit-norm.
+    """
+    dim = draw(unit_dims)
+    k = draw(st.integers(2, dim))
+    m = draw(st.integers(1, max_stacks))
+    rng = np.random.default_rng(draw(seeds))
+    raw = rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+    block = np.linalg.qr(raw)[0].transpose(0, 2, 1)[:, :k, :]
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+    block = block + noise * (rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape))
+    return block * rng.choice([1.0, 1.0 + 1e-10, 0.5, 3.0], size=(m, k, 1))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLinalgNormBits:
+    """The norms hilbert takes without the np.linalg.norm wrapper are the
+    wrapper's own arithmetic, to the bit (tobytes also tells -0.0 from 0.0)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks=off_unit_stacks())
+    def test_context_deviations_equal_the_spectral_norm(self, stacks):
+        gram = stacks.transpose(0, 2, 1) @ stacks.conj()
+        want = np.linalg.norm(gram - np.eye(stacks.shape[2]), 2, axis=(1, 2))
+        got = context_deviations(stacks)
+        assert np.array_equal(got, want) and same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=off_unit_stacks(max_stacks=1), data=st.data())
+    def test_certain_value_residual_equals_the_row_norm(self, rows, data):
+        """The residual as certain_values forms it, against np.linalg.norm(d,
+        axis=2); then, through certain_values itself, every pair whose
+        residual r is below |a| reads -1 at tol r and 1 at the next float
+        above r, which pins r to the bit."""
+        rows = rows[0]
+        rng = np.random.default_rng(data.draw(seeds))
+        phases = np.exp(2j * np.pi * rng.random((len(rows), 1)))
+        eps = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))
+        near = phases * rows + eps * rng.standard_normal(rows.shape)
+        states = np.concatenate([near, rng.standard_normal(rows.shape) + 0j])
+        a = rows.conj() @ states.T
+        d = a[:, :, None] * rows[:, None, :] - states[None, :, :]
+        want = np.linalg.norm(d, axis=2)
+        got = np.sqrt(np.add.reduce((d.conj() * d).real, axis=2))
+        assert np.array_equal(got, want) and same_bits(got, want)
+        for i, j in np.ndindex(*a.shape):
+            row, state = rows[i:i + 1], states[j:j + 1]
+            a1 = row.conj() @ state.T
+            r = float(np.linalg.norm(a1[:, :, None] * row[:, None, :] - state[None], axis=2)[0, 0])
+            above = float(np.nextafter(r, np.inf))
+            if abs(a1[0, 0]) >= above:
+                assert certain_values(row, state, tol=r).tolist() == [[-1]]
+                assert certain_values(row, state, tol=above).tolist() == [[1]]

@@ -10,7 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
-    propagation_oracle, random_qubit_state, random_structures, witness_heavy_scenario,
+    ks18_scenario, propagation_oracle, random_qubit_state, random_structures,
+    witness_heavy_scenario,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,8 @@ from qpp import (
     load,
     single_qubit_scenario,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_witnesses(s, forced):
@@ -186,7 +189,7 @@ class TestTrace:
     def test_three_box_trace_ends_in_a_double_one(self):
         """A, B, C and (B +- C), (A +- C) in d=3: the pinned rules derive
         A=1 and B=1, then stall; the context {A, B, C} is the conflict."""
-        s = load((Path(__file__).parent / "data" / "three_box.json").read_bytes())
+        s = load((DATA / "three_box.json").read_bytes())
         forced = forced_values(s)
         assert sorted((fv.label, fv.bit) for fv in forced) == [
             ("A+C", 0), ("A-C", 0), ("B+C", 0), ("B-C", 0)]
@@ -236,7 +239,6 @@ class TestTrace:
 
     def test_valid_scenario_can_stall_propagation(self):
         """The 18-vector set is UNSAT by parity, not by unit propagation."""
-        from conftest import ks18_scenario
         from qpp import validate
 
         s = ks18_scenario()
@@ -256,6 +258,62 @@ class TestTrace:
     def test_trace_conclusions_helper(self):
         trace = contradiction_trace(cabello_scenario())
         assert trace.conclusions() == ("delta+=1", "delta-=1", CONFLICT)
+
+
+class TestPropagationFirst:
+    """Unit propagation runs on the compiled masks before the prefix search,
+    and a CONFLICT there decides UNSAT without searching."""
+
+    @pytest.mark.parametrize("build", [
+        cabello_scenario,
+        lambda: hardy_scenario(0.8, 0.9),
+        lambda: load((DATA / "three_box.json").read_bytes()),
+        lambda: load((DATA / "reversed_contexts.json").read_bytes()),
+    ], ids=["cabello", "hardy", "three_box", "reversed_contexts"])
+    def test_refuted_scenarios_skip_the_search(self, build):
+        s = build()
+        forced = forced_values(s)
+        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+            rep = enumerate_assignments(s, forced)
+        assert search.call_count == 0
+        assert rep.status == UNSAT and rep.witnesses == () and rep.witnesses[:16] == ()
+        assert rep.assignments_examined == 2 ** len(s.projectors)
+        assert rep.conflict is not None
+        assert rep.conflict == propagation_oracle(s, forced)
+
+    @pytest.mark.parametrize("build, status", [
+        (ks18_scenario, UNSAT),
+        (lambda: single_qubit_scenario(2, 6), SAT),
+    ], ids=["ks18", "single_qubit"])
+    def test_stalled_propagation_searches(self, build, status):
+        s = build()
+        forced = forced_values(s)
+        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+            rep = enumerate_assignments(s, forced)
+        assert search.call_count > 0
+        assert rep.status == status and rep.conflict is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_structures())
+    def test_a_propagation_conflict_admits_no_assignment(self, case):
+        """The shortcut's soundness: all three rules are inferences every
+        satisfying assignment obeys, so a CONFLICT leaves no witness; and
+        the search runs exactly when propagation stalls."""
+        s, forced = case
+        trace = propagation_oracle(s, forced)
+        if trace is not None:
+            assert brute_force_witnesses(s, forced) == []
+        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+            enumerate_assignments(s, forced)
+        assert search.called == (trace is None)
+
+    def test_label_cap_is_checked_before_propagation(self):
+        s = single_qubit_scenario(13, 0)  # 26 labels
+        forced = (ForcedValue("q0", 1, "Prediction"), ForcedValue("q0_perp", 1, "Prediction"))
+        with mock.patch.object(nchv, "_propagate", wraps=nchv._propagate) as propagate:
+            with pytest.raises(EnumerationLimitError, match="26"):
+                enumerate_assignments(s, forced)
+        assert propagate.call_count == 0
 
 
 @st.composite
