@@ -10,7 +10,6 @@ Ties prefer the lexicographically smallest point, so results are deterministic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -51,25 +50,40 @@ class OptimizationResult:
 
 def _axis9(a, b):
     """np.linspace(a, b, 9) term for term, as a list of Python floats."""
-    step = (b - a) / 8
-    return [i * step + a for i in range(8)] + [b]
+    s = (b - a) / 8
+    return [0 * s + a, 1 * s + a, 2 * s + a, 3 * s + a, 4 * s + a, 5 * s + a, 6 * s + a,
+            7 * s + a, b]
 
 
 def _grid_refine(f, lows, highs, grid, refine_tol):
     """Shared search engine: maximize f over lattices; returns (point, value, evals).
 
-    f(*axes) maps one ascending list of floats per axis to an array of the
-    lattice's values in itertools.product order, so its first argmax is the
-    lexicographically smallest maximizer.  The loop keeps the best point
+    f(*axes) maps one ascending list of floats per axis to one ndarray of
+    the lattice's values in itertools.product order, so its first argmax is
+    the lexicographically smallest maximizer.  The loop keeps the best point
     seen, on the cell-centered grid and then on 9-point lattices per axis
     around it, of half-width span/grid halving each pass and clamped inside
-    the open box, until the lattice diameter is below refine_tol.
+    the open box, until the lattice diameter is below refine_tol.  Halving
+    is exact, so grid and refine_tol fix the number of passes; a search
+    needing more than MAX_REFINE_ITERATIONS is refused before f is called.
     """
+    half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
+    passes = next((k for k in range(MAX_REFINE_ITERATIONS + 1)
+                   if 2.0 * max(half_widths) / 2.0 ** k < refine_tol), None)
+    if passes is None:
+        raise ConvergenceError(
+            f"refinement did not reach tolerance {refine_tol!r} "
+            f"within {MAX_REFINE_ITERATIONS} iterations"
+        )
+    bounds = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in zip(lows, highs)]
     axes = [[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
             for lo, hi in zip(lows, highs)]
-    half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
     best_point, best_value, evals = None, None, 0
-    for passes in itertools.count():
+    for n in range(passes + 1):
+        if n:
+            axes = [_axis9(max(x - hw, a), min(x + hw, b))
+                    for x, hw, (a, b) in zip(best_point, half_widths, bounds)]
+            half_widths = [hw / 2.0 for hw in half_widths]
         values = f(*axes)
         evals += values.size
         k = int(values.argmax())
@@ -79,18 +93,7 @@ def _grid_refine(f, lows, highs, grid, refine_tol):
             pt = (axis[j], *pt)
         if best_point is None or v > best_value or (v == best_value and pt < best_point):
             best_point, best_value = pt, v
-        if 2.0 * max(half_widths) < refine_tol:
-            return best_point, best_value, evals
-        if passes == MAX_REFINE_ITERATIONS:
-            raise ConvergenceError(
-                f"refinement did not reach tolerance {refine_tol!r} "
-                f"within {MAX_REFINE_ITERATIONS} iterations"
-            )
-        axes = [
-            _axis9(max(x - hw, math.nextafter(lo, hi)), min(x + hw, math.nextafter(hi, lo)))
-            for x, hw, lo, hi in zip(best_point, half_widths, lows, highs)
-        ]
-        half_widths = [hw / 2.0 for hw in half_widths]
+    return best_point, best_value, evals
 
 
 def _check_search_args(grid: int, refine_tol: float) -> int:
@@ -108,10 +111,10 @@ def _check_search_args(grid: int, refine_tol: float) -> int:
 
 
 def _hardy_lattice(ta, tb):
-    """hardy_probability over the lattice ta x tb, one cos and sin per axis value."""
-    ca, sa = (np.array([[f(t)] for t in ta]) for f in (math.cos, math.sin))
-    cb, sb = (np.array([f(t) for t in tb]) for f in (math.cos, math.sin))
-    return _hardy_ratio(ca, sa, cb, sb)
+    """hardy_probability over the lattice ta x tb, bit for bit, as one
+    len(ta) x len(tb) ndarray: one cos and sin per axis value, flat."""
+    ca, sa, cb, sb = (np.array([f(t) for t in ts]) for ts in (ta, tb) for f in (math.cos, math.sin))
+    return _hardy_ratio(ca[:, None], sa[:, None], cb, sb)
 
 
 def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
@@ -134,6 +137,16 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
     )
 
 
+def _delta_overlap(c):
+    """feasibility_root(c)[1] bit for bit, without its range check: the
+    family objective's kernel, one Python float per c in (0, 1)."""
+    s2 = 1.0 - c * c
+    if 1.0 - 8.0 * c * c / s2 >= 0.0:
+        return 0.0
+    u = c / (1.0 + c)
+    return abs(c * c + s2 * u * (2.0 * u - 1.0)) / (c * c + s2 * u)
+
+
 def feasibility_root(c: float) -> tuple[float, float]:
     """The p minimizing the family's delta overlap at fixed c, in closed form.
 
@@ -151,12 +164,10 @@ def feasibility_root(c: float) -> tuple[float, float]:
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly inside (0, 1), got {c!r}")
-    s2 = 1.0 - c * c
-    disc = 1.0 - 8.0 * c * c / s2
+    disc = 1.0 - 8.0 * c * c / (1.0 - c * c)
     if disc >= 0.0:
         return math.sqrt((1.0 + math.sqrt(disc)) / 4.0), 0.0
-    u = c / (1.0 + c)
-    return math.sqrt(u), abs(c * c + s2 * u * (2.0 * u - 1.0)) / (c * c + s2 * u)
+    return math.sqrt(c / (1.0 + c)), _delta_overlap(c)
 
 
 def maximize_cabello_family(
@@ -178,7 +189,7 @@ def maximize_cabello_family(
         raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
 
     def objective(cs):
-        return np.array([c * c if feasibility_root(c)[1] < exclusivity_tol else 0.0 for c in cs])
+        return np.array([c * c if _delta_overlap(c) < exclusivity_tol else 0.0 for c in cs])
 
     (c,), _, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
     return OptimizationResult(

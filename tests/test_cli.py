@@ -362,13 +362,16 @@ class TestOptimize:
         assert abs(doc["details"]["parameters"]["p"] - 0.5) < 1e-4
         assert doc["details"]["exclusivity_tol"] == 1e-9
 
-    @pytest.mark.parametrize("target, golden", [
-        ("hardy", "optimize_hardy_golden.json"),
-        ("cabello-family", "optimize_family_golden.json"),
+    @pytest.mark.parametrize("target, options, golden", [
+        ("hardy", [], "optimize_hardy_golden.json"),
+        ("cabello-family", [], "optimize_family_golden.json"),
+        ("hardy", ["--grid", "16", "--refine-tol", "1e-6"], "optimize_hardy_grid16_golden.json"),
+        ("cabello-family", ["--grid", "16", "--refine-tol", "1e-6"],
+         "optimize_family_grid16_golden.json"),
     ])
-    def test_json_matches_golden(self, capsys, target, golden):
-        """The default search's report, byte for byte as the scalar engine wrote it."""
-        assert main(["optimize", target, "--json"]) == 0
+    def test_json_matches_golden(self, capsys, target, options, golden):
+        """The search's report, byte for byte as the scalar engine wrote it."""
+        assert main(["optimize", target, *options, "--json"]) == 0
         out = capsys.readouterr()
         assert out.out == (DATA / golden).read_text()
         assert out.err == ""

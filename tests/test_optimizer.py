@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import family_delta_overlap, grid_refine_oracle
 
+import qpp
 from qpp import (
     ConvergenceError,
     cabello_family,
@@ -21,7 +22,7 @@ from qpp import (
     selection_probability,
 )
 from qpp.optimizer import (
-    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _grid_refine, _hardy_lattice,
+    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _delta_overlap, _grid_refine, _hardy_lattice,
 )
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
@@ -122,6 +123,21 @@ class TestGridRefine:
                                "1e-40 within 60 iterations$"):
                 search(f, (0.0,), (1.0,), 16, 1e-40)
 
+    @pytest.mark.parametrize("grid, refine_tol", [(64, 1e-300), (16, 1e-40)])
+    def test_unreachable_tolerance_is_refused_before_any_call(self, grid, refine_tol):
+        """Halving is exact, so the pass count is known up front: a search
+        needing more than 60 refinements raises without calling f."""
+        calls = []
+
+        def f(*axes):
+            calls.append(axes)
+            return np.zeros([len(axis) for axis in axes])
+
+        with pytest.raises(ConvergenceError, match=f"^refinement did not reach tolerance "
+                           f"{refine_tol!r} within 60 iterations$"):
+            _grid_refine(f, (0.0,), (1.0,), grid, refine_tol)
+        assert calls == []
+
     @settings(max_examples=150, deadline=None)
     @given(problem=search_problems(), grid=st.integers(16, 64),
            refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
@@ -183,7 +199,7 @@ class TestMaximizeHardy:
         assert result.refine_tolerance == 1e-9
         assert result.exclusivity_tol is None
 
-    @pytest.mark.parametrize("grid", [16, 17, 64, 256])
+    @pytest.mark.parametrize("grid", [*range(16, 65), 256])
     def test_matches_grid_refine_oracle(self, grid):
         assert_matches_oracle(maximize_hardy, hardy_oracle, grid, 1e-9)
 
@@ -207,9 +223,20 @@ class TestMaximizeHardy:
 
 class TestFeasibilityRoot:
     def test_domain(self):
-        for c in (0.0, 1.0, -0.5):
+        for c in (0.0, 1.0, -0.5, -0.1, math.nan):
             with pytest.raises(ValueError):
                 feasibility_root(c)
+
+    def test_kernel_is_private(self):
+        assert "_delta_overlap" not in qpp.optimizer.__all__
+        assert not hasattr(qpp, "_delta_overlap")
+
+    def test_kernel_equals_root_overlap_on_p_lattice(self):
+        """The family objective's kernel is feasibility_root's overlap, bit
+        for bit, on both sides of c = 1/3."""
+        cs = P_LATTICE.tolist()
+        assert min(cs) < 1.0 / 3.0 < max(cs)
+        assert [repr(_delta_overlap(c)) for c in cs] == [repr(feasibility_root(c)[1]) for c in cs]
 
     def test_root_at_one_third_is_one_half(self):
         p, overlap = feasibility_root(1.0 / 3.0)
@@ -236,10 +263,13 @@ class TestFeasibilityRoot:
         assert cabello_family(c, p).delta_overlap == pytest.approx(overlap, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(c=open_unit)
+    @given(c=st.one_of(open_unit, st.floats(0.3333, 0.3334)))
     def test_root_overlap_matches_vectorized_overlap(self, c):
+        """The root's overlap matches the oracle, and the family objective's
+        kernel returns it bit for bit."""
         p, overlap = feasibility_root(c)
         assert abs(overlap - family_delta_overlap(c, p)) <= 1e-15
+        assert repr(_delta_overlap(c)) == repr(overlap)
 
     @settings(max_examples=300, deadline=None)
     @given(c=open_unit)
@@ -268,7 +298,7 @@ class TestMaximizeCabelloFamily:
         assert cand.delta_overlap < 1e-6
         assert selection_probability(cand.scenario) == pytest.approx(result.objective)
 
-    @pytest.mark.parametrize("grid", [16, 17, 64, 256])
+    @pytest.mark.parametrize("grid", [*range(16, 65), 256])
     def test_matches_grid_refine_oracle(self, grid):
         assert_matches_oracle(maximize_cabello_family, family_oracle, grid, 1e-9)
 
