@@ -11,8 +11,9 @@ deviations, exist only in matrix form over stacked states
 (:func:`certain_values`, :func:`context_deviations`); a single
 projector or context is a stack of one.  States are checked the same
 way: a caller with many states builds one (n, dim) block and makes one
-:func:`unit_states` call.  Every dimension used in practice is at most
-8, so all storage is dense.
+:func:`unit_states` call, which takes each norm once; each state keeps
+its deviation from 1 for later reports.  Every dimension used in
+practice is at most 8, so all storage is dense.
 
 There is no null-space solver: every state the package builds has a
 closed form, e.g. (-conj(b), conj(a)) completes the qubit state (a, b).
@@ -58,13 +59,14 @@ class StateVector:
             or a norm deviating from 1 by more than ``tol_norm``.
     """
 
-    __slots__ = ("_amps",)
+    __slots__ = ("_amps", "_dev")
 
     def __init__(self, amps, tol_norm: float = TOL_NORM) -> None:
         arr = np.array(amps, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError(f"amplitudes must form a flat sequence, got shape {arr.shape}")
-        self._amps = unit_states(arr[None], tol_norm)[0]._amps
+        (state,) = unit_states(arr[None], tol_norm)
+        self._amps, self._dev = state._amps, state._dev
 
     @property
     def dim(self) -> int:
@@ -110,8 +112,11 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVector]:
     """StateVectors over the rows of an (n, dim) complex128 block.
 
-    Every row must be finite with a norm within ``tol_norm`` of 1.  The
-    block is made read-only and each state's amps is a view of its row.
+    Every row must be finite with a norm within ``tol_norm`` of 1.  A
+    non-finite row has a non-finite norm, so below an infinite tolerance
+    only a row that fails the norm test is checked for finiteness.  The
+    block is made read-only; each state's amps is a view of its row and
+    its _dev the measured |norm - 1|.
 
     Raises:
         RowError: dim < 2 (named at row 0), or the first row that is
@@ -119,18 +124,19 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
     """
     if block.shape[1] < 2:
         raise RowError(f"dimension must be at least 2, got {block.shape[1]}", 0)
-    finite = np.isfinite(block).all(axis=1)
     deviations = np.abs(row_norms(block) - 1.0)
-    bad = ~finite | ~(deviations <= tol_norm)  # a NaN tolerance fails closed
+    bad = ~(deviations <= tol_norm)  # a NaN tolerance fails closed
+    if tol_norm == np.inf:  # the one tolerance an infinite norm passes
+        bad |= ~np.isfinite(block).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
-        if not finite[i]:
+        if not np.isfinite(block[i]).all():
             raise RowError("amplitudes must be finite", i)
         raise RowError(f"norm deviates from 1 by {deviations[i]:.3e}, tolerance {tol_norm:.1e}", i)
     block.setflags(write=False)
     states = [StateVector.__new__(StateVector) for _ in range(len(block))]
-    for state, row in zip(states, block):
-        state._amps = row
+    for state, row, dev in zip(states, block, deviations.tolist()):
+        state._amps, state._dev = row, dev
     return states
 
 

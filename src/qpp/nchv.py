@@ -7,13 +7,13 @@ at most one 1, and all forced values are respected.
 enumerate_assignments() decides satisfiability over all 2^n assignments.
 Unit propagation from the forced bits runs first: it completes a context
 whose other members are all 0 and flags a double 1 in an exclusive pair
-or, once nothing else applies, in a context.  Every satisfying assignment
-obeys each inference, so a CONFLICT decides UNSAT and is the report's
-human-readable refutation.  Only when propagation stalls does a
-vectorized breadth-first search over bitmask prefixes of the sorted
-labels run, dropping a partial assignment as soon as a forced value,
-context or exclusive pair rules it out (the propagation root and pruning
-of Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
+or, once nothing else applies, a context with two 1s or none.  Every
+satisfying assignment obeys each inference, so a CONFLICT decides UNSAT
+and is the report's human-readable refutation.  Only when propagation
+stalls does a vectorized breadth-first search over bitmask prefixes of the
+sorted labels run, dropping a partial assignment as soon as a forced
+value, context or exclusive pair rules it out (the propagation root and
+pruning of Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
 satisfying assignments as bitmasks, decoding ValueAssignments when read.
 """
 
@@ -334,7 +334,8 @@ def _propagate(
     Three rules, in a fixed order so traces are deterministic: a declared
     exclusive pair with both members at 1 yields CONFLICT; else the first
     context with one unassigned member and all others at 0 sets it to 1;
-    once both stall, the first context with two or more 1s yields CONFLICT.
+    once both stall, the first context with two or more 1s yields
+    CONFLICT, and failing that the first context with every member at 0.
     """
     n = len(labels)
     steps: list[TraceStep] = []
@@ -358,6 +359,10 @@ def _propagate(
         if (at_one := ones & m) & (at_one - 1):
             premises = tuple(f"{x}=1" for x in ctx.members if ones >> (n - 1 - labels.index(x)) & 1)
             return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
+    for ctx, m in zip(s.contexts, context_masks):
+        if known & m == m and not ones & m:
+            premises = tuple(f"{x}=0" for x in ctx.members)
+            return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
     return None
 
 
@@ -370,8 +375,8 @@ def contradiction_trace(s: PrePostScenario, tol: float = TOL_CHECK) -> Contradic
 
     Raises:
         NoContradictionError: the constraints are satisfiable.
-        PropagationIncompleteError: unsatisfiable, but the three-rule
-            propagation engine cannot certify it.
+        PropagationIncompleteError: unsatisfiable, but no rule of unit
+            propagation, a context of 0s included, reaches a CONFLICT.
     """
     forced = prepost.forced_values(s, tol)
     report = enumerate_assignments(s, forced)

@@ -47,9 +47,9 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     selections force values they must agree, otherwise the scenario has
     no consistent intermediate history.  Every value comes from one
     :func:`hilbert.certain_values` call over ``s.states`` and the two
-    selections.
+    selections, the first two rows of the scenario's block.
     """
-    values = hilbert.certain_values(s.states, np.array([s.pre.amps, s.post.amps]), tol).tolist()
+    values = hilbert.certain_values(s.states, s._block[:2], tol).tolist()
     out: list[ForcedValue] = []
     for label in sorted(s.rows):
         vp, vr = values[s.rows[label]]
@@ -58,9 +58,9 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
                 f"projector {label!r}: prediction gives {vp} but retrodiction gives {vr}"
             )
         if vp >= 0:
-            out.append(ForcedValue(label, vp, PREDICTION))
+            out.append(ForcedValue._unchecked(label, vp, PREDICTION))
         elif vr >= 0:
-            out.append(ForcedValue(label, vr, RETRODICTION))
+            out.append(ForcedValue._unchecked(label, vr, RETRODICTION))
     return tuple(out)
 
 

@@ -111,11 +111,11 @@ class PrePostScenario:
     string metadata.  A broken rule raises ValueError naming the node,
     e.g. ``projectors[1]: duplicate label 'up'``.
 
-    Construction also stacks the projector states once into ``states``,
-    a read-only (n, dim) complex128 matrix whose row i is
-    ``projectors[i].state.amps``, with ``rows`` mapping each label to
-    its row.  Every relation reads that matrix.  Neither is a dataclass
-    field, so the constructor, ``==`` and ``repr`` do not see them.
+    Construction also stacks pre, post and the projector states once,
+    into a read-only (n + 2, dim) complex128 ``_block``, whose view
+    ``states`` has row i equal to ``projectors[i].state.amps``; ``rows``
+    maps each label to its row.  None is a dataclass field: the
+    constructor, ``==`` and ``repr`` do not see them.
     """
 
     dim: int
@@ -141,21 +141,19 @@ class PrePostScenario:
         projectors = tuple(self.projectors)
         known: set[str] = set()
         for i, p in enumerate(projectors):
-            where = f"projectors[{i}]"
             if not isinstance(p, LabeledProjector):
-                raise _RuleError(f"expected a LabeledProjector, got {p!r}", where)
+                raise _RuleError(f"expected a LabeledProjector, got {p!r}", f"projectors[{i}]")
             if p.state.dim != self.dim:
-                raise _RuleError(
-                    f"projector {p.label!r} has dimension {p.state.dim}, expected {self.dim}", where
-                )
+                raise _RuleError(f"projector {p.label!r} has dimension {p.state.dim}, "
+                                 f"expected {self.dim}", f"projectors[{i}]")
             if p.label in known:
-                raise _RuleError(f"duplicate label {p.label!r}", where)
+                raise _RuleError(f"duplicate label {p.label!r}", f"projectors[{i}]")
             known.add(p.label)
         object.__setattr__(self, "projectors", projectors)
-        states = np.array([p.state.amps for p in projectors], dtype=np.complex128)
-        states = states.reshape(len(projectors), self.dim)
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
+        block = np.array([self.pre.amps, self.post.amps, *(p.state.amps for p in projectors)])
+        block.setflags(write=False)
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "states", block[2:])
         rows = MappingProxyType({p.label: i for i, p in enumerate(projectors)})
         object.__setattr__(self, "rows", rows)
 
@@ -219,6 +217,13 @@ class ForcedValue:
         _check_label_bit(self.label, self.bit)
         if self.justification not in (PREDICTION, RETRODICTION):
             raise ValueError(f"unknown justification {self.justification!r}")
+
+    @classmethod
+    def _unchecked(cls, label: str, bit: int, justification: str) -> ForcedValue:
+        """No checks: the label must be a nonempty str, the bit the Python int 0 or 1."""
+        self = object.__new__(cls)
+        self.__dict__.update(label=label, bit=bit, justification=justification)
+        return self
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,8 @@ class ValidationReport:
 def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationReport:
     """Measure every semantic invariant and report pass/fail per check.
 
-    Checks, in order: state normalization (every norm from one
-    :func:`hilbert.row_norms` call), postselection possibility,
+    Checks, in order: state normalization (the deviations states keep
+    from :func:`hilbert.unit_states`), postselection possibility,
     one resolution-of-identity entry per context, and one exclusivity
     entry per declared pair.  Label structure needs no check here: the
     constructors refuse duplicate and dangling labels.  Both relations
@@ -299,10 +304,9 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     """
     checks: list[CheckResult] = []
 
-    norms = hilbert.row_norms(np.vstack((s.pre.amps, s.post.amps, s.states)))
-    deviations = np.abs(norms - 1.0)
-    worst = int(deviations.argmax())
-    worst_dev = float(deviations[worst])
+    deviations = [s.pre._dev, s.post._dev, *(p.state._dev for p in s.projectors)]
+    worst_dev = max(deviations)
+    worst = deviations.index(worst_dev)
     worst_name = (("pre", "post")[worst] if worst < 2
                   else f"projector {s.projectors[worst - 2].label!r}")
     checks.append(
@@ -368,12 +372,12 @@ def save(s: PrePostScenario) -> bytes:
     ensure_ascii=False) + "\n"`` for the document with keys dim,
     metadata, pre, post, projectors, contexts and exclusive_pairs.  The
     layout is fixed, so it is written directly: every amplitude comes
-    from one ``tolist()`` of the stacked [pre, post, states] block and is
+    from one ``tolist()`` of the scenario's [pre, post, states] block and is
     written with ``float.__repr__``, as json does, and strings go
     through json's C string encoder.  Floats are in shortest round-trip
     form, so loading the output and saving again reproduces the bytes.
     """
-    amps = np.vstack((s.pre.amps, s.post.amps, s.states)).view(np.float64).tolist()
+    amps = s._block.view(np.float64).tolist()
     selection, state = _state_template(s.dim, "    "), _state_template(s.dim, "        ")
     projectors = [
         f'{{\n      "label": {_quote(p.label)},\n      "state": {state % tuple(row)}\n    }}'

@@ -165,12 +165,13 @@ def random_structures(draw):
 def propagation_oracle(s, forced):
     """Unit propagation over a label -> bit dict, rescanned after every step.
 
-    The slow reference for the engine's mask propagation: the same three
-    rules in the same order, first an exclusive pair with both members at
-    1 (CONFLICT), then the first context with one unassigned member and
-    all others at 0, and once both stall, the first context with two or
-    more members at 1 (CONFLICT).  Returns the ContradictionTrace, or None
-    if it stalls.
+    The slow reference for the engine's mask propagation: the same rules
+    in the same order, first an exclusive pair with both members at 1
+    (CONFLICT), then the first context with one unassigned member and all
+    others at 0, and once both stall, the first context with two or more
+    members at 1 (CONFLICT), and failing that the first context with every
+    member at 0 (CONFLICT).  Returns the ContradictionTrace, or None if it
+    stalls.
     """
     assigned = {fv.label: fv.bit for fv in forced}
     steps = []
@@ -194,6 +195,10 @@ def propagation_oracle(s, forced):
         if len(at_one) >= 2:
             premises = tuple(f"{m}=1" for m in at_one)
             steps.append(TraceStep(premises, SUM_RULE, CONFLICT))
+            return ContradictionTrace(tuple(steps))
+    for ctx in s.contexts:
+        if all(assigned.get(m) == 0 for m in ctx.members):
+            steps.append(TraceStep(tuple(f"{m}=0" for m in ctx.members), SUM_RULE, CONFLICT))
             return ContradictionTrace(tuple(steps))
     return None
 

@@ -175,6 +175,20 @@ class TestCheck:
         assert out == (DATA / "check_three_box_golden.json").read_text()
         assert "trace_note" not in json.loads(out)["details"]
 
+    def test_all_zero_context_matches_golden(self, capsys, monkeypatch):
+        """At QPP_TOL=0.5 the selections force x, y and z to 0: the context
+        holding no 1 is the CONFLICT, with no trace_note."""
+        monkeypatch.chdir(DATA.parent.parent)
+        monkeypatch.setenv("QPP_TOL", "0.5")
+        assert main(["check", "tests/data/all_zero_context.json", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "check_all_zero_golden.json").read_text()
+        details = json.loads(out)["details"]
+        assert "trace_note" not in details
+        assert details["trace"][-1] == {
+            "premises": ["x=0", "y=0", "z=0"], "rule": "SumRule", "conclusion": "CONFLICT",
+        }
+
     def test_ks18_matches_golden(self, capsys, monkeypatch):
         """Propagation stalls on the 18-ray set, so the prefix search decides it."""
         monkeypatch.chdir(DATA.parent.parent)

@@ -252,6 +252,42 @@ norm_entries = st.one_of(
 )
 
 
+def unit_states_oracle(block, tol):
+    """The first row unit_states must refuse, and its message, found the slow
+    way: row by row, finiteness before the norm.  None when every row passes."""
+    for i, row in enumerate(block):
+        if not np.isfinite(row).all():
+            return i, "amplitudes must be finite"
+        with np.errstate(over="ignore"):
+            dev = abs(float(np.linalg.norm(row)) - 1.0)
+        if not dev <= tol:
+            return i, f"norm deviates from 1 by {dev:.3e}, tolerance {tol:.1e}"
+    return None
+
+
+@st.composite
+def refusal_blocks(draw):
+    """An (n, dim) block of random unit rows, each then kept, rescaled, made
+    too large to square (1e200) or given a NaN or +-inf real or imaginary part."""
+    dim, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    block = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    for i in range(n):
+        kind = draw(st.sampled_from(["unit", "scaled", "huge", "nan", "inf", "-inf", "inf+nan"]))
+        part = block.real if draw(st.booleans()) else block.imag
+        j = draw(st.integers(0, dim - 1))
+        if kind == "scaled":
+            block[i] *= draw(st.sampled_from([0.0, 0.5, 1 + 1e-13, 1 + 1e-10, 1 + 1e-6, 2.0]))
+        elif kind == "huge":
+            part[i, j] = 1e200
+        elif kind == "inf+nan":
+            block[i, j] = complex(np.inf, np.nan)
+        elif kind != "unit":
+            part[i, j] = float(kind)
+    return block
+
+
 class TestUnitStates:
     @settings(max_examples=300, deadline=None)
     @given(dim=unit_dims, data=st.data())
@@ -293,6 +329,23 @@ class TestUnitStates:
     def test_state_with_overflowing_norm_raises_without_a_warning(self):
         with pytest.raises(ValueError, match="^norm deviates from 1 by inf"):
             StateVector([1e200, 0.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(block=refusal_blocks(),
+           tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.7, 2.0, np.inf, -np.inf, np.nan]))
+    def test_refusals_match_the_row_by_row_oracle(self, block, tol):
+        """Finiteness is checked only on a row the norm test fails; the
+        refused row and message are still the oracle's, and an accepted
+        state keeps np.linalg.norm's deviation to the bit."""
+        want = unit_states_oracle(block, tol)
+        if want is not None:
+            with pytest.raises(RowError) as info:
+                unit_states(block, tol)
+            assert (info.value.row, str(info.value)) == want
+            return
+        with np.errstate(over="ignore"):
+            devs = [abs(float(np.linalg.norm(row)) - 1.0) for row in block]
+        assert [state._dev for state in unit_states(block, tol)] == devs
 
     def test_dimension_is_named_at_row_zero(self):
         with pytest.raises(RowError, match="^dimension must be at least 2, got 1$") as info:

@@ -220,6 +220,43 @@ class TestTrace:
             TraceStep(("a=1", "c=1"), SUM_RULE, CONFLICT),
         )
 
+    def test_a_context_of_zeros_is_a_conflict(self):
+        """At tolerance 0.5 both selections force x, y and z to 0; the one
+        context then holds no 1, which the sum rule refutes."""
+        s = load((DATA / "all_zero_context.json").read_bytes())
+        forced = forced_values(s, 0.5)
+        assert [(fv.label, fv.bit) for fv in forced] == [("x", 0), ("y", 0), ("z", 0)]
+        rep = enumerate_assignments(s, forced)
+        assert rep.status == UNSAT and rep.assignments_examined == 8
+        assert rep.conflict.steps == (TraceStep(("x=0", "y=0", "z=0"), SUM_RULE, CONFLICT),)
+        assert contradiction_trace(s, 0.5) == rep.conflict == propagation_oracle(s, forced)
+
+    def test_cabello_at_a_loose_tolerance_is_refuted_by_its_first_context(self):
+        """At tolerance 0.9 pre forces all seven labels to 0; premises keep member order."""
+        s = cabello_scenario()
+        forced = forced_values(s, 0.9)
+        assert {fv.bit for fv in forced} == {0} and len(forced) == 7
+        rep = enumerate_assignments(s, forced)
+        assert rep.status == UNSAT
+        assert rep.conflict.steps == (
+            TraceStep(("alpha=0", "beta+=0", "gamma+=0", "delta+=0"), SUM_RULE, CONFLICT),
+        )
+
+    def test_a_double_one_comes_before_a_context_of_zeros(self):
+        """The zero-context rule is checked last, so a later context with two
+        1s still ends the trace; existing traces keep their bytes."""
+        rng = np.random.default_rng(1)
+        projs = tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in "abcxy")
+        s = PrePostScenario(
+            dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng), projectors=projs,
+            contexts=(Context(("x", "y")), Context(("a", "b", "c"))),
+        )
+        forced = tuple(ForcedValue(lab, bit, "Prediction") for lab, bit in
+                       (("x", 0), ("y", 0), ("a", 1), ("b", 1)))
+        rep = enumerate_assignments(s, forced)
+        assert rep.conflict.steps == (TraceStep(("a=1", "b=1"), SUM_RULE, CONFLICT),)
+        assert rep.conflict == propagation_oracle(s, forced)
+
     def test_hardy_trace_matches(self):
         trace = contradiction_trace(hardy_scenario(0.8, 0.9))
         assert [s.conclusion for s in trace.steps] == ["delta+=1", "delta-=1", CONFLICT]

@@ -1,11 +1,14 @@
 """Tests for the scenario model, validation, and the file format."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_structures
+from conftest import ks18_scenario, random_structures, witness_heavy_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from qpp import (
     ScenarioParseError,
     StateVector,
     ValueAssignment,
+    cabello_family,
     cabello_scenario,
     hardy_scenario,
     load,
@@ -25,6 +29,7 @@ from qpp import (
     single_qubit_scenario,
     validate,
 )
+from qpp.hilbert import row_norms
 
 
 def qubit(theta):
@@ -187,6 +192,90 @@ class TestStateMatrix:
         assert [f.name for f in dataclasses.fields(PrePostScenario)] == [
             "dim", "pre", "post", "projectors", "contexts", "exclusive_pairs", "metadata",
         ]
+
+
+def normalization_oracle(s):
+    """states_normalized measured afresh: one row_norms call over a new
+    [pre, post, states] stack, the worst row its first argmax."""
+    deviations = np.abs(row_norms(np.vstack((s.pre.amps, s.post.amps, s.states))) - 1.0)
+    worst = int(deviations.argmax())
+    name = ("pre", "post")[worst] if worst < 2 else f"projector {s.projectors[worst - 2].label!r}"
+    return float(deviations[worst]), f"worst: {name}"
+
+
+def assert_block_and_norms(s):
+    """The stored deviations are the fresh ones to the bit, and s.states is
+    the read-only (n, dim) matrix of the projector states."""
+    check = validate(s).checks[0]
+    deviation, detail = normalization_oracle(s)
+    assert check.name == "states_normalized" and check.detail == detail
+    assert np.float64(check.deviation).tobytes() == np.float64(deviation).tobytes()
+    assert s.states.shape == (len(s.projectors), s.dim) and s.states.dtype == np.complex128
+    assert not s.states.flags.writeable
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        s.states.flags.writeable = True
+    for row, p in zip(s.states, s.projectors):
+        assert row.tobytes() == p.state.amps.tobytes()
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScenarioBlock:
+    """One stack per scenario and one norm per state, checked against a
+    fresh stack and a fresh row_norms call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_structures())
+    def test_random_structures(self, case):
+        assert_block_and_norms(case[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_structures(), tol=st.sampled_from([1e-12, 1e-6, 5e-4]),
+           scales=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=14))
+    def test_states_built_with_a_loose_norm_tolerance(self, case, tol, scales):
+        """Off-norm states with ties and near-ties between their deviations."""
+        s = case[0]
+        scales = iter(scales * 14)
+
+        def off(sv):
+            return StateVector(sv.amps * (1.0 + tol * next(scales)), tol_norm=1e-3)
+
+        assert_block_and_norms(dataclasses.replace(
+            s, pre=off(s.pre), post=off(s.post),
+            projectors=tuple(LabeledProjector(p.label, off(p.state)) for p in s.projectors),
+        ))
+
+    @pytest.mark.parametrize("build", [
+        cabello_scenario,
+        lambda: hardy_scenario(0.7, 1.1),
+        lambda: single_qubit_scenario(5, 3),
+        lambda: cabello_family(0.4, 0.6).scenario,
+        lambda: ks18_scenario(),
+        lambda: witness_heavy_scenario(4, seed=2),
+        lambda: dataclasses.replace(tiny_scenario(), projectors=(), contexts=()),
+    ], ids=["cabello", "hardy", "single-qubit", "family", "ks18", "witness-heavy", "empty"])
+    def test_constructions(self, build):
+        s = build()
+        assert_block_and_norms(s)
+        assert_block_and_norms(load(save(s)))
+
+    @pytest.mark.parametrize("workload", ["verify-mix", "enumerate-wide"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_cases_round_trip(self, workload, seed, tmp_path):
+        """save(load(b)) == b for every scenario the benchmark builders write."""
+        cases = _perfbench_workloads().build(workload, seed, "full", tmp_path, {}).cases
+        for case in cases:
+            s = load(case.payload)
+            assert save(s) == case.payload, case.kind
+            assert_block_and_norms(s)
 
 
 def context_oracle(s, members):
