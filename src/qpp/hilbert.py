@@ -112,11 +112,11 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVector]:
     """StateVectors over the rows of an (n, dim) complex128 block.
 
-    Every row must be finite with a norm within ``tol_norm`` of 1.  A
-    non-finite row has a non-finite norm, so below an infinite tolerance
-    only a row that fails the norm test is checked for finiteness.  The
-    block is made read-only; each state's amps is a view of its row and
-    its _dev the measured |norm - 1|.
+    Every row must be finite with a finite norm within ``tol_norm`` of 1.
+    Only a row that fails that test is checked for finiteness, since a
+    non-finite row has a non-finite norm.  The block is made read-only;
+    each state's amps is a view of its row and its _dev the measured
+    |norm - 1|.
 
     Raises:
         RowError: dim < 2 (named at row 0), or the first row that is
@@ -127,7 +127,7 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
     deviations = np.abs(row_norms(block) - 1.0)
     bad = ~(deviations <= tol_norm)  # a NaN tolerance fails closed
     if tol_norm == np.inf:  # the one tolerance an infinite norm passes
-        bad |= ~np.isfinite(block).all(axis=1)
+        bad |= ~np.isfinite(deviations)
     if bad.any():
         i = int(bad.argmax())
         if not np.isfinite(block[i]).all():

@@ -1,20 +1,14 @@
-"""Noncontextual value assignments: exhaustive search and refutation traces.
+"""Noncontextual value assignments: exact counting, listing and refutation traces.
 
 A noncontextual hidden-variable model assigns a fixed 0 or 1 to every
 projector label, independent of measurement context, such that every
-context contains exactly one 1, every declared exclusive pair contains
-at most one 1, and all forced values are respected.
-enumerate_assignments() decides satisfiability over all 2^n assignments.
-Unit propagation from the forced bits runs first: it completes a context
-whose other members are all 0 and flags a double 1 in an exclusive pair
-or, once nothing else applies, a context with two 1s or none.  Every
-satisfying assignment obeys each inference, so a CONFLICT decides UNSAT
-and is the report's human-readable refutation.  Only when propagation
-stalls does a vectorized breadth-first search over bitmask prefixes of the
-sorted labels run, dropping a partial assignment as soon as a forced
-value, context or exclusive pair rules it out (the propagation root and
-pruning of Davis, Logemann and Loveland, CACM 5, 394 (1962)).  It keeps the
-satisfying assignments as bitmasks, decoding ValueAssignments when read.
+context contains exactly one 1, every declared exclusive pair at most
+one, and all forced values are respected.  enumerate_assignments()
+decides all 2^n assignments.  Unit propagation from the forced bits runs
+first, and a CONFLICT, which every satisfying assignment would obey, is
+the report's refutation.  Only if it stalls does a pure-Python count over
+bitmasks run: DPLL (Davis, Logemann and Loveland, CACM 5, 394 (1962))
+with component caching (Sang et al., SAT 2004).  No assignment is stored.
 """
 
 from __future__ import annotations
@@ -22,8 +16,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import islice, product
+from operator import or_
+from typing import NamedTuple
 
 from . import prepost
 from .hilbert import TOL_CHECK
@@ -55,12 +51,7 @@ EXCLUSIVITY = "Exclusivity"
 CONFLICT = "CONFLICT"
 
 MAX_EXHAUSTIVE_PROJECTORS = 24
-# No check temporary holds more than _BLOCK candidates.
-_BLOCK = 1 << 20
-# Checks wait while the next stop would still have at most _SMALL
-# candidates: on arrays that short, one more pass costs more than the
-# pruning saves, and a scenario of up to 8 labels is one pass.
-_SMALL = 256
+_BYTE_BITS = list(product((0, 1), repeat=8))  # entry v: the bits of byte v, high first
 
 
 class EnumerationLimitError(ValueError):
@@ -104,81 +95,180 @@ class ContradictionTrace:
         return tuple(step.conclusion for step in self.steps)
 
 
-class Witnesses(Sequence):
-    """Satisfying assignments kept as bitmasks, decoded when read.
+class _Constraints(NamedTuple):
+    """A scenario and its forced values as bitmasks, the i-th of n sorted labels
+    being bit n-1-i: context and exclusive-pair masks, forced bits (known)
+    and forced 1s (ones)."""
 
-    Mask k over the sorted, distinct, nonempty string labels maps the i-th
-    label to bit (k >> (n-1-i)) & 1.  An index (negative too) decodes one
-    ValueAssignment and a slice a tuple, all bits in one numpy step and
-    with no label or bit checked again.  len is the exact count and
-    decodes nothing.  Equality is element-wise against another Witnesses
-    or any sequence, so an empty Witnesses equals ().  The hash agrees
-    with equality between Witnesses and equals hash(()) when empty; a
-    nonempty one hashes its masks, so hashing never decodes.
+    labels: tuple[str, ...]
+    contexts: tuple[int, ...]
+    pairs: tuple[int, ...]
+    known: int
+    ones: int
+
+
+def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
+    """Count the assignments of the free bits among bits that extend (known,
+    ones) with exactly one 1 in each context and at most one in each pair.
+
+    Every 1 must have its near bits known.  Propagation makes a context's
+    last free member 1 and fails on a context with no 1 and no free member.
+    Returns (count, known, ones, parts) at its fixpoint, count 0 on failure;
+    parts are the components of the open constraints as (free bits, count,
+    contexts, pairs).  A one-context component counts its free members; any
+    other branches on the lowest free bit of its smallest constraint, cached
+    by its mask and known bits (all 0 under it).
+    """
+    fired = True
+    while fired:
+        fired = False
+        for m in contexts:
+            if not ones & m and not (free := m & ~known) & (free - 1):
+                if not free:
+                    return 0, known, ones, []
+                known |= free | near[free]
+                ones |= free
+                fired = True
+    contexts = [m for m in contexts if not ones & m]
+    pairs = [m for m in pairs if not known & m]
+    total, parts = 1, []
+    while contexts or pairs:
+        free = (contexts or pairs)[0] & ~known
+        while True:  # grow the component through shared free bits
+            ctxs = [m for m in contexts if m & free]
+            prs = [m for m in pairs if m & free] if pairs else []
+            mask = reduce(or_, ctxs + prs) if prs else reduce(or_, ctxs)
+            if len(ctxs) + len(prs) == len(contexts) + len(pairs):
+                contexts = pairs = ()
+                break
+            if mask & ~known == free:
+                contexts = [m for m in contexts if not m & free]
+                pairs = [m for m in pairs if not m & free]
+                break
+            free = mask & ~known
+        free = mask & ~known
+        if len(ctxs) == 1 and not prs:
+            n = free.bit_count()
+        elif (n := cache.get(key := (mask, known & mask))) is None:
+            low = prs[0] if prs else min([m & ~known for m in ctxs], key=int.bit_count)
+            bit = low & -low
+            n = cache[key] = _open(free, ctxs, prs, near, known | bit, ones, cache)[0] + _open(
+                free, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)[0]
+        if not n:
+            return 0, known, ones, []
+        total *= n
+        bits &= ~free
+        parts.append((free, n, ctxs, prs))
+    return total << (bits & ~known).bit_count(), known, ones, parts
+
+
+class Witnesses(Sequence):
+    """The satisfying masks of compiled constraints, ascending, each read as
+    a ValueAssignment built without checks.  Nothing is kept per assignment:
+    len is the count, and refuted constraints count 0 without a search.
+    Slices and iteration run a depth-first search that skips subtrees with
+    no model; an index, negative too, is unranked by the same subtree counts.
+    Equal constraints are equal at once, else equality is element-wise
+    against any sequence, so an empty one equals () and hashes as hash(()).
     """
 
-    __slots__ = ("_labels", "_masks")
+    __slots__ = ("_c", "_near", "_count", "_cache", "_root")
 
-    def __init__(self, labels: tuple[str, ...], masks: np.ndarray) -> None:
-        masks = np.asarray(masks, dtype=np.uint32).view()
-        masks.flags.writeable = False
-        self._labels = labels = tuple(labels)
-        if not all(isinstance(x, str) and x for x in labels) or list(labels) != sorted(set(labels)):
-            raise ValueError(f"labels must be sorted, distinct, nonempty strings: {labels!r}")
-        self._masks = masks
+    def __init__(self, c: _Constraints, refuted: bool = False) -> None:
+        if not all(isinstance(x, str) and x for x in c.labels) or list(c.labels) != sorted(set(c.labels)):
+            raise ValueError(f"labels must be sorted, distinct, nonempty strings: {c.labels!r}")
+        self._c, self._cache, self._near = c, {}, {}
+        near = self._near  # each bit's fellow members in its contexts and pairs
+        for m in () if refuted else c.contexts + c.pairs:
+            rest = m
+            while rest:
+                bit = rest & -rest
+                near[bit] = near.get(bit, 0) | m ^ bit
+                rest ^= bit
+        known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
+        self._count, *self._root = (0,) if refuted else _open(
+            (1 << len(c.labels)) - 1, c.contexts, c.pairs, near, known, c.ones, self._cache)
 
-    def _decode(self, masks: np.ndarray) -> list[ValueAssignment]:
-        if not len(masks):
-            return []
-        labels = self._labels
-        shifts = np.arange(len(labels) - 1, -1, -1, dtype=np.uint32)
-        rows = ((masks[:, None] >> shifts) & 1).tolist()
-        return [ValueAssignment._unchecked(tuple(zip(labels, row))) for row in rows]
+    def _walk(self, skip: int):
+        """Masks from rank skip on: branch on the top free bit, 0 first."""
+        near, cache, every = self._near, self._cache, (1 << len(self._c.labels)) - 1
+        stack = [(*self._root, self._count, skip)] if skip < self._count else []
+        while stack:
+            known, ones, parts, count, skip = stack.pop()
+            free = every & ~known
+            if not parts and not skip:  # every free bit is arbitrary
+                sub = 0
+                for _ in range(count):
+                    yield ones | sub
+                    sub = (sub - free) & free
+                continue
+            bit = 1 << (free.bit_length() - 1)
+            for i, (held, n, ctxs, prs) in enumerate(parts):
+                if held & bit:
+                    rest, others = count // n, parts[:i] + parts[i + 1:]
+                    if len(ctxs) == 1 and not prs:  # one context: a 1 closes it
+                        zero = (known | held, ones | (held ^ bit), others, rest) if n == 2 else (
+                            known | bit, ones, others + [(held ^ bit, n - 1, ctxs, prs)], rest * (n - 1))
+                        kids = [zero, (known | held, ones | bit, others, rest)]
+                    else:
+                        kids = [(k, o, others + sub, rest * m) for m, k, o, sub in (
+                            _open(held, ctxs, prs, near, known | bit, ones, cache),
+                            _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache))]
+                    break
+            else:  # no open constraint holds the bit
+                kids = [(known | bit, ones | one, parts, count >> 1) for one in (0, bit)]
+            (k0, o0, p0, n0), (k1, o1, p1, n1) = kids
+            if n1:
+                stack.append((k1, o1, p1, n1, max(skip - n0, 0)))
+            if skip < n0:
+                stack.append((k0, o0, p0, n0, skip))
+
+    def _record(self, k: int) -> ValueAssignment:
+        labels = self._c.labels
+        raw = (k << (-len(labels) % 8)).to_bytes((len(labels) + 7) // 8, "big")
+        return ValueAssignment._unchecked(tuple(zip(labels, sum(map(_BYTE_BITS.__getitem__, raw), ()))))
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self._decode(self._masks[index]))
-        return self._decode(self._masks[[operator.index(index)]])[0]
+            r = range(*index.indices(self._count))
+            up = r if r.step > 0 else r[::-1]
+            masks = up and islice(self._walk(up.start), 0, up[-1] - up[0] + 1, up.step)
+            records = [*map(self._record, masks)]
+            return tuple(records if r.step > 0 else reversed(records))
+        i = operator.index(index)
+        if not -self._count <= i < self._count:
+            raise IndexError(f"witness index {i} out of range")
+        return self._record(next(self._walk(i % self._count)))
 
     def __iter__(self):
-        for at in range(0, len(self._masks), 4096):
-            yield from self._decode(self._masks[at:at + 4096])
+        return map(self._record, self._walk(0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Witnesses):
-            if len(self) != len(other):
-                return False
-            return not self or (
-                self._labels == other._labels and np.array_equal(self._masks, other._masks)
-            )
+        if isinstance(other, Witnesses) and self._c == other._c:
+            return True
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self:
-            return hash(())
-        return hash((self._labels, self._masks.tobytes()))
+        return hash((self._c.labels, self._count) if self._count else ())
 
     def __repr__(self) -> str:
-        return f"Witnesses({len(self)} assignments over {self._labels!r})"
+        return f"Witnesses({self._count} assignments over {self._c.labels!r})"
 
 
 @dataclass(frozen=True)
 class SatisfiabilityReport:
     """Outcome of deciding all 2^n assignments.
 
-    witnesses holds every satisfying assignment in lexicographic order
-    of the sorted-label bit string (empty when UNSAT).  They are stored
-    as bitmasks and built as ValueAssignment objects only when indexed,
-    sliced or iterated; len(witnesses) is the exact count.
-    assignments_examined is 2^n, the number of assignments decided: a
-    propagation CONFLICT rules out all of them and the search a pruned
-    prefix's extensions, without listing them.  conflict is the
-    refutation that decided UNSAT, else None: SAT, or propagation stalled.
+    witnesses holds every satisfying assignment in lexicographic order of
+    the sorted-label bit string, found only when read; len is the count.
+    assignments_examined is 2^n, the number of assignments decided, none
+    of them listed.  conflict is the refutation that decided UNSAT, else
+    None: SAT, or propagation stalled.
     """
 
     status: str
@@ -190,9 +280,8 @@ class SatisfiabilityReport:
 def _forced_map(forced: tuple[ForcedValue, ...]) -> dict[str, int]:
     out: dict[str, int] = {}
     for fv in forced:
-        if fv.label in out and out[fv.label] != fv.bit:
+        if out.setdefault(fv.label, fv.bit) != fv.bit:
             raise ValueError(f"conflicting forced values for {fv.label!r}")
-        out[fv.label] = fv.bit
     return out
 
 
@@ -201,19 +290,11 @@ def enumerate_assignments(
 ) -> SatisfiabilityReport:
     """Exhaustively decide whether a noncontextual assignment exists.
 
-    Unit propagation runs first on the compiled masks: a CONFLICT decides
-    UNSAT with that trace, and the search runs only if propagation stalls.
-    Labels are sorted; assignment k maps the i-th sorted label to bit
-    (k >> (n-1-i)) & 1, so ascending k enumerates bit strings
-    lexicographically.  The search extends the surviving prefixes (the
-    leading bits of k) over a run of labels at a time, with the forced
-    bits of the run already set, and drops every prefix that breaks a
-    context or exclusive pair whose members are all assigned.  A
-    dropped prefix decides every assignment that extends it, so
-    assignments_examined is always 2^n; the search stops at UNSAT as
-    soon as no prefix survives.  Checks wait while the candidates are
-    few, so a small scenario is one vectorized pass, and no check
-    temporary holds more than 2^20 candidates.
+    The scenario and forced values are compiled once to masks, and unit
+    propagation runs first on them: a CONFLICT decides UNSAT with that
+    trace.  Only if it stalls does the search count the satisfying
+    assignments, without listing them; assignment k maps the i-th sorted
+    label to bit (k >> (n-1-i)) & 1.
 
     Raises:
         EnumerationLimitError: more than MAX_EXHAUSTIVE_PROJECTORS labels.
@@ -228,106 +309,24 @@ def enumerate_assignments(
         raise EnumerationLimitError(
             f"{n} projectors exceed the exhaustive limit of {MAX_EXHAUSTIVE_PROJECTORS}"
         )
-    pos = {lab: n - 1 - i for i, lab in enumerate(labels)}
-
+    bits = {lab: 1 << (n - 1 - i) for i, lab in enumerate(labels)}
     known = ones = 0
     for lab, bit in _forced_map(forced).items():
-        if lab not in pos:
+        if lab not in bits:
             raise ValueError(f"forced value references unknown label {lab!r}")
-        known |= 1 << pos[lab]
-        ones |= bit << pos[lab]
-    context_masks = [sum(1 << pos[m] for m in ctx.members) for ctx in s.contexts]
-    pair_masks = [(1 << pos[a]) | (1 << pos[b]) for a, b in s.exclusive_pairs]
-    trace = _propagate(s, labels, context_masks, pair_masks, known, ones)
-    if trace is not None:
-        return SatisfiabilityReport(UNSAT, Witnesses(tuple(labels), ()), 1 << n, trace)
-
-    # A check is decided on j-bit prefixes once its last sorted member,
-    # the lowest set bit of its mask, is among them: j = n - that bit.
-    checks: dict[int, tuple[list[int], list[int]]] = {n: ([], [])}
-    for is_pair, masks in enumerate((context_masks, pair_masks)):
-        for m in masks:
-            checks.setdefault(n + 1 - (m & -m).bit_length(), ([], []))[is_pair].append(m)
-    stops = sorted(checks)
-    prefixes, done, contexts, pairs = np.zeros(1, np.uint32), 0, [], []
-    for stop, after in zip(stops, stops[1:] + [None]):
-        contexts += checks[stop][0]
-        pairs += checks[stop][1]
-        if after is not None and len(prefixes) << (after - done) <= _SMALL:
-            continue  # still few candidates at the next stop: the checks wait
-        shift = n - stop
-        masks = np.array([m >> shift for m in contexts + pairs], dtype=np.uint32)
-        prefixes = _search_run(
-            prefixes, stop - done, known >> shift, ones >> shift, masks, len(contexts)
-        )
-        done, contexts, pairs = stop, [], []
-        if not len(prefixes):
-            break
-
-    witnesses = Witnesses(tuple(labels), prefixes)
-    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, None)
-
-
-def _extend(prefixes: np.ndarray, w: int, force_mask: int, force_bits: int) -> np.ndarray:
-    """Every prefix followed by every w-bit string that agrees with the low
-    w forced bits, in ascending order."""
-    run = np.arange(1 << w, dtype=np.uint32)
-    low = (1 << w) - 1
-    if force_mask & low:
-        run = run[(run & (force_mask & low)) == (force_bits & low)]
-    return ((prefixes[:, None] << w) | run).ravel()
-
-
-def _passes(cand: np.ndarray, masks: np.ndarray, n_contexts: int) -> np.ndarray:
-    """True where cand has at most one 1 under every mask, and at least one
-    under each of the first n_contexts masks."""
-    v = masks[:, None] & cand
-    ok = ((v & (v - 1)) == 0).all(axis=0)
-    if n_contexts:
-        ok &= (v[:n_contexts] != 0).all(axis=0)
-    return ok
-
-
-def _search_run(
-    prefixes: np.ndarray, w: int, force_mask: int, force_bits: int,
-    masks: np.ndarray, n_contexts: int,
-) -> np.ndarray:
-    """Extend the prefixes over w labels and keep the candidates whose
-    forced bits agree and that pass every mask check.
-
-    The candidates are checked in slices so that no check temporary holds
-    more than _BLOCK entries; a run too wide for one slice first extends
-    its leading bits unchecked.  The survivors of each slice are kept as
-    packed bits and gathered into one exactly-sized array.
-    """
-    if not len(masks):
-        return _extend(prefixes, w, force_mask, force_bits)
-    room = max(1, _BLOCK // len(masks))
-    lead = max(0, w - (room.bit_length() - 1))
-    if lead:
-        w -= lead
-        prefixes = _extend(prefixes, lead, force_mask >> w, force_bits >> w)
-    if len(prefixes) << w <= room:
-        cand = _extend(prefixes, w, force_mask, force_bits)
-        return cand[_passes(cand, masks, n_contexts)]
-    step = room >> w
-    slices = [prefixes[i:i + step] for i in range(0, len(prefixes), step)]
-    kept = []
-    for part in slices:
-        ok = _passes(_extend(part, w, force_mask, force_bits), masks, n_contexts)
-        kept.append((np.packbits(ok), int(np.count_nonzero(ok))))
-    out = np.empty(sum(count for _, count in kept), dtype=np.uint32)
-    at = 0
-    for part, (bits, count) in zip(slices, kept):
-        cand = _extend(part, w, force_mask, force_bits)
-        out[at:at + count] = cand[np.unpackbits(bits, count=len(cand)).view(bool)]
-        at += count
-    return out
+        known |= bits[lab]
+        ones |= bits[lab] * bit
+    contexts = tuple(sum(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
+    pairs = tuple(bits[a] | bits[b] for a, b in s.exclusive_pairs)
+    c = _Constraints(tuple(labels), contexts, pairs, known, ones)
+    trace = _propagate(s, labels, contexts, pairs, known, ones)
+    witnesses = Witnesses(c, refuted=trace is not None)
+    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, trace)
 
 
 def _propagate(
-    s: PrePostScenario, labels: list[str], context_masks: list[int], pair_masks: list[int],
-    known: int, ones: int,
+    s: PrePostScenario, labels: list[str], context_masks: tuple[int, ...],
+    pair_masks: tuple[int, ...], known: int, ones: int,
 ) -> ContradictionTrace | None:
     """Unit propagation from the forced bits (known, with ones at 1); None if it stalls.
 
@@ -370,8 +369,8 @@ def contradiction_trace(s: PrePostScenario, tol: float = TOL_CHECK) -> Contradic
     """Refutation of noncontextual assignments for an unsatisfiable scenario.
 
     Computes the forced values, decides them with enumerate_assignments
-    (propagation first, the search only if it stalls) and returns the
-    unit-propagation refutation.
+    (propagation first, the counting search only if it stalls) and returns
+    the unit-propagation refutation.
 
     Raises:
         NoContradictionError: the constraints are satisfiable.

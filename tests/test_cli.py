@@ -190,10 +190,21 @@ class TestCheck:
         }
 
     def test_ks18_matches_golden(self, capsys, monkeypatch):
-        """Propagation stalls on the 18-ray set, so the prefix search decides it."""
+        """Propagation stalls on the 18-ray set, so the counting search decides it."""
         monkeypatch.chdir(DATA.parent.parent)
         assert main(["check", "tests/data/ks18.json", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "check_ks18_golden.json").read_text()
+
+    def test_sat_file_matches_golden(self, capsys, monkeypatch):
+        """pre forces a=1, d=0 and g=0; the report lists the first 16 of 25
+        witnesses in ascending bit-string order."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/sat_witnesses.json", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "check_sat_golden.json").read_text()
+        details = json.loads(out)["details"]
+        assert details["status"] == "SAT" and details["forced_values"]
+        assert details["witnesses_total"] == 25 and len(details["witnesses"]) == 16
 
     def test_ks18_fixture_is_the_18_ray_set(self):
         """The 18 rays with pre and post along (1, 2, 3, 5) and (2, 3, 5, 7),

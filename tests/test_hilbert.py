@@ -254,13 +254,14 @@ norm_entries = st.one_of(
 
 def unit_states_oracle(block, tol):
     """The first row unit_states must refuse, and its message, found the slow
-    way: row by row, finiteness before the norm.  None when every row passes."""
+    way: row by row, finiteness before the norm, and a norm that overflows
+    refused at every tolerance.  None when every row passes."""
     for i, row in enumerate(block):
         if not np.isfinite(row).all():
             return i, "amplitudes must be finite"
         with np.errstate(over="ignore"):
             dev = abs(float(np.linalg.norm(row)) - 1.0)
-        if not dev <= tol:
+        if not dev <= tol or dev == np.inf:
             return i, f"norm deviates from 1 by {dev:.3e}, tolerance {tol:.1e}"
     return None
 
@@ -329,6 +330,14 @@ class TestUnitStates:
     def test_state_with_overflowing_norm_raises_without_a_warning(self):
         with pytest.raises(ValueError, match="^norm deviates from 1 by inf"):
             StateVector([1e200, 0.0])
+
+    def test_overflowing_norm_is_refused_at_an_infinite_tolerance(self):
+        """Every entry is finite, but no tolerance admits an infinite norm."""
+        with pytest.raises(ValueError, match="^norm deviates from 1 by inf, tolerance inf$"):
+            StateVector([1e200, 0.0], tol_norm=np.inf)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            StateVector([np.inf, 0.0], tol_norm=np.inf)
+        assert StateVector([3.0, 4.0], tol_norm=np.inf)._dev == 4.0
 
     @settings(max_examples=500, deadline=None)
     @given(block=refusal_blocks(),

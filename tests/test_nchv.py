@@ -1,4 +1,4 @@
-"""Tests for exhaustive assignment search and refutation traces."""
+"""Tests for exact assignment counting, listing and refutation traces."""
 
 import dataclasses
 import itertools
@@ -298,7 +298,7 @@ class TestTrace:
 
 
 class TestPropagationFirst:
-    """Unit propagation runs on the compiled masks before the prefix search,
+    """Unit propagation runs on the compiled masks before the counting search,
     and a CONFLICT there decides UNSAT without searching."""
 
     @pytest.mark.parametrize("build", [
@@ -310,7 +310,7 @@ class TestPropagationFirst:
     def test_refuted_scenarios_skip_the_search(self, build):
         s = build()
         forced = forced_values(s)
-        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+        with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
             rep = enumerate_assignments(s, forced)
         assert search.call_count == 0
         assert rep.status == UNSAT and rep.witnesses == () and rep.witnesses[:16] == ()
@@ -325,7 +325,7 @@ class TestPropagationFirst:
     def test_stalled_propagation_searches(self, build, status):
         s = build()
         forced = forced_values(s)
-        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+        with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
             rep = enumerate_assignments(s, forced)
         assert search.call_count > 0
         assert rep.status == status and rep.conflict is None
@@ -340,7 +340,7 @@ class TestPropagationFirst:
         trace = propagation_oracle(s, forced)
         if trace is not None:
             assert brute_force_witnesses(s, forced) == []
-        with mock.patch.object(nchv, "_search_run", wraps=nchv._search_run) as search:
+        with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
             enumerate_assignments(s, forced)
         assert search.called == (trace is None)
 
@@ -367,16 +367,15 @@ def scenarios_with_forced(draw):
 
 
 class TestPrefixSearch:
+    """The counting search against brute force (the class keeps the name of
+    the prefix search it replaced)."""
+
     @settings(max_examples=200, deadline=None)
-    @given(case=random_structures(), constants=st.sampled_from(
-        [{}, {"_SMALL": 1}, {"_BLOCK": 64}, {"_SMALL": 1, "_BLOCK": 64}]))
-    def test_matches_brute_force_on_random_structures(self, case, constants):
-        """Also with checks at every stop and with sliced candidates, which
-        inputs this small reach only through the two module constants.  An
-        UNSAT report's refutation matches the label-dict propagation."""
+    @given(case=random_structures())
+    def test_matches_brute_force_on_random_structures(self, case):
+        """An UNSAT report's refutation matches the label-dict propagation."""
         s, forced = case
-        with mock.patch.dict(nchv.__dict__, constants):
-            rep = enumerate_assignments(s, forced)
+        rep = enumerate_assignments(s, forced)
         expected = brute_force_witnesses(s, forced)
         assert rep.status == (SAT if expected else UNSAT)
         assert len(rep.witnesses) == len(expected)
@@ -386,8 +385,9 @@ class TestPrefixSearch:
 
     @pytest.mark.parametrize("context", [("c", "c_perp"), ("z", "z_perp")])
     def test_label_cap_memory(self, context):
-        """Both label orders at the 24-label cap: the 2**23 witnesses take
-        32 MiB, and the search may hold them at most twice plus 8 MiB."""
+        """Both label orders at the 24-label cap: 2**23 witnesses are counted
+        and the first and last read within 72 MiB; nothing is held per
+        witness."""
         s = witness_heavy_scenario(22, context=context)
         tracemalloc.start()
         try:
@@ -434,8 +434,30 @@ class TestWitnesses:
         assert again == rep and hash(again) == hash(rep)
         assert again.witnesses == w and hash(again.witnesses) == hash(w)
 
-    def test_multi_block_boundaries(self):
-        s = witness_heavy_scenario(20)  # 22 labels: four blocks of nchv._BLOCK masks
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_structures(), data=st.data())
+    def test_count_head_and_index_match_brute_force(self, case, data):
+        """Overlapping contexts and pairs with forced values: the count, the
+        first k witnesses, a drawn index and a drawn slice all agree with
+        the brute-force list."""
+        s, forced = case
+        expected = [ValueAssignment(tuple(a.items())) for a in brute_force_witnesses(s, forced)]
+        w = enumerate_assignments(s, forced).witnesses
+        n = len(expected)
+        assert len(w) == n
+        k = data.draw(st.integers(0, n + 2), label="k")
+        assert w[:k] == tuple(expected[:k])
+        if n:
+            i = data.draw(st.integers(-n, n - 1), label="index")
+            assert w[i] == expected[i]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        sl = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-3, 3).filter(bool)))
+        assert w[sl] == tuple(expected[sl])
+
+    def test_unranking_at_22_labels(self):
+        """First, last, negative and middle indices unrank to the masks in
+        [2**20, 3 * 2**20), decoded here from their bit strings."""
+        s = witness_heavy_scenario(20)
         labels = sorted(s.rows)
         n = len(labels)
         first, end = 1 << (n - 2), 3 << (n - 2)  # witnesses are the masks in [first, end)
@@ -446,14 +468,33 @@ class TestWitnesses:
         def decode(k):
             return ValueAssignment(tuple(zip(labels, map(int, format(k, f"0{n}b")))))
 
-        inner = [b for b in range(nchv._BLOCK, 1 << n, nchv._BLOCK) if first < b < end]
-        assert inner
-        ks = [first] + [k for b in inner for k in (b - 1, b)] + [end - 1]
-        read = [rep.witnesses[k - first] for k in ks]
-        assert read == [decode(k) for k in ks]
-        assert rep.witnesses[0] == decode(first) and rep.witnesses[-1] == decode(end - 1)
-        keys = [tuple(bit for _, bit in w.values) for w in read]
-        assert keys == sorted(keys)
+        count = end - first
+        for i in (0, 1, count // 2 - 1, count // 2, 12345, count - 2, count - 1):
+            assert rep.witnesses[i] == decode(first + i)
+            assert rep.witnesses[i - count] == decode(first + i)
+        assert rep.witnesses[count // 2 - 1:count // 2 + 2] == tuple(
+            decode(first + i) for i in range(count // 2 - 1, count // 2 + 2))
+        assert rep.witnesses[-1:-8:-3] == tuple(decode(k) for k in (end - 1, end - 4, end - 7))
+        for past_end in (count, -count - 1):
+            with pytest.raises(IndexError):
+                rep.witnesses[past_end]
+
+    def test_ring_of_exclusive_pairs(self):
+        """24 labels in a ring of exclusive pairs, no contexts: the
+        independent sets of the 24-cycle, a Lucas number, L(24) = 103682."""
+        rng = np.random.default_rng(5)
+        labels = [f"r{i:02d}" for i in range(24)]
+        s = PrePostScenario(
+            dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+            projectors=tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in labels),
+            contexts=(), exclusive_pairs=tuple(zip(labels, labels[1:] + labels[:1])),
+        )
+        w = enumerate_assignments(s, ()).witnesses
+        assert len(w) == 103682
+        assert w[0] == ValueAssignment(tuple((lab, 0) for lab in labels))
+        # The largest mask: r00 = 1 rules out r01 and r23, so alternate from r02.
+        last = {lab: int(i % 2 == 0 and i < 23) for i, lab in enumerate(labels)}
+        assert w[-1].as_dict() == last
 
     def test_assignments_are_built_only_when_read(self, monkeypatch):
         built = []
@@ -486,8 +527,9 @@ class TestWitnesses:
 
     def test_labels_must_be_sorted_distinct_nonempty_strings(self):
         for labels in (("b", "a"), ("a", "a"), ("", "a"), ("a", 1)):
+            constraints = nchv._Constraints(labels, (), (), 0, 0)
             with pytest.raises(ValueError, match="sorted, distinct, nonempty strings"):
-                nchv.Witnesses(labels, np.zeros(1, np.uint32))
+                nchv.Witnesses(constraints)
 
     def test_reading_a_few_witnesses_stays_small(self):
         """Building all 2**15 assignments here would peak near 38 MiB."""

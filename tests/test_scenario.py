@@ -661,6 +661,13 @@ class TestLoadErrors:
         with pytest.raises(ScenarioParseError, match="tolerance nan"):
             load(self.dump(doc), tol_check=float("nan"))
 
+    def test_overflowing_norm_is_refused_at_an_infinite_tolerance(self):
+        doc = self.base_doc()
+        doc["pre"] = [[1e200, 0.0], [0.0, 0.0]]
+        with pytest.raises(ScenarioParseError, match="norm deviates from 1 by inf") as info:
+            load(self.dump(doc), tol_check=float("inf"))
+        assert info.value.location == "pre"
+
     def test_context_errors(self):
         doc = self.base_doc()
         doc["contexts"] = [["up"]]
