@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
-from operator import or_
+from operator import eq, or_
 from typing import NamedTuple
 
 from . import prepost
@@ -97,8 +97,8 @@ class ContradictionTrace:
 
 class _Constraints(NamedTuple):
     """A scenario and its forced values as bitmasks, the i-th of n sorted labels
-    being bit n-1-i: context and exclusive-pair masks, forced bits (known)
-    and forced 1s (ones)."""
+    being bit n-1-i: context and exclusive-pair masks, each ascending and distinct,
+    forced bits (known) and forced 1s (ones)."""
 
     labels: tuple[str, ...]
     contexts: tuple[int, ...]
@@ -162,14 +162,36 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
     return total << (bits & ~known).bit_count(), known, ones, parts
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append(bit := mask & -mask)
+        mask ^= bit
+    return out
+
+
+def _digits(free: int, parts) -> list[list[int]] | None:
+    """Mixed-radix digits whose product lists the models under free in ascending-mask
+    order: each part's members and each bit no part holds (0 or the bit), by top choice.
+    None if a part is not one context, or a digit's second choice is below the next's top."""
+    for held, _, ctxs, prs in parts:
+        if len(ctxs) > 1 or prs:
+            return None
+        free ^= held
+    digits = [_bits(p[0]) for p in parts] + [[0, bit] for bit in _bits(free)]
+    digits.sort(key=max, reverse=True)
+    return digits if all(d[1] > e[-1] for d, e in zip(digits, digits[1:])) else None
+
+
 class Witnesses(Sequence):
     """The satisfying masks of compiled constraints, ascending, each read as
     a ValueAssignment built without checks.  Nothing is kept per assignment:
     len is the count, and refuted constraints count 0 without a search.
     Slices and iteration run a depth-first search that skips subtrees with
     no model; an index, negative too, is unranked by the same subtree counts.
-    Equal constraints are equal at once, else equality is element-wise
-    against any sequence, so an empty one equals () and hashes as hash(()).
+    Equal constraints are equal at once, other Witnesses are compared by mask, and any other
+    sequence element-wise, so an empty one equals () and hashes as hash(()).
     """
 
     __slots__ = ("_c", "_near", "_count", "_cache", "_root")
@@ -180,11 +202,8 @@ class Witnesses(Sequence):
         self._c, self._cache, self._near = c, {}, {}
         near = self._near  # each bit's fellow members in its contexts and pairs
         for m in () if refuted else c.contexts + c.pairs:
-            rest = m
-            while rest:
-                bit = rest & -rest
+            for bit in _bits(m):
                 near[bit] = near.get(bit, 0) | m ^ bit
-                rest ^= bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
         self._count, *self._root = (0,) if refuted else _open(
             (1 << len(c.labels)) - 1, c.contexts, c.pairs, near, known, c.ones, self._cache)
@@ -196,11 +215,8 @@ class Witnesses(Sequence):
         while stack:
             known, ones, parts, count, skip = stack.pop()
             free = every & ~known
-            if not parts and not skip:  # every free bit is arbitrary
-                sub = 0
-                for _ in range(count):
-                    yield ones | sub
-                    sub = (sub - free) & free
+            if not skip and (digits := _digits(free, parts)) is not None:
+                yield from map(sum, product((ones,), *digits))
                 continue
             bit = 1 << (free.bit_length() - 1)
             for i, (held, n, ctxs, prs) in enumerate(parts):
@@ -247,8 +263,9 @@ class Witnesses(Sequence):
         return map(self._record, self._walk(0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Witnesses) and self._c == other._c:
-            return True
+        if isinstance(other, Witnesses):  # records are equal when labels and masks are
+            return self._c == other._c or len(self) == len(other) and (not self or (
+                self._c.labels == other._c.labels and all(map(eq, self._walk(0), other._walk(0)))))
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -318,7 +335,7 @@ def enumerate_assignments(
         ones |= bits[lab] * bit
     contexts = tuple(sum(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
     pairs = tuple(bits[a] | bits[b] for a, b in s.exclusive_pairs)
-    c = _Constraints(tuple(labels), contexts, pairs, known, ones)
+    c = _Constraints(tuple(labels), tuple(sorted({*contexts})), tuple(sorted({*pairs})), known, ones)
     trace = _propagate(s, labels, contexts, pairs, known, ones)
     witnesses = Witnesses(c, refuted=trace is not None)
     return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, trace)

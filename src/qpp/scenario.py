@@ -18,6 +18,7 @@ byte-idempotent for every scenario that can be constructed.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -400,6 +401,9 @@ def _reject_constant(name: str):
     raise ScenarioParseError(f"non-finite literal {name!r} is not allowed")
 
 
+_decoder = json.JSONDecoder(parse_constant=_reject_constant)  # json.loads builds one per call
+
+
 def _build(name: str, build, *columns) -> list:
     """build(*row) per row of columns; a ValueError is a parse error at name[row index]."""
     built = []
@@ -418,8 +422,6 @@ def _state_node(node, i: int, where) -> list:
     for j, pair in enumerate(node):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioParseError("amplitude must be a [re, im] pair", f"{where(i)}[{j}]")
-        if type(pair[0]) is float and type(pair[1]) is float:
-            continue
         for x in pair:
             if type(x) is not int and type(x) is not float:
                 raise ScenarioParseError(f"expected a number, got {x!r}", f"{where(i)}[{j}]")
@@ -432,40 +434,41 @@ def _state_node(node, i: int, where) -> list:
 
 
 def _load_states(nodes: list[list], tol_norm: float, where) -> list[StateVector]:
-    """One StateVector per checked state node, in order.
-
-    Nodes of one length share one amplitude block, built from one flat
-    stream, and one :func:`hilbert.unit_states` check; a node of another
-    length reaches the constructor's dimension rule.  A bad row is
-    reported at where(i), i the first bad node in the file.
-    """
-    by_length: dict[int, list[int]] = {}
-    for i, node in enumerate(nodes):
-        by_length.setdefault(len(node), []).append(i)
-    states = [None] * len(nodes)
-    failures: list[tuple[int, str]] = []
-    for length, members in by_length.items():
-        flat = chain.from_iterable(chain.from_iterable(nodes[i] for i in members))
-        block = np.fromiter(flat, np.float64, 2 * length * len(members))
-        block = block.reshape(len(members), length, 2).view(np.complex128)[..., 0]
+    """StateVectors of checked nodes, one block if all lengths agree; node i fails at where(i)."""
+    states, n = [], len(nodes)
+    for group in [range(n)] if len({*map(len, nodes)}) == 1 else [[i] for i in range(n)]:
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(nodes[i] for i in group)), float)
         try:
-            rows = hilbert.unit_states(block, tol_norm)
+            states += hilbert.unit_states(flat.view(complex).reshape(len(group), -1), tol_norm)
         except hilbert.RowError as exc:
-            failures.append((members[exc.row], str(exc)))
-            continue
-        for i, state in zip(members, rows):
-            states[i] = state
-    if failures:
-        i, message = min(failures)
-        raise ScenarioParseError(message, where(i))
+            raise ScenarioParseError(str(exc), where(group[exc.row])) from None
     return states
+
+
+def _bulk_states(doc: dict, tol_norm: float) -> list[StateVector] | None:
+    """pre, post and the projector states from one (n + 2, dim) block, or None when a
+    whole-list test fails: projectors not all objects with exactly the fields label and
+    state, states not all of one length of [re, im] float pairs, or a row unit_states refuses."""
+    nodes = doc["projectors"]
+    if type(nodes) is list and all(type(n) is dict and n.keys() == _PROJECTOR_FIELDS for n in nodes):
+        nodes = [doc["pre"], doc["post"], *[n["state"] for n in nodes]]
+        if {*map(type, nodes)} == {list} and len({*map(len, nodes)}) == 1:
+            pairs = [*chain.from_iterable(nodes)]
+            if {*map(type, pairs)} == {list} and {*map(len, pairs)} == {2}:
+                flat = [*chain.from_iterable(pairs)]
+                if {*map(type, flat)} == {float}:
+                    block = np.fromiter(flat, np.float64, len(flat)).view(np.complex128)
+                    with suppress(hilbert.RowError):
+                        return hilbert.unit_states(block.reshape(len(nodes), -1), tol_norm)
+    return None
 
 
 def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) -> PrePostScenario:
     """Parse scenario bytes produced by :func:`save` (or written by hand).
 
-    load checks the JSON shape; every other rule is the constructors',
-    and a broken one is reported at the node that breaks it.
+    load tests the JSON shape over whole lists and builds every state from one amplitude
+    block; only when a bulk test fails does it walk the nodes, in file order, to name the
+    first bad one.  Every other rule is the constructors', reported at the node it breaks.
 
     Args:
         data: UTF-8 JSON bytes or text.
@@ -492,7 +495,8 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
         text = data
 
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = (_decoder.decode(text) if isinstance(text, str) and not text.startswith("\ufeff")
+               else json.loads(text, parse_constant=_reject_constant))  # its own refusals
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
     except ScenarioParseError:
@@ -513,22 +517,26 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     def where(i: int) -> str:  # state node i: pre, post, then each projector's state
         return ("pre", "post")[i] if i < 2 else f"projectors[{i-2}].state ({nodes[i-2]['label']!r})"
 
-    states = [_state_node(doc["pre"], 0, where), _state_node(doc["post"], 1, where)]
     nodes = doc["projectors"]
-    if not isinstance(nodes, list):
-        raise ScenarioParseError("projectors must be an array", "projectors")
-    for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
-        if node.keys() != _PROJECTOR_FIELDS:
-            missing = sorted(_PROJECTOR_FIELDS - set(node))
-            if missing:
-                raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", f"projectors[{i}]")
-            unknown = sorted(set(node) - _PROJECTOR_FIELDS)
-            if unknown and not lax:
-                raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
-        states.append(_state_node(node["state"], i + 2, where))
-    pre, post, *states = _load_states(states, tol_check, where)
+    states = _bulk_states(doc, tol_check)
+    if states is None:  # a bulk test failed: walk the nodes to name the first bad one
+        states = [_state_node(doc["pre"], 0, where), _state_node(doc["post"], 1, where)]
+        if not isinstance(nodes, list):
+            raise ScenarioParseError("projectors must be an array", "projectors")
+        for i, node in enumerate(nodes):
+            if not isinstance(node, dict):
+                raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
+            if node.keys() != _PROJECTOR_FIELDS:
+                missing = sorted(_PROJECTOR_FIELDS - set(node))
+                if missing:
+                    raise ScenarioParseError(f"missing field(s): {', '.join(missing)}",
+                                             f"projectors[{i}]")
+                unknown = sorted(set(node) - _PROJECTOR_FIELDS)
+                if unknown and not lax:
+                    raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
+            states.append(_state_node(node["state"], i + 2, where))
+        states = _load_states(states, tol_check, where)
+    pre, post, *states = states
     projectors = _build("projectors", LabeledProjector, [node["label"] for node in nodes], states)
 
     if not isinstance(doc["contexts"], list):

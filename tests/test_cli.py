@@ -206,6 +206,16 @@ class TestCheck:
         assert details["status"] == "SAT" and details["forced_values"]
         assert details["witnesses_total"] == 25 and len(details["witnesses"]) == 16
 
+    def test_hand_written_file_matches_golden(self, capsys, monkeypatch):
+        """The paper's scenario written by hand: integer amplitudes, one line
+        and an unknown projector field, so load walks its nodes; --lax admits
+        the field and the report is the cabello trace."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/hand_written.json", "--json"]) == 3
+        assert "projectors[0]: unknown field 'note'" in capsys.readouterr().err
+        assert main(["check", "tests/data/hand_written.json", "--lax", "--json"]) == 0
+        assert capsys.readouterr().out == (DATA / "check_hand_written_golden.json").read_text()
+
     def test_ks18_fixture_is_the_18_ray_set(self):
         """The 18 rays with pre and post along (1, 2, 3, 5) and (2, 3, 5, 7),
         neither orthogonal to any ray, so nothing is forced."""

@@ -366,6 +366,29 @@ def scenarios_with_forced(draw):
     return s, forced
 
 
+@st.composite
+def one_context_products(draw):
+    """Disjoint contexts of 2 to 4 members plus free labels, 2 to 11 labels
+    in all, with names drawn so that the contexts' bits interleave in sorted
+    order, and a random forced subset."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 11))
+    n = draw(st.integers(sum(sizes), 11))
+    labels = draw(st.permutations([f"l{i:02d}" for i in range(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    contexts, start = [], 0
+    for size in sizes:
+        contexts.append(Context(tuple(labels[start:start + size])))
+        start += size
+    s = PrePostScenario(
+        dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+        projectors=tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in sorted(labels)),
+        contexts=tuple(contexts),
+    )
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True, max_size=3))
+    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    return s, forced
+
+
 class TestPrefixSearch:
     """The counting search against brute force (the class keeps the name of
     the prefix search it replaced)."""
@@ -453,6 +476,55 @@ class TestWitnesses:
         bound = st.none() | st.integers(-n - 2, n + 2)
         sl = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-3, 3).filter(bool)))
         assert w[sl] == tuple(expected[sl])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=one_context_products(), data=st.data())
+    def test_products_of_one_context_parts_match_brute_force(self, case, data):
+        """Listing by mixed-radix digits: the first k, a stepped slice and a
+        negative index agree with the brute-force list, interleaved parts too."""
+        s, forced = case
+        expected = [ValueAssignment(tuple(a.items())) for a in brute_force_witnesses(s, forced)]
+        w = enumerate_assignments(s, forced).witnesses
+        n = len(expected)
+        assert len(w) == n
+        k = data.draw(st.integers(0, n + 2), label="k")
+        assert w[:k] == tuple(expected[:k])
+        start, step = data.draw(st.integers(0, n + 1), label="start"), data.draw(st.integers(2, 5))
+        assert w[start::step] == tuple(expected[start::step])
+        if n:
+            i = data.draw(st.integers(-n, -1), label="index")
+            assert w[i] == expected[i]
+
+    def test_interleaved_parts_list_in_ascending_order(self):
+        """With sorted labels a..e, contexts {a, d, e} and {b, c} are the masks
+        {16, 2, 1} and {8, 4}: e+b (9) comes after d+c (6) though e is below
+        d, so the models are not the product of the parts' choices."""
+        rng = np.random.default_rng(0)
+        s = PrePostScenario(
+            dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+            projectors=tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in "abcde"),
+            contexts=(Context(("a", "d", "e")), Context(("b", "c"))),
+        )
+        masks = [int("".join(str(a[lab]) for lab in "abcde"), 2)
+                 for a in enumerate_assignments(s, ()).witnesses]
+        assert masks == [5, 6, 9, 10, 20, 24]
+
+    def test_equal_models_compare_without_records(self, monkeypatch):
+        """A repeated context and a reordered pair compile to the same
+        constraints; a pair the context implies compiles to others with the
+        same models, compared mask by mask.  No record is built."""
+        s = dataclasses.replace(witness_heavy_scenario(14), exclusive_pairs=(("f00", "f01"),))
+        w = enumerate_assignments(s, ()).witnesses
+        monkeypatch.setattr(nchv.Witnesses, "_record", mock.Mock(side_effect=AssertionError))
+        twice = dataclasses.replace(s, contexts=s.contexts * 2, exclusive_pairs=(("f01", "f00"),))
+        assert enumerate_assignments(twice, ()).witnesses._c == w._c
+        assert enumerate_assignments(twice, ()).witnesses == w
+        implied = dataclasses.replace(s, exclusive_pairs=s.exclusive_pairs + (("c_perp", "c"),))
+        assert enumerate_assignments(implied, ()).witnesses._c != w._c
+        assert enumerate_assignments(implied, ()).witnesses == w
+        moved = dataclasses.replace(s, contexts=(Context(("f02", "f03")),))
+        assert len(enumerate_assignments(moved, ()).witnesses) == len(w)
+        assert enumerate_assignments(moved, ()).witnesses != w
 
     def test_unranking_at_22_labels(self):
         """First, last, negative and middle indices unrank to the masks in

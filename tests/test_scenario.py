@@ -515,6 +515,68 @@ class TestSaveLoad:
         assert doc["pre"][0] == [np.cos(0.3), 0.0]
 
 
+def reference_load(data):
+    """The load oracle: json.loads, one StateVector per state node and the
+    constructors; unknown projector fields are skipped, as under lax."""
+    doc = json.loads(data)
+
+    def state(node):
+        return StateVector([complex(re, im) for re, im in node], TOL_CHECK)
+
+    return PrePostScenario(
+        dim=doc["dim"], pre=state(doc["pre"]), post=state(doc["post"]),
+        projectors=tuple(LabeledProjector(p["label"], state(p["state"])) for p in doc["projectors"]),
+        contexts=tuple(Context(members) for members in doc["contexts"]),
+        exclusive_pairs=tuple(map(tuple, doc.get("exclusive_pairs", []))),
+        metadata=doc.get("metadata", {}),
+    )
+
+
+def assert_loads_as_reference(data, lax):
+    """Same scenario, block bytes (signed zeros included), norm deviations and save output."""
+    got, want = load(data, lax=lax), reference_load(data)
+    assert got == want
+    assert got._block.tobytes() == want._block.tobytes()
+    states = [got.pre, got.post, *(p.state for p in got.projectors)]
+    expected = [want.pre, want.post, *(p.state for p in want.projectors)]
+    assert [sv._dev for sv in states] == [sv._dev for sv in expected]
+    assert save(got) == save(want)
+
+
+@st.composite
+def hand_written_files(draw):
+    """A saved scenario rewritten by hand: whole amplitudes as integers,
+    zeros as -0.0, an unknown projector field (loaded with lax), compact or
+    indented layout.  Returns (bytes, lax)."""
+    doc = json.loads(save(draw(saveable_scenarios())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    ints, negative_zeros = draw(st.booleans()), draw(st.booleans())
+    for node in [doc["pre"], doc["post"], *(p["state"] for p in doc["projectors"])]:
+        for pair in node:
+            for j, x in enumerate(pair):
+                if negative_zeros and x == 0 and rng.random() < 0.5:
+                    pair[j] = -0.0
+                elif ints and x.is_integer() and rng.random() < 0.5:
+                    pair[j] = int(x)
+    lax = bool(doc["projectors"]) and draw(st.booleans())
+    if lax:
+        doc["projectors"][draw(st.integers(0, len(doc["projectors"]) - 1))]["note"] = "by hand"
+    layout = draw(st.sampled_from([{"separators": (",", ":")}, {"indent": 1}, {}]))
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()), **layout).encode(), lax
+
+
+class TestLoadAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(s=saveable_scenarios())
+    def test_saved_files(self, s):
+        assert_loads_as_reference(save(s), lax=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=hand_written_files())
+    def test_hand_written_files(self, case):
+        assert_loads_as_reference(*case)
+
+
 class TestLoadErrors:
     def base_doc(self):
         return json.loads(save(tiny_scenario()))
