@@ -97,8 +97,8 @@ class ContradictionTrace:
 
 class _Constraints(NamedTuple):
     """A scenario and its forced values as bitmasks, the i-th of n sorted labels
-    being bit n-1-i: context and exclusive-pair masks, each ascending and distinct,
-    forced bits (known) and forced 1s (ones)."""
+    being bit n-1-i: context and exclusive-pair masks, forced bits (known)
+    and forced 1s (ones)."""
 
     labels: tuple[str, ...]
     contexts: tuple[int, ...]
@@ -202,8 +202,11 @@ class Witnesses(Sequence):
         self._c, self._cache, self._near = c, {}, {}
         near = self._near  # each bit's fellow members in its contexts and pairs
         for m in () if refuted else c.contexts + c.pairs:
-            for bit in _bits(m):
+            rest = m
+            while rest:
+                bit = rest & -rest
                 near[bit] = near.get(bit, 0) | m ^ bit
+                rest ^= bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
         self._count, *self._root = (0,) if refuted else _open(
             (1 << len(c.labels)) - 1, c.contexts, c.pairs, near, known, c.ones, self._cache)
@@ -335,7 +338,7 @@ def enumerate_assignments(
         ones |= bits[lab] * bit
     contexts = tuple(sum(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
     pairs = tuple(bits[a] | bits[b] for a, b in s.exclusive_pairs)
-    c = _Constraints(tuple(labels), tuple(sorted({*contexts})), tuple(sorted({*pairs})), known, ones)
+    c = _Constraints(tuple(labels), contexts, pairs, known, ones)
     trace = _propagate(s, labels, contexts, pairs, known, ones)
     witnesses = Witnesses(c, refuted=trace is not None)
     return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, trace)

@@ -18,7 +18,6 @@ byte-idempotent for every scenario that can be constructed.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -422,6 +421,8 @@ def _state_node(node, i: int, where) -> list:
     for j, pair in enumerate(node):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioParseError("amplitude must be a [re, im] pair", f"{where(i)}[{j}]")
+        if type(pair[0]) is float and type(pair[1]) is float:
+            continue
         for x in pair:
             if type(x) is not int and type(x) is not float:
                 raise ScenarioParseError(f"expected a number, got {x!r}", f"{where(i)}[{j}]")
@@ -445,30 +446,11 @@ def _load_states(nodes: list[list], tol_norm: float, where) -> list[StateVector]
     return states
 
 
-def _bulk_states(doc: dict, tol_norm: float) -> list[StateVector] | None:
-    """pre, post and the projector states from one (n + 2, dim) block, or None when a
-    whole-list test fails: projectors not all objects with exactly the fields label and
-    state, states not all of one length of [re, im] float pairs, or a row unit_states refuses."""
-    nodes = doc["projectors"]
-    if type(nodes) is list and all(type(n) is dict and n.keys() == _PROJECTOR_FIELDS for n in nodes):
-        nodes = [doc["pre"], doc["post"], *[n["state"] for n in nodes]]
-        if {*map(type, nodes)} == {list} and len({*map(len, nodes)}) == 1:
-            pairs = [*chain.from_iterable(nodes)]
-            if {*map(type, pairs)} == {list} and {*map(len, pairs)} == {2}:
-                flat = [*chain.from_iterable(pairs)]
-                if {*map(type, flat)} == {float}:
-                    block = np.fromiter(flat, np.float64, len(flat)).view(np.complex128)
-                    with suppress(hilbert.RowError):
-                        return hilbert.unit_states(block.reshape(len(nodes), -1), tol_norm)
-    return None
-
-
 def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) -> PrePostScenario:
     """Parse scenario bytes produced by :func:`save` (or written by hand).
 
-    load tests the JSON shape over whole lists and builds every state from one amplitude
-    block; only when a bulk test fails does it walk the nodes, in file order, to name the
-    first bad one.  Every other rule is the constructors', reported at the node it breaks.
+    load checks the JSON shape; every other rule is the constructors',
+    and a broken one is reported at the node that breaks it.
 
     Args:
         data: UTF-8 JSON bytes or text.
@@ -517,26 +499,22 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     def where(i: int) -> str:  # state node i: pre, post, then each projector's state
         return ("pre", "post")[i] if i < 2 else f"projectors[{i-2}].state ({nodes[i-2]['label']!r})"
 
+    states = [_state_node(doc["pre"], 0, where), _state_node(doc["post"], 1, where)]
     nodes = doc["projectors"]
-    states = _bulk_states(doc, tol_check)
-    if states is None:  # a bulk test failed: walk the nodes to name the first bad one
-        states = [_state_node(doc["pre"], 0, where), _state_node(doc["post"], 1, where)]
-        if not isinstance(nodes, list):
-            raise ScenarioParseError("projectors must be an array", "projectors")
-        for i, node in enumerate(nodes):
-            if not isinstance(node, dict):
-                raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
-            if node.keys() != _PROJECTOR_FIELDS:
-                missing = sorted(_PROJECTOR_FIELDS - set(node))
-                if missing:
-                    raise ScenarioParseError(f"missing field(s): {', '.join(missing)}",
-                                             f"projectors[{i}]")
-                unknown = sorted(set(node) - _PROJECTOR_FIELDS)
-                if unknown and not lax:
-                    raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
-            states.append(_state_node(node["state"], i + 2, where))
-        states = _load_states(states, tol_check, where)
-    pre, post, *states = states
+    if not isinstance(nodes, list):
+        raise ScenarioParseError("projectors must be an array", "projectors")
+    for i, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
+        if node.keys() != _PROJECTOR_FIELDS:
+            missing = sorted(_PROJECTOR_FIELDS - set(node))
+            if missing:
+                raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", f"projectors[{i}]")
+            unknown = sorted(set(node) - _PROJECTOR_FIELDS)
+            if unknown and not lax:
+                raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
+        states.append(_state_node(node["state"], i + 2, where))
+    pre, post, *states = _load_states(states, tol_check, where)
     projectors = _build("projectors", LabeledProjector, [node["label"] for node in nodes], states)
 
     if not isinstance(doc["contexts"], list):
