@@ -8,7 +8,10 @@ decides all 2^n assignments.  Unit propagation from the forced bits runs
 first, and a CONFLICT, which every satisfying assignment would obey, is
 the report's refutation.  Only if it stalls does a pure-Python count over
 bitmasks run: DPLL (Davis, Logemann and Loveland, CACM 5, 394 (1962))
-with component caching (Sang et al., SAT 2004).  No assignment is stored.
+with component caching (Sang et al., SAT 2004), and before each branch
+Gaussian elimination over GF(2) (Soos, Nohl and Castelluccia, SAT 2009):
+every context holds an odd number of 1s, so KS18, each ray in two of its
+nine contexts, is refuted with no branch.  No assignment is stored.
 """
 
 from __future__ import annotations
@@ -107,6 +110,26 @@ class _Constraints(NamedTuple):
     ones: int
 
 
+def _parity_odd(contexts, known: int) -> bool:
+    """Whether Gaussian elimination over GF(2) refutes the contexts.
+
+    Exactly one free member of a context is 1, so the XOR of its free
+    members is 1: the row m & ~known, shifted up, with the right-hand side
+    in bit 0.  Some row reduces to exactly 1 (0 = 1) iff no 0/1 values
+    make every row's XOR 1, and then no model exists.
+    """
+    pivots: dict[int, int] = {}  # leading bit: the reduced row that leads with it
+    for m in contexts:
+        row = (m & ~known) << 1 | 1
+        while row > 1 and (top := 1 << row.bit_length() - 1) in pivots:
+            row ^= pivots[top]
+        if row == 1:
+            return True
+        if row:
+            pivots[top] = row
+    return False
+
+
 def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
     """Count the assignments of the free bits among bits that extend (known,
     ones) with exactly one 1 in each context and at most one in each pair.
@@ -116,8 +139,9 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
     Returns (count, known, ones, parts) at its fixpoint, count 0 on failure;
     parts are the components of the open constraints as (free bits, count,
     contexts, pairs).  A one-context component counts its free members; any
-    other branches on the lowest free bit of its smallest constraint, cached
-    by its mask and known bits (all 0 under it).
+    other is cached by its mask and known bits (all 0 under it).  On a miss
+    it counts 0 if _parity_odd refutes its contexts, and else branches on
+    the lowest free bit of its smallest constraint.
     """
     fired = True
     while fired:
@@ -149,7 +173,9 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
         free = mask & ~known
         if len(ctxs) == 1 and not prs:
             n = free.bit_count()
-        elif (n := cache.get(key := (mask, known & mask))) is None:
+        elif (n := cache.get(key := (mask, known & mask))) is None and _parity_odd(ctxs, known):
+            n = cache[key] = 0
+        elif n is None:
             low = prs[0] if prs else min([m & ~known for m in ctxs], key=int.bit_count)
             bit = low & -low
             n = cache[key] = _open(free, ctxs, prs, near, known | bit, ones, cache)[0] + _open(

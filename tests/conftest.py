@@ -162,6 +162,49 @@ def random_structures(draw):
     return s, forced
 
 
+def structure_scenario(labels, contexts, pairs=(), seed=0):
+    """Random qubit states on labels, with the given contexts and exclusive pairs."""
+    rng = np.random.default_rng(seed)
+    return PrePostScenario(
+        dim=2, pre=random_qubit_state(rng), post=random_qubit_state(rng),
+        projectors=tuple(LabeledProjector(lab, random_qubit_state(rng)) for lab in sorted(labels)),
+        contexts=tuple(Context(tuple(m)) for m in contexts),
+        exclusive_pairs=tuple(tuple(p) for p in pairs),
+    )
+
+
+@st.composite
+def parity_structures(draw):
+    """KS18-like cores: 2-6 contexts of 2-4 members, every label in exactly
+    two of them, so an odd number of contexts admits no assignment.  A ring
+    through the contexts gives every one two members; chords add more.
+    Optional extra contexts and pairs, up to two labels in no context, at
+    most 12 labels, names shuffled so that bits interleave, and a random
+    forced subset.  Returns (scenario, forced, core), core True when no
+    extra context, pair or forced value was drawn."""
+    k = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(k)))
+    edges = list(zip(order, order[1:] + order[:1]))
+    degree = [2] * k
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6)):
+        if i != j and degree[i] < 4 and degree[j] < 4 and len(edges) < 12:
+            edges.append((i, j))
+            degree[i] += 1
+            degree[j] += 1
+    free = draw(st.integers(0, min(2, 12 - len(edges))))
+    names = draw(st.permutations([f"l{i:02d}" for i in range(len(edges) + free)]))
+    contexts = [[names[e] for e, edge in enumerate(edges) if c in edge] for c in range(k)]
+    members = st.lists(st.sampled_from(names), min_size=2, max_size=min(4, len(names)), unique=True)
+    extra = draw(st.lists(members, max_size=2))
+    pairs = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True),
+                          max_size=3))
+    contexts = draw(st.permutations(contexts + extra))
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    forced = tuple(ForcedValue(lab, draw(st.integers(0, 1)), "Prediction") for lab in chosen)
+    s = structure_scenario(names, contexts, pairs, draw(st.integers(0, 2**31 - 1)))
+    return s, forced, not (extra or pairs or forced)
+
+
 def propagation_oracle(s, forced):
     """Unit propagation over a label -> bit dict, rescanned after every step.
 

@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
-    ks18_scenario, propagation_oracle, random_qubit_state, random_structures,
-    witness_heavy_scenario,
+    ks18_scenario, parity_structures, propagation_oracle, random_qubit_state, random_structures,
+    structure_scenario, witness_heavy_scenario,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,6 +351,60 @@ class TestPropagationFirst:
             with pytest.raises(EnumerationLimitError, match="26"):
                 enumerate_assignments(s, forced)
         assert propagate.call_count == 0
+
+
+class TestParity:
+    """Before branching, a component's contexts are reduced over GF(2): each
+    holds an odd number of 1s, so rows that sum to 0 = 1 refute it."""
+
+    @pytest.mark.parametrize("build", [
+        ks18_scenario, lambda: load((DATA / "ks18.json").read_bytes()),
+    ], ids=["ks18_scenario", "ks18_json"])
+    def test_ks18_is_decided_at_the_root(self, build):
+        s = build()
+        with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
+            rep = enumerate_assignments(s, forced_values(s))
+        assert search.call_count == 1
+        assert rep.status == UNSAT and rep.conflict is None and rep.witnesses == ()
+
+    @pytest.mark.parametrize("contexts, forced, count", [
+        ([("a", "b"), ("b", "c"), ("a", "c")], {}, 0),
+        ([("a", "b"), ("b", "c"), ("a", "c", "z")], {"z": 0}, 0),
+        ([[f"g{r}{c}" for c in range(4)] for r in range(4)]
+         + [[f"g{r}{c}" for r in range(4)] for c in range(4)], {}, 24),
+    ], ids=["triangle", "triangle_with_a_zero", "grid_4x4"])
+    def test_root_decision_and_known_bits(self, contexts, forced, count):
+        """An odd cycle is refuted by one call, with a member forced to 0 too:
+        a known bit stays out of its row.  The 4x4 grid's eight contexts sum
+        to 0 = 0, so it branches and keeps its 4! models."""
+        s = structure_scenario({lab for ctx in contexts for lab in ctx}, contexts)
+        forced = tuple(ForcedValue(lab, bit, "Prediction") for lab, bit in forced.items())
+        with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
+            rep = enumerate_assignments(s, forced)
+        assert len(rep.witnesses) == count == len(brute_force_witnesses(s, forced))
+        assert rep.conflict is None
+        if count:
+            assert search.call_count > 1  # not refuted: it branches
+        else:
+            assert search.call_count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=parity_structures(), data=st.data())
+    def test_parity_structures_match_brute_force(self, case, data):
+        """Every label in two contexts, with optional extras: the count, the
+        first 16 witnesses and a drawn index agree with brute force."""
+        s, forced, core = case
+        expected = [ValueAssignment(tuple(a.items())) for a in brute_force_witnesses(s, forced)]
+        if core and len(s.contexts) % 2:
+            assert not expected
+        rep = enumerate_assignments(s, forced)
+        w = rep.witnesses
+        assert len(w) == len(expected)
+        assert rep.status == (SAT if expected else UNSAT)
+        assert w[:16] == tuple(expected[:16])
+        if expected:
+            i = data.draw(st.integers(-len(expected), len(expected) - 1), label="index")
+            assert w[i] == expected[i]
 
 
 @st.composite
