@@ -217,7 +217,8 @@ class Witnesses(Sequence):
     Slices and iteration run a depth-first search that skips subtrees with
     no model; an index, negative too, is unranked by the same subtree counts.
     Equal constraints are equal at once, other Witnesses are compared by mask, and any other
-    sequence element-wise, so an empty one equals () and hashes as hash(()).
+    sequence element-wise.  The hash is that of the tuple of records, as equality
+    with a tuple requires, so hashing lists every witness.
     """
 
     __slots__ = ("_c", "_near", "_count", "_cache", "_root")
@@ -300,7 +301,7 @@ class Witnesses(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._c.labels, self._count) if self._count else ())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"Witnesses({self._count} assignments over {self._c.labels!r})"

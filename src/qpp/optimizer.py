@@ -1,9 +1,10 @@
 """Derivative-free maximization of selection probabilities.
 
-The search is one loop over lattices, each evaluated in one objective
-call: a coarse cell-centered grid over the open parameter box, then, around
-the incumbent, 9-point-per-axis lattices of halving half-width until the
-lattice diameter drops below the refinement tolerance.  The incumbent never
+The search is one loop over lattices, each scored in one objective call
+that returns its first maximum: a coarse cell-centered grid over the open
+parameter box, then, around the incumbent, 9-point-per-axis lattices of
+halving half-width until the lattice diameter drops below the refinement
+tolerance.  The incumbent never
 regresses, so the returned value is at least every value of the first grid.
 Ties prefer the lexicographically smallest point, so results are deterministic.
 """
@@ -38,7 +39,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Maximizer, objective value, and bookkeeping for one search."""
+    """Maximizer, objective value, and bookkeeping for one search.
+
+    evaluations counts the lattice points searched, grid^d for the first
+    grid and 9^d for each refinement pass, whether or not the objective
+    computed each point's value.
+    """
 
     parameters: tuple[tuple[str, float], ...]
     objective: float
@@ -58,9 +64,11 @@ def _axis9(a, b):
 def _grid_refine(f, lows, highs, grid, refine_tol):
     """Shared search engine: maximize f over lattices; returns (point, value, evals).
 
-    f(*axes) maps one ascending list of floats per axis to one ndarray of
-    the lattice's values in itertools.product order, so its first argmax is
-    the lexicographically smallest maximizer.  The loop keeps the best point
+    f(*axes) maps one ascending list of floats per axis to (k, v): the flat
+    index, in itertools.product order, of the lattice's first maximum, so
+    the lexicographically smallest maximizer, and that maximum as a Python
+    float.  Every lattice point counts toward evals, also one whose value f
+    decided without computing it.  The loop keeps the best point
     seen, on the cell-centered grid and then on 9-point lattices per axis
     around it, of half-width span/grid halving each pass and clamped inside
     the open box, until the lattice diameter is below refine_tol.  Halving
@@ -84,10 +92,9 @@ def _grid_refine(f, lows, highs, grid, refine_tol):
             axes = [_axis9(max(x - hw, a), min(x + hw, b))
                     for x, hw, (a, b) in zip(best_point, half_widths, bounds)]
             half_widths = [hw / 2.0 for hw in half_widths]
-        values = f(*axes)
-        evals += values.size
-        k = int(values.argmax())
-        v, pt = values.item(k), ()
+        k, v = f(*axes)
+        evals += math.prod(map(len, axes))
+        pt = ()
         for axis in reversed(axes):
             k, j = divmod(k, len(axis))
             pt = (axis[j], *pt)
@@ -125,8 +132,14 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
     """
     grid = _check_search_args(grid, refine_tol)
     half_pi = math.pi / 2.0
+
+    def objective(ta, tb):
+        values = _hardy_lattice(ta, tb)
+        k = int(values.argmax())
+        return k, values.item(k)
+
     point, value, evals = _grid_refine(
-        _hardy_lattice, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
+        objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
     )
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
@@ -145,6 +158,28 @@ def _delta_overlap(c):
         return 0.0
     u = c / (1.0 + c)
     return abs(c * c + s2 * u * (2.0 * u - 1.0)) / (c * c + s2 * u)
+
+
+def _family_max(cs, exclusivity_tol):
+    """The family objective's first maximum over the ascending axis cs, as
+    _grid_refine's (k, v): c scores c*c when _delta_overlap(c) is below
+    exclusivity_tol, else 0.0.  Rounding keeps c*c non-decreasing along cs,
+    so the highest feasible point holds the maximum: the scan computes
+    overlaps from the top down to it, and below it only for the points
+    with the same square, the lowest feasible one of which is first.  With
+    no point feasible the maximum is 0.0, first at k = 0."""
+    for k in reversed(range(len(cs))):
+        if _delta_overlap(cs[k]) < exclusivity_tol:
+            break
+    else:
+        return 0, 0.0
+    v = cs[k] * cs[k]
+    for j in reversed(range(k)):
+        if cs[j] * cs[j] != v:
+            break
+        if _delta_overlap(cs[j]) < exclusivity_tol:
+            k = j
+    return k, v
 
 
 def feasibility_root(c: float) -> tuple[float, float]:
@@ -188,10 +223,8 @@ def maximize_cabello_family(
     if not exclusivity_tol > 0.0:
         raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
 
-    def objective(cs):
-        return np.array([c * c if _delta_overlap(c) < exclusivity_tol else 0.0 for c in cs])
-
-    (c,), _, evals = _grid_refine(objective, (0.0,), (1.0,), grid, refine_tol)
+    (c,), _, evals = _grid_refine(lambda cs: _family_max(cs, exclusivity_tol),
+                                  (0.0,), (1.0,), grid, refine_tol)
     return OptimizationResult(
         parameters=(("c", c), ("p", feasibility_root(c)[0])),
         objective=c ** 2,

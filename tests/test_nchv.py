@@ -495,6 +495,7 @@ class TestWitnesses:
         assert w == expected and expected == w and w == list(expected)
         if n:
             assert w != expected[:-1]
+            assert hash(w) == hash(expected)
             i = data.draw(st.integers(-n, n - 1), label="index")
             assert w[i] == expected[i]
         else:

@@ -22,13 +22,16 @@ from qpp import (
     selection_probability,
 )
 from qpp.optimizer import (
-    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _delta_overlap, _grid_refine, _hardy_lattice,
+    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _delta_overlap, _family_max, _grid_refine,
+    _hardy_lattice,
 )
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
 HALF_PI = math.pi / 2.0
 
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# Log-uniform over [1e-300, 10], and inf, which admits every member.
+exclusivity_tols = st.one_of(st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e), st.just(math.inf))
 P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
 
 
@@ -58,8 +61,13 @@ def search_problems(draw):
 
 
 def lattice(f):
-    """The lattice form of a scalar objective f(*point), as _grid_refine calls it."""
-    return lambda *axes: np.array([f(*p) for p in itertools.product(*axes)])
+    """The lattice form of a scalar objective f(*point), as _grid_refine calls
+    it: the flat index and value of the first maximum of all its values."""
+    def first_max(*axes):
+        values = np.array([f(*p) for p in itertools.product(*axes)])
+        k = int(values.argmax())
+        return k, values.item(k)
+    return first_max
 
 
 def refine_both(f, lows, highs, grid, refine_tol):
@@ -77,19 +85,20 @@ def hardy_oracle(grid, refine_tol):
     return (("theta_a", point[0]), ("theta_b", point[1])), value, evals
 
 
-def family_oracle(grid, refine_tol):
-    """maximize_cabello_family's (parameters, objective, evaluations), likewise."""
+def family_oracle(grid, refine_tol, exclusivity_tol=DEFAULT_EXCLUSIVITY_TOL):
+    """maximize_cabello_family's (parameters, objective, evaluations), likewise:
+    every point's overlap computed, none decided by dominance."""
     def objective(c):
-        return c * c if feasibility_root(c)[1] < DEFAULT_EXCLUSIVITY_TOL else 0.0
+        return c * c if feasibility_root(c)[1] < exclusivity_tol else 0.0
 
     (c,), _, evals = grid_refine_oracle(objective, (0.0,), (1.0,), grid, refine_tol)
     return (("c", c), ("p", feasibility_root(c)[0])), c ** 2, evals
 
 
-def assert_matches_oracle(search, oracle, grid, refine_tol):
-    result = search(grid, refine_tol)
+def assert_matches_oracle(search, oracle, *args):
+    result = search(*args)
     got = (result.parameters, result.objective, result.evaluations)
-    assert repr(got) == repr(oracle(grid, refine_tol))
+    assert repr(got) == repr(oracle(*args))
 
 
 class TestGridRefine:
@@ -131,7 +140,7 @@ class TestGridRefine:
 
         def f(*axes):
             calls.append(axes)
-            return np.zeros([len(axis) for axis in axes])
+            return 0, 0.0
 
         with pytest.raises(ConvergenceError, match=f"^refinement did not reach tolerance "
                            f"{refine_tol!r} within 60 iterations$"):
@@ -177,6 +186,20 @@ class TestLatticeKernels:
         assert got.shape == (len(ta), len(tb))
         want = [hardy_probability(a, b) for a, b in itertools.product(ta, tb)]
         assert repr(got.ravel().tolist()) == repr(want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(cs=st.lists(st.one_of(open_unit, st.floats(0.3333, 0.4816), st.floats(1e-170, 1e-150)),
+                       min_size=1, max_size=12),
+           data=st.data(),
+           exclusivity_tol=exclusivity_tols)
+    def test_family_max_is_first_argmax(self, cs, data, exclusivity_tol):
+        """On any ascending axis, repeated points and squares that tie below
+        1e-150 included, the top-down scan returns the first argmax of the
+        full lattice of scores and its value."""
+        cs = sorted(cs + data.draw(st.lists(st.sampled_from(cs), max_size=4), label="repeats"))
+        values = np.array([c * c if _delta_overlap(c) < exclusivity_tol else 0.0 for c in cs])
+        k = int(values.argmax())
+        assert repr(_family_max(cs, exclusivity_tol)) == repr((k, values.item(k)))
 
     def test_hardy_lattice_on_first_grid_256(self):
         axis = [0.0 + (i + 0.5) * (HALF_PI - 0.0) / 256 for i in range(256)]
@@ -306,6 +329,15 @@ class TestMaximizeCabelloFamily:
     @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_matches_oracle_at_any_grid(self, grid, refine_tol):
         assert_matches_oracle(maximize_cabello_family, family_oracle, grid, refine_tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9, 0.5]),
+           exclusivity_tol=exclusivity_tols)
+    def test_matches_oracle_at_any_exclusivity_tol(self, grid, refine_tol, exclusivity_tol):
+        """Points above the highest feasible one are computed and the lower
+        ones decided by dominance; the result is the full-lattice search's."""
+        assert_matches_oracle(maximize_cabello_family, family_oracle, grid, refine_tol,
+                              exclusivity_tol)
 
     @pytest.mark.parametrize("exclusivity_tol", [1e-17, 1e-20, 1e-300])
     @pytest.mark.parametrize("grid, refine_tol", [(16, 1e-3), (16, 1e-9), (17, 1e-9), (64, 1e-9)])
