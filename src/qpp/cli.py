@@ -290,15 +290,8 @@ def _cmd_optimize(args) -> int:
     else:
         result = maximize_cabello_family(args.grid, args.refine_tol, args.exclusivity_tol)
 
-    details = {
-        "parameters": dict(result.parameters),
-        "objective": result.objective,
-        "evaluations": result.evaluations,
-        "grid_resolution": result.grid_resolution,
-        "refine_tolerance": result.refine_tolerance,
-    }
-    if result.exclusivity_tol is not None:
-        details["exclusivity_tol"] = result.exclusivity_tol
+    details = {k: v for k, v in asdict(result).items() if v is not None}
+    details["parameters"] = dict(result.parameters)
     checks = (
         Check("converged", True, True, None, True),
         Check("objective", None, result.objective, None, True),

@@ -202,8 +202,11 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
     the denominator of :func:`hardy_probability`, is orthogonal to alpha
     and beta+/-.  Angles must lie strictly inside (0, pi/2), and a
     postselection overlap below tol is refused; both raise
-    DegenerateConfigurationError.
+    DegenerateConfigurationError.  tol must be positive and finite, else
+    ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_hardy_angles(theta_a, theta_b)
     ca, sa = math.cos(theta_a), math.sin(theta_a)
     cb, sb = math.cos(theta_b), math.sin(theta_b)

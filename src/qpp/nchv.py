@@ -239,7 +239,8 @@ class Witnesses(Sequence):
             (1 << len(c.labels)) - 1, c.contexts, c.pairs, near, known, c.ones, self._cache)
 
     def _walk(self, skip: int):
-        """Masks from rank skip on: branch on the top free bit, 0 first."""
+        """Masks from rank skip on: branch on the top free bit, 0 first, and
+        re-count the part that holds it with _open on each side."""
         near, cache, every = self._near, self._cache, (1 << len(self._c.labels)) - 1
         stack = [(*self._root, self._count, skip)] if skip < self._count else []
         while stack:
@@ -252,14 +253,9 @@ class Witnesses(Sequence):
             for i, (held, n, ctxs, prs) in enumerate(parts):
                 if held & bit:
                     rest, others = count // n, parts[:i] + parts[i + 1:]
-                    if len(ctxs) == 1 and not prs:  # one context: a 1 closes it
-                        zero = (known | held, ones | (held ^ bit), others, rest) if n == 2 else (
-                            known | bit, ones, others + [(held ^ bit, n - 1, ctxs, prs)], rest * (n - 1))
-                        kids = [zero, (known | held, ones | bit, others, rest)]
-                    else:
-                        kids = [(k, o, others + sub, rest * m) for m, k, o, sub in (
-                            _open(held, ctxs, prs, near, known | bit, ones, cache),
-                            _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache))]
+                    kids = [(k, o, others + sub, rest * m) for m, k, o, sub in (
+                        _open(held, ctxs, prs, near, known | bit, ones, cache),
+                        _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache))]
                     break
             else:  # no open constraint holds the bit
                 kids = [(known | bit, ones | one, parts, count >> 1) for one in (0, bit)]
@@ -366,16 +362,13 @@ def enumerate_assignments(
     contexts = tuple(sum(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
     pairs = tuple(bits[a] | bits[b] for a, b in s.exclusive_pairs)
     c = _Constraints(tuple(labels), contexts, pairs, known, ones)
-    trace = _propagate(s, labels, contexts, pairs, known, ones)
+    trace = _propagate(s, c)
     witnesses = Witnesses(c, refuted=trace is not None)
     return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, trace)
 
 
-def _propagate(
-    s: PrePostScenario, labels: list[str], context_masks: tuple[int, ...],
-    pair_masks: tuple[int, ...], known: int, ones: int,
-) -> ContradictionTrace | None:
-    """Unit propagation from the forced bits (known, with ones at 1); None if it stalls.
+def _propagate(s: PrePostScenario, c: _Constraints) -> ContradictionTrace | None:
+    """Unit propagation from c's forced bits (known, with ones at 1); None if it stalls.
 
     Three rules, in a fixed order so traces are deterministic: a declared
     exclusive pair with both members at 1 yields CONFLICT; else the first
@@ -383,14 +376,14 @@ def _propagate(
     once both stall, the first context with two or more 1s yields
     CONFLICT, and failing that the first context with every member at 0.
     """
-    n = len(labels)
+    labels, known, ones, n = c.labels, c.known, c.ones, len(c.labels)
     steps: list[TraceStep] = []
     while True:
-        for (a, b), m in zip(s.exclusive_pairs, pair_masks):
+        for (a, b), m in zip(s.exclusive_pairs, c.pairs):
             if ones & m == m:
                 steps.append(TraceStep((f"{a}=1", f"{b}=1"), EXCLUSIVITY, CONFLICT))
                 return ContradictionTrace(tuple(steps))
-        for ctx, m in zip(s.contexts, context_masks):
+        for ctx, m in zip(s.contexts, c.contexts):
             free = m & ~known
             if free and not free & (free - 1) and not ones & m:
                 target = labels[n - free.bit_length()]
@@ -401,11 +394,11 @@ def _propagate(
                 break
         else:
             break
-    for ctx, m in zip(s.contexts, context_masks):
+    for ctx, m in zip(s.contexts, c.contexts):
         if (at_one := ones & m) & (at_one - 1):
             premises = tuple(f"{x}=1" for x in ctx.members if ones >> (n - 1 - labels.index(x)) & 1)
             return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
-    for ctx, m in zip(s.contexts, context_masks):
+    for ctx, m in zip(s.contexts, c.contexts):
         if known & m == m and not ones & m:
             premises = tuple(f"{x}=0" for x in ctx.members)
             return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))

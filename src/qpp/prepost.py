@@ -47,8 +47,11 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     selections force values they must agree, otherwise the scenario has
     no consistent intermediate history.  Every value comes from one
     :func:`hilbert.certain_values` call over ``s.states`` and the two
-    selections, the first two rows of the scenario's block.
+    selections, the first two rows of the scenario's block.  tol must be
+    positive and finite, else ValueError.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     values = hilbert.certain_values(s.states, s._block[:2], tol).tolist()
     out: list[ForcedValue] = []
     for label in sorted(s.rows):

@@ -196,15 +196,19 @@ class TestCheck:
         assert capsys.readouterr().out == (DATA / "check_ks18_golden.json").read_text()
 
     def test_sat_file_matches_golden(self, capsys, monkeypatch):
-        """pre forces a=1, d=0 and g=0; the report lists the first 16 of 25
-        witnesses in ascending bit-string order."""
+        """pre forces a=1, d=0 and g=0; the report lists the first 16, or all,
+        of 25 witnesses in ascending bit-string order."""
         monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/sat_witnesses.json", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == (DATA / "check_sat_golden.json").read_text()
-        details = json.loads(out)["details"]
-        assert details["status"] == "SAT" and details["forced_values"]
-        assert details["witnesses_total"] == 25 and len(details["witnesses"]) == 16
+        for argv, golden, listed in (
+            ([], "check_sat_golden.json", 16),
+            (["--max-witnesses", "25"], "check_sat_all_golden.json", 25),
+        ):
+            assert main(["check", "tests/data/sat_witnesses.json", "--json", *argv]) == 0
+            out = capsys.readouterr().out
+            assert out == (DATA / golden).read_text()
+            details = json.loads(out)["details"]
+            assert details["status"] == "SAT" and details["forced_values"]
+            assert details["witnesses_total"] == 25 and len(details["witnesses"]) == listed
 
     def test_hand_written_file_matches_golden(self, capsys, monkeypatch):
         """The paper's scenario written by hand: integer amplitudes, one line

@@ -186,6 +186,15 @@ class TestHardyScenario:
                 with pytest.raises(DegenerateConfigurationError, match="degenerate configuration"):
                     build(ta, tb)
 
+    def test_bad_tolerance_is_refused(self):
+        """Near-degenerate angles: a valid tolerance refuses the overlap of
+        1e-18, and an invalid one is refused rather than skipping that check."""
+        with pytest.raises(DegenerateConfigurationError, match="overlap vanishes"):
+            hardy_scenario(1e-9, 1e-9, 1e-9)
+        for tol in (float("nan"), 0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                hardy_scenario(1e-9, 1e-9, tol)
+
     def test_structure_and_validity(self):
         s = hardy_scenario(0.7, 1.1)
         assert s.dim == 4

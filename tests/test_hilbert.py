@@ -56,6 +56,12 @@ class TestStateVector:
         assert s.dim == 2
         np.testing.assert_array_equal(s.amps, np.array([1.0, 0.0], dtype=np.complex128))
 
+    def test_equality_is_exact_and_typed(self):
+        s = StateVector([1.0, 0.0])
+        assert s == StateVector([1.0, 0.0]) and s != StateVector([0.0, 1.0])
+        assert s.__eq__([1.0, 0.0]) is NotImplemented
+        assert s != [1.0, 0.0]
+
     def test_rejects_short_vectors(self):
         with pytest.raises(ValueError):
             StateVector([1.0])

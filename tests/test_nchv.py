@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -264,6 +265,13 @@ class TestTrace:
     def test_sat_scenario_has_no_trace(self):
         with pytest.raises(NoContradictionError):
             contradiction_trace(single_qubit_scenario(2, 6))
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, math.inf])
+    def test_bad_tolerance_is_refused(self, tol):
+        """A NaN tolerance would force nothing (no contradiction), an infinite
+        one every projector to 0; neither reaches the search."""
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            contradiction_trace(cabello_scenario(), tol=tol)
 
     def test_unsat_without_certificate(self):
         s = stalled_scenario()
@@ -651,6 +659,26 @@ class TestWitnesses:
             assert all(type(bit) is int for _, bit in record.values)
             assert record == ValueAssignment(tuple(reversed(record.values)))
             json.dumps(record.as_dict())
+
+    def test_unranking_recounts_one_part_per_node(self):
+        """Each depth-first node re-counts the part holding its bit with two
+        _open calls, so an index of 24 labels takes at most 2 * 24."""
+        w = enumerate_assignments(single_qubit_scenario(12, 3), ()).witnesses
+        n = len(w)
+        for i in (1, n // 3, n // 2, n - 2, -1):
+            with mock.patch.object(nchv, "_open", wraps=nchv._open) as search:
+                w[i]
+            assert search.call_count <= 2 * 24, i
+
+    def test_repr_names_count_and_labels(self):
+        w = enumerate_assignments(single_qubit_scenario(1, 0), ()).witnesses
+        assert repr(w) == "Witnesses(2 assignments over ('q0', 'q0_perp'))"
+
+    def test_other_types_are_not_equal(self):
+        w = enumerate_assignments(single_qubit_scenario(1, 0), ()).witnesses
+        for other in (2, "ab", b"ab", None):
+            assert w.__eq__(other) is NotImplemented
+            assert w != other
 
     def test_labels_must_be_sorted_distinct_nonempty_strings(self):
         for labels in (("b", "a"), ("a", "a"), ("", "a"), ("a", 1)):

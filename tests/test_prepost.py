@@ -85,6 +85,11 @@ class TestForcedValues:
         assert forced["up"].bit == 1 and forced["up"].justification == PREDICTION
         assert forced["down"].bit == 0 and forced["down"].justification == PREDICTION
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, math.inf])
+    def test_bad_tolerance_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            forced_values(cabello_scenario(), tol)
+
     def test_inconsistent_selections_raise(self):
         e0, e1 = StateVector([1.0, 0.0]), StateVector([0.0, 1.0])
         eps = 1e-5
