@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import __version__, hilbert, nchv, prepost, scenario
+from . import __version__, hilbert, nchv, optimizer, prepost, scenario
 from .constructions import DELTA_PAIR, cabello_scenario, hardy_scenario
 from .nchv import UNSAT, EnumerationLimitError
 from .optimizer import ConvergenceError, maximize_cabello_family, maximize_hardy
@@ -285,10 +285,14 @@ def _cmd_check(args, tol_check: float) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    tol = args.exclusivity_tol
     if args.target == "hardy":
+        if tol is not None:
+            raise ValueError("--exclusivity-tol applies only to cabello-family")
         result = maximize_hardy(args.grid, args.refine_tol)
     else:
-        result = maximize_cabello_family(args.grid, args.refine_tol, args.exclusivity_tol)
+        tol = optimizer.DEFAULT_EXCLUSIVITY_TOL if tol is None else tol
+        result = maximize_cabello_family(args.grid, args.refine_tol, tol)
 
     details = {k: v for k, v in asdict(result).items() if v is not None}
     details["parameters"] = dict(result.parameters)
@@ -336,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--grid", type=int, default=64, help="initial grid resolution (default 64)")
     opt.add_argument("--refine-tol", type=float, default=1e-9,
                      help="refinement tolerance (default 1e-9)")
-    opt.add_argument("--exclusivity-tol", type=float, default=1e-9,
-                     help="feasibility tolerance for the family search (default 1e-9)")
+    opt.add_argument("--exclusivity-tol", type=float,
+                     help="feasibility tolerance, cabello-family only (default 1e-9)")
     opt.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     return parser

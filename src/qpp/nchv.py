@@ -99,13 +99,13 @@ class ContradictionTrace:
 
 
 class _Constraints(NamedTuple):
-    """A scenario and its forced values as bitmasks, the i-th of n sorted labels
-    being bit n-1-i: context and exclusive-pair masks, forced bits (known)
-    and forced 1s (ones)."""
+    """A scenario and its forced values as bits, the i-th of n sorted labels
+    being bit n-1-i: each context's and exclusive pair's member bits in
+    declared order, forced bits (known) and forced 1s (ones)."""
 
     labels: tuple[str, ...]
-    contexts: tuple[int, ...]
-    pairs: tuple[int, ...]
+    contexts: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, ...], ...]
     known: int
     ones: int
 
@@ -213,30 +213,28 @@ def _digits(free: int, parts) -> list[list[int]] | None:
 class Witnesses(Sequence):
     """The satisfying masks of compiled constraints, ascending, each read as
     a ValueAssignment built without checks.  Nothing is kept per assignment:
-    len is the count, and refuted constraints count 0 without a search.
-    Slices and iteration run a depth-first search that skips subtrees with
-    no model; an index, negative too, is unranked by the same subtree counts.
-    Equal constraints are equal at once, other Witnesses are compared by mask, and any other
-    sequence element-wise.  The hash is that of the tuple of records, as equality
-    with a tuple requires, so hashing lists every witness.
+    len is the count, 0 with no search when unit propagation refutes the
+    constraints (its trace is _conflict).  Slices and iteration run a
+    depth-first search that skips subtrees with no model; an index, negative
+    too, is unranked by the same subtree counts.  Equal constraints are equal
+    at once, other Witnesses are compared by mask, and any other sequence
+    element-wise.  Unhashable: a hash agreeing with tuples would list every record.
     """
 
-    __slots__ = ("_c", "_near", "_count", "_cache", "_root")
+    __slots__ = ("_c", "_near", "_count", "_cache", "_root", "_conflict")
 
-    def __init__(self, c: _Constraints, refuted: bool = False) -> None:
+    def __init__(self, c: _Constraints) -> None:
         if not all(isinstance(x, str) and x for x in c.labels) or list(c.labels) != sorted(set(c.labels)):
             raise ValueError(f"labels must be sorted, distinct, nonempty strings: {c.labels!r}")
-        self._c, self._cache, self._near = c, {}, {}
+        self._c, self._cache, self._near, self._conflict = c, {}, {}, _propagate(c)
+        contexts, pairs = [sum(ms) for ms in c.contexts], [sum(ms) for ms in c.pairs]
         near = self._near  # each bit's fellow members in its contexts and pairs
-        for m in () if refuted else c.contexts + c.pairs:
-            rest = m
-            while rest:
-                bit = rest & -rest
+        for members, m in zip(c.contexts + c.pairs, contexts + pairs):
+            for bit in members:
                 near[bit] = near.get(bit, 0) | m ^ bit
-                rest ^= bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
-        self._count, *self._root = (0,) if refuted else _open(
-            (1 << len(c.labels)) - 1, c.contexts, c.pairs, near, known, c.ones, self._cache)
+        self._count, *self._root = (0,) if self._conflict else _open(
+            (1 << len(c.labels)) - 1, contexts, pairs, near, known, c.ones, self._cache)
 
     def _walk(self, skip: int):
         """Masks from rank skip on: branch on the top free bit, 0 first, and
@@ -296,9 +294,6 @@ class Witnesses(Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
         return f"Witnesses({self._count} assignments over {self._c.labels!r})"
 
@@ -333,8 +328,8 @@ def enumerate_assignments(
 ) -> SatisfiabilityReport:
     """Exhaustively decide whether a noncontextual assignment exists.
 
-    The scenario and forced values are compiled once to masks, and unit
-    propagation runs first on them: a CONFLICT decides UNSAT with that
+    The scenario and forced values are compiled once, and Witnesses runs
+    unit propagation on them first: a CONFLICT decides UNSAT with that
     trace.  Only if it stalls does the search count the satisfying
     assignments, without listing them; assignment k maps the i-th sorted
     label to bit (k >> (n-1-i)) & 1.
@@ -359,15 +354,13 @@ def enumerate_assignments(
             raise ValueError(f"forced value references unknown label {lab!r}")
         known |= bits[lab]
         ones |= bits[lab] * bit
-    contexts = tuple(sum(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
-    pairs = tuple(bits[a] | bits[b] for a, b in s.exclusive_pairs)
-    c = _Constraints(tuple(labels), contexts, pairs, known, ones)
-    trace = _propagate(s, c)
-    witnesses = Witnesses(c, refuted=trace is not None)
-    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, trace)
+    contexts = tuple(tuple(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
+    pairs = tuple((bits[a], bits[b]) for a, b in s.exclusive_pairs)
+    witnesses = Witnesses(_Constraints(tuple(labels), contexts, pairs, known, ones))
+    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, witnesses._conflict)
 
 
-def _propagate(s: PrePostScenario, c: _Constraints) -> ContradictionTrace | None:
+def _propagate(c: _Constraints) -> ContradictionTrace | None:
     """Unit propagation from c's forced bits (known, with ones at 1); None if it stalls.
 
     Three rules, in a fixed order so traces are deterministic: a declared
@@ -377,31 +370,31 @@ def _propagate(s: PrePostScenario, c: _Constraints) -> ContradictionTrace | None
     CONFLICT, and failing that the first context with every member at 0.
     """
     labels, known, ones, n = c.labels, c.known, c.ones, len(c.labels)
+    contexts, pairs = [(ms, sum(ms)) for ms in c.contexts], [(ms, sum(ms)) for ms in c.pairs]
     steps: list[TraceStep] = []
+
+    def said(members, among: int, bit: int) -> tuple[str, ...]:  # those in among, as "label=bit"
+        return tuple(f"{labels[n - b.bit_length()]}={bit}" for b in members if b & among)
+
     while True:
-        for (a, b), m in zip(s.exclusive_pairs, c.pairs):
+        for ms, m in pairs:
             if ones & m == m:
-                steps.append(TraceStep((f"{a}=1", f"{b}=1"), EXCLUSIVITY, CONFLICT))
-                return ContradictionTrace(tuple(steps))
-        for ctx, m in zip(s.contexts, c.contexts):
+                return ContradictionTrace((*steps, TraceStep(said(ms, m, 1), EXCLUSIVITY, CONFLICT)))
+        for ms, m in contexts:
             free = m & ~known
             if free and not free & (free - 1) and not ones & m:
-                target = labels[n - free.bit_length()]
-                premises = tuple(f"{x}=0" for x in ctx.members if x != target)
-                steps.append(TraceStep(premises, SUM_RULE, f"{target}=1"))
-                known |= free
-                ones |= free
+                target = f"{labels[n - free.bit_length()]}=1"
+                steps.append(TraceStep(said(ms, m ^ free, 0), SUM_RULE, target))
+                known, ones = known | free, ones | free
                 break
         else:
             break
-    for ctx, m in zip(s.contexts, c.contexts):
+    for ms, m in contexts:
         if (at_one := ones & m) & (at_one - 1):
-            premises = tuple(f"{x}=1" for x in ctx.members if ones >> (n - 1 - labels.index(x)) & 1)
-            return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
-    for ctx, m in zip(s.contexts, c.contexts):
+            return ContradictionTrace((*steps, TraceStep(said(ms, ones, 1), SUM_RULE, CONFLICT)))
+    for ms, m in contexts:
         if known & m == m and not ones & m:
-            premises = tuple(f"{x}=0" for x in ctx.members)
-            return ContradictionTrace((*steps, TraceStep(premises, SUM_RULE, CONFLICT)))
+            return ContradictionTrace((*steps, TraceStep(said(ms, m, 0), SUM_RULE, CONFLICT)))
     return None
 
 

@@ -75,10 +75,12 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     <post|P|pre> = <post|v><v|pre>.
 
     Raises:
-        ValueError: unknown label.
-        ABLUndefinedError: N1 + N0 is zero or below tol (a NaN tol
-            fails closed); the conditional probability is not defined.
+        ValueError: unknown label, or tol not positive and finite.
+        ABLUndefinedError: N1 + N0 is below tol; the conditional
+            probability is not defined.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if label not in s.rows:
         raise ValueError(f"unknown projector label {label!r}")
     v = s.states[s.rows[label]]
@@ -86,7 +88,7 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     amp_total = hilbert.inner(s.post, s.pre)
     n1 = abs(amp1) ** 2
     total = n1 + abs(amp_total - amp1) ** 2
-    if not (total > 0.0 and total >= tol):
+    if not total >= tol:
         raise ABLUndefinedError(
             f"projector {label!r}: both branches vanish (N1 + N0 = {total:.3e})"
         )

@@ -5,6 +5,7 @@ be asserted directly; one test runs the module entry point in a child
 process.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from conftest import ks18_scenario, witness_heavy_scenario
 
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
-from qpp import forced_values, single_qubit_scenario
+from qpp import cabello_scenario, forced_values, single_qubit_scenario
 from qpp.cli import Check, Report, main
 
 DATA = Path(__file__).parent / "data"
@@ -166,6 +167,16 @@ class TestCheck:
         monkeypatch.chdir(DATA.parent.parent)
         assert main(["check", "tests/data/reversed_contexts.json", "--json"]) == 0
         assert capsys.readouterr().out == (DATA / "check_reversed_golden.json").read_text()
+
+    def test_reversed_pair_matches_golden(self, capsys, monkeypatch):
+        """The exclusivity CONFLICT's premises keep the pair's declared order."""
+        reversed_pair = dataclasses.replace(cabello_scenario(), exclusive_pairs=(("delta-", "delta+"),))
+        assert load((DATA / "reversed_pair.json").read_bytes()) == reversed_pair
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/reversed_pair.json", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "check_reversed_pair_golden.json").read_text()
+        assert json.loads(out)["details"]["trace"][-1]["premises"] == ["delta-=1", "delta+=1"]
 
     def test_three_box_matches_golden(self, capsys, monkeypatch):
         """Two 1s in one context refute the three-box paradox: no trace_note."""
@@ -381,6 +392,9 @@ class TestOptimize:
         assert main(["optimize", "hardy", "--grid", "8"]) == 2
         assert main(["optimize", "hardy", "--refine-tol", "0"]) == 2
         assert main(["optimize", "cabello-family", "--exclusivity-tol", "0"]) == 2
+        capsys.readouterr()
+        assert main(["optimize", "hardy", "--exclusivity-tol", "-5"]) == 2
+        assert capsys.readouterr().err == "qpp: --exclusivity-tol applies only to cabello-family\n"
 
     def test_grid_above_cap_exit_2(self, capsys):
         assert main(["optimize", "hardy", "--grid", "257"]) == 2

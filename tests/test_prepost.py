@@ -256,11 +256,13 @@ class TestABLProbability:
         # N1 = |<post|up><up|pre>|^2 = eps^2, N0 = 0: total 1e-16 under 1e-9
         with pytest.raises(ABLUndefinedError, match="up"):
             abl_probability(s, "up")
-        # An exactly orthogonal selection makes both branches 0: no tolerance
-        # (zero, negative or NaN) lets the ratio divide 0 by 0.
+        # An exactly orthogonal selection makes both branches 0; a tolerance
+        # that is not positive and finite is refused before either is weighed.
         orthogonal = dataclasses.replace(s, post=StateVector([0.0, 1.0]))
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(ABLUndefinedError, match=r"^projector 'up': .*= 0\.000e\+00\)$"):
+        with pytest.raises(ABLUndefinedError, match=r"^projector 'up': .*= 0\.000e\+00\)$"):
+            abl_probability(orthogonal, "up")
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^tol must be positive and finite"):
                 abl_probability(orthogonal, "up", tol)
 
     def test_complementary_projectors_sum_to_one(self):
