@@ -237,10 +237,14 @@ def single_qubit_scenario(n_contexts: int, seed: int) -> PrePostScenario:
 
     Each context is a pair (P, I - P) for a Haar-random qubit state, so
     no contradiction can arise.  Pre/post states are resampled until the
-    selection overlap is comfortably nonzero.
+    selection overlap is comfortably nonzero.  n_contexts and seed must be
+    integers (else TypeError) of at least 1 and 0 (else ValueError).
     """
-    if n_contexts < 1:
-        raise ValueError(f"n_contexts must be at least 1, got {n_contexts}")
+    for name, value, least in (("n_contexts", n_contexts, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
 
     def random_states(count: int) -> np.ndarray:

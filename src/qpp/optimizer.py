@@ -1,17 +1,19 @@
 """Derivative-free maximization of selection probabilities.
 
 The search is one loop over lattices, each scored in one objective call
-that returns its first maximum: a coarse cell-centered grid over the open
-parameter box, then, around the incumbent, 9-point-per-axis lattices of
-halving half-width until the lattice diameter drops below the refinement
-tolerance.  The incumbent never
-regresses, so the returned value is at least every value of the first grid.
-Ties prefer the lexicographically smallest point, so results are deterministic.
+that returns its first maximizer and the maximum: a coarse cell-centered
+grid over the open parameter box, then, around the incumbent,
+9-point-per-axis lattices of halving half-width until the lattice diameter
+drops below the refinement tolerance.  The incumbent never regresses, so
+the returned value is at least every value of the first grid.  Ties prefer
+the lexicographically smallest point, so results are deterministic.  The
+grid and the tolerance alone fix the passes, and so the evaluation count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -62,48 +64,40 @@ def _axis9(a, b):
 
 
 def _grid_refine(f, lows, highs, grid, refine_tol):
-    """Shared search engine: maximize f over lattices; returns (point, value, evals).
+    """Shared search engine: maximize f over lattices; returns (point, value, evaluations).
 
-    f(*axes) maps one ascending list of floats per axis to (k, v): the flat
-    index, in itertools.product order, of the lattice's first maximum, so
-    the lexicographically smallest maximizer, and that maximum as a Python
-    float.  Every lattice point counts toward evals, also one whose value f
-    decided without computing it.  The loop keeps the best point
-    seen, on the cell-centered grid and then on 9-point lattices per axis
-    around it, of half-width span/grid halving each pass and clamped inside
-    the open box, until the lattice diameter is below refine_tol.  Halving
-    is exact, so grid and refine_tol fix the number of passes; a search
-    needing more than MAX_REFINE_ITERATIONS is refused before f is called.
+    f(*axes) maps one ascending list of floats per axis to (point, v): the
+    lattice's first maximizer in itertools.product order, so the
+    lexicographically smallest, as a tuple, and that maximum as a Python
+    float.  The loop keeps the best point seen, on the cell-centered grid
+    and then on 9-point lattices per axis around it, of half-width
+    span/grid halving each pass and clamped inside the open box, until the
+    lattice diameter is below refine_tol.  Halving is exact, so grid and
+    refine_tol fix the number of passes; a search needing more than
+    MAX_REFINE_ITERATIONS is refused before f is called.  evaluations is
+    computed from that schedule: grid^d + passes * 9^d lattice points,
+    also those whose value f decided without computing it.
     """
     half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
     passes = next((k for k in range(MAX_REFINE_ITERATIONS + 1)
                    if 2.0 * max(half_widths) / 2.0 ** k < refine_tol), None)
     if passes is None:
-        raise ConvergenceError(
-            f"refinement did not reach tolerance {refine_tol!r} "
-            f"within {MAX_REFINE_ITERATIONS} iterations"
-        )
+        raise ConvergenceError(f"refinement did not reach tolerance {refine_tol!r} "
+                               f"within {MAX_REFINE_ITERATIONS} iterations")
     bounds = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in zip(lows, highs)]
-    axes = [[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
-            for lo, hi in zip(lows, highs)]
-    best_point, best_value, evals = None, None, 0
-    for n in range(passes + 1):
-        if n:
-            axes = [_axis9(max(x - hw, a), min(x + hw, b))
-                    for x, hw, (a, b) in zip(best_point, half_widths, bounds)]
-            half_widths = [hw / 2.0 for hw in half_widths]
-        k, v = f(*axes)
-        evals += math.prod(map(len, axes))
-        pt = ()
-        for axis in reversed(axes):
-            k, j = divmod(k, len(axis))
-            pt = (axis[j], *pt)
-        if best_point is None or v > best_value or (v == best_value and pt < best_point):
+    best_point, best_value = f(*[[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
+                                 for lo, hi in zip(lows, highs)])
+    scale = 1.0  # halved each pass; scaling by a power of two is exact
+    for _ in range(passes):
+        pt, v = f(*[_axis9(max(x - hw * scale, a), min(x + hw * scale, b))
+                    for x, hw, (a, b) in zip(best_point, half_widths, bounds)])
+        if v > best_value or (v == best_value and pt < best_point):
             best_point, best_value = pt, v
-    return best_point, best_value, evals
+        scale /= 2.0
+    return best_point, best_value, grid ** len(lows) + passes * 9 ** len(lows)
 
 
-def _check_search_args(grid: int, refine_tol: float) -> int:
+def _check_search_args(grid: int, **tols: float) -> int:
     try:
         grid = operator.index(grid)
     except TypeError:
@@ -112,8 +106,11 @@ def _check_search_args(grid: int, refine_tol: float) -> int:
         raise ValueError(f"grid must be at least 16, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
-    if not refine_tol > 0.0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
+    for name, tol in tols.items():
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {tol!r}")
+        if not tol > 0.0:
+            raise ValueError(f"{name} must be positive, got {tol!r}")
     return grid
 
 
@@ -130,17 +127,15 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
     The objective is the closed form :func:`hardy_probability`, one lattice
     at a time; the search only evaluates it inside the open box (0, pi/2)^2.
     """
-    grid = _check_search_args(grid, refine_tol)
+    grid = _check_search_args(grid, refine_tol=refine_tol)
     half_pi = math.pi / 2.0
 
     def objective(ta, tb):
         values = _hardy_lattice(ta, tb)
-        k = int(values.argmax())
-        return k, values.item(k)
+        i, j = divmod(int(values.argmax()), len(tb))
+        return (ta[i], tb[j]), values.item(i, j)
 
-    point, value, evals = _grid_refine(
-        objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol
-    )
+    point, value, evals = _grid_refine(objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol)
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
         objective=value,
@@ -161,25 +156,26 @@ def _delta_overlap(c):
 
 
 def _family_max(cs, exclusivity_tol):
-    """The family objective's first maximum over the ascending axis cs, as
-    _grid_refine's (k, v): c scores c*c when _delta_overlap(c) is below
-    exclusivity_tol, else 0.0.  Rounding keeps c*c non-decreasing along cs,
-    so the highest feasible point holds the maximum: the scan computes
-    overlaps from the top down to it, and below it only for the points
-    with the same square, the lowest feasible one of which is first.  With
-    no point feasible the maximum is 0.0, first at k = 0."""
+    """The family objective's first maximizer over the ascending axis cs
+    and its value, as _grid_refine's ((c,), v): c scores c*c when
+    _delta_overlap(c) is below exclusivity_tol, else 0.0.  Rounding keeps
+    c*c non-decreasing along cs, so the highest feasible point holds the
+    maximum: the scan computes overlaps from the top down to it, and below
+    it only for the points with the same square, the lowest feasible one
+    of which is first.  With no point feasible the maximum is 0.0, first
+    at cs[0]."""
     for k in reversed(range(len(cs))):
         if _delta_overlap(cs[k]) < exclusivity_tol:
             break
     else:
-        return 0, 0.0
+        return (cs[0],), 0.0
     v = cs[k] * cs[k]
     for j in reversed(range(k)):
         if cs[j] * cs[j] != v:
             break
         if _delta_overlap(cs[j]) < exclusivity_tol:
             k = j
-    return k, v
+    return (cs[k],), v
 
 
 def feasibility_root(c: float) -> tuple[float, float]:
@@ -219,9 +215,7 @@ def maximize_cabello_family(
     any positive exclusivity_tol admits them all.  The reported p is the
     root at the winning c.
     """
-    grid = _check_search_args(grid, refine_tol)
-    if not exclusivity_tol > 0.0:
-        raise ValueError(f"exclusivity_tol must be positive, got {exclusivity_tol!r}")
+    grid = _check_search_args(grid, refine_tol=refine_tol, exclusivity_tol=exclusivity_tol)
 
     (c,), _, evals = _grid_refine(lambda cs: _family_max(cs, exclusivity_tol),
                                   (0.0,), (1.0,), grid, refine_tol)

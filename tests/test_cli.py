@@ -421,6 +421,11 @@ class TestOptimize:
         ("hardy", ["--grid", "16", "--refine-tol", "1e-6"], "optimize_hardy_grid16_golden.json"),
         ("cabello-family", ["--grid", "16", "--refine-tol", "1e-6"],
          "optimize_family_grid16_golden.json"),
+        # Tolerances of exactly 2 hw / 2^17: the pass count's boundary, 18 passes.
+        ("hardy", ["--grid", "16", "--refine-tol", "1.4980281131695715e-06"],
+         "optimize_hardy_boundary_golden.json"),
+        ("cabello-family", ["--grid", "16", "--refine-tol", "9.5367431640625e-07"],
+         "optimize_family_boundary_golden.json"),
     ])
     def test_json_matches_golden(self, capsys, target, options, golden):
         """The search's report, byte for byte as the scalar engine wrote it."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -281,3 +282,21 @@ class TestSingleQubitScenario:
     def test_rejects_nonpositive_contexts(self):
         with pytest.raises(ValueError):
             single_qubit_scenario(0, 1)
+
+    @pytest.mark.parametrize("n_contexts, seed, error, message", [
+        (2.5, 1, TypeError, "n_contexts must be an integer, got 2.5"),
+        (True, 1, TypeError, "n_contexts must be an integer, got True"),
+        ("2", 1, TypeError, "n_contexts must be an integer, got '2'"),
+        (2, 1.5, TypeError, "seed must be an integer, got 1.5"),
+        (2, False, TypeError, "seed must be an integer, got False"),
+        (2, None, TypeError, "seed must be an integer, got None"),
+        (2, -1, ValueError, "seed must be at least 0, got -1"),
+    ])
+    def test_refuses_bad_arguments_by_name(self, n_contexts, seed, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            single_qubit_scenario(n_contexts, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        assert save(single_qubit_scenario(np.int64(3), np.int64(7))) == save(
+            single_qubit_scenario(3, 7)
+        )

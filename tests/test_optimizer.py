@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,8 +23,8 @@ from qpp import (
     selection_probability,
 )
 from qpp.optimizer import (
-    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, _axis9, _delta_overlap, _family_max, _grid_refine,
-    _hardy_lattice,
+    DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, MAX_REFINE_ITERATIONS, _axis9, _delta_overlap, _family_max,
+    _grid_refine, _hardy_lattice,
 )
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
@@ -62,11 +63,12 @@ def search_problems(draw):
 
 def lattice(f):
     """The lattice form of a scalar objective f(*point), as _grid_refine calls
-    it: the flat index and value of the first maximum of all its values."""
+    it: the first maximizer, in itertools.product order, and its value."""
     def first_max(*axes):
-        values = np.array([f(*p) for p in itertools.product(*axes)])
+        points = list(itertools.product(*axes))
+        values = np.array([f(*p) for p in points])
         k = int(values.argmax())
-        return k, values.item(k)
+        return points[k], values.item(k)
     return first_max
 
 
@@ -140,12 +142,39 @@ class TestGridRefine:
 
         def f(*axes):
             calls.append(axes)
-            return 0, 0.0
+            return (axes[0][0],), 0.0
 
         with pytest.raises(ConvergenceError, match=f"^refinement did not reach tolerance "
                            f"{refine_tol!r} within 60 iterations$"):
             _grid_refine(f, (0.0,), (1.0,), grid, refine_tol)
         assert calls == []
+
+    @pytest.mark.parametrize("lows, highs", [((0.0,), (1.0,)), ((-0.5, 0.0), (0.7, HALF_PI))])
+    def test_matches_oracle_at_pass_count_boundaries(self, lows, highs):
+        """refine_tol at 2 max(hw) / 2^k, where k + 1 passes step down to k,
+        and one ulp either side: every pass count from 0 to 60, and the
+        refusal past 60, as the oracle has them."""
+        def f(*x):
+            return -sum((xi - 0.3) ** 2 for xi in x)
+
+        def outcome(search, objective, refine_tol):
+            try:
+                return repr(search(objective, lows, highs, 16, refine_tol))
+            except ConvergenceError as exc:
+                return repr(exc)
+
+        ndim = len(lows)
+        hw = max(hi - lo for lo, hi in zip(lows, highs)) / 16
+        for k in range(MAX_REFINE_ITERATIONS + 2):
+            edge = 2.0 * hw / 2.0 ** k
+            for refine_tol, passes in ((math.nextafter(edge, 0.0), k + 1), (edge, k + 1),
+                                       (math.nextafter(edge, math.inf), k)):
+                got = outcome(_grid_refine, lattice(f), refine_tol)
+                assert got == outcome(grid_refine_oracle, f, refine_tol), (k, refine_tol)
+                if passes > MAX_REFINE_ITERATIONS:
+                    assert got.startswith("ConvergenceError(")
+                else:
+                    assert got.endswith(f", {16 ** ndim + passes * 9 ** ndim})")
 
     @settings(max_examples=150, deadline=None)
     @given(problem=search_problems(), grid=st.integers(16, 64),
@@ -199,7 +228,7 @@ class TestLatticeKernels:
         cs = sorted(cs + data.draw(st.lists(st.sampled_from(cs), max_size=4), label="repeats"))
         values = np.array([c * c if _delta_overlap(c) < exclusivity_tol else 0.0 for c in cs])
         k = int(values.argmax())
-        assert repr(_family_max(cs, exclusivity_tol)) == repr((k, values.item(k)))
+        assert repr(_family_max(cs, exclusivity_tol)) == repr(((cs[k],), values.item(k)))
 
     def test_hardy_lattice_on_first_grid_256(self):
         axis = [0.0 + (i + 0.5) * (HALF_PI - 0.0) / 256 for i in range(256)]
@@ -354,6 +383,8 @@ class TestMaximizeCabelloFamily:
             maximize_cabello_family(grid=8)
         with pytest.raises(ValueError, match="exclusivity_tol"):
             maximize_cabello_family(exclusivity_tol=0.0)
+        with pytest.raises(TypeError, match="^exclusivity_tol must be a real number, got '1e-9'$"):
+            maximize_cabello_family(exclusivity_tol="1e-9")
 
     def test_grid_is_capped(self):
         with pytest.raises(ValueError, match="^grid must be at most 256, got 257$"):
@@ -383,6 +414,16 @@ class TestSearchResultTypes:
     def test_non_integer_grid_is_refused(self, search, grid):
         with pytest.raises(TypeError, match=f"^grid must be an integer, got {grid!r}$"):
             search(grid)
+
+    @pytest.mark.parametrize("refine_tol, error, rule", [
+        ("1e-3", TypeError, "a real number"), (None, TypeError, "a real number"),
+        (True, TypeError, "a real number"), (0.0, ValueError, "positive"),
+        (-1e-3, ValueError, "positive"), (math.nan, ValueError, "positive"),
+    ])
+    def test_bad_refine_tol_is_refused_by_name(self, search, refine_tol, error, rule):
+        message = f"refine_tol must be {rule}, got {refine_tol!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            search(16, refine_tol)
 
     def test_integer_like_grid_is_a_plain_int(self, search):
         result = search(np.int64(16))
