@@ -227,13 +227,16 @@ class Witnesses(Sequence):
         if not all(isinstance(x, str) and x for x in c.labels) or list(c.labels) != sorted(set(c.labels)):
             raise ValueError(f"labels must be sorted, distinct, nonempty strings: {c.labels!r}")
         self._c, self._cache, self._near, self._conflict = c, {}, {}, _propagate(c)
+        if self._conflict:  # refuted: count 0, no search state
+            self._count, self._root = 0, []
+            return
         contexts, pairs = [sum(ms) for ms in c.contexts], [sum(ms) for ms in c.pairs]
         near = self._near  # each bit's fellow members in its contexts and pairs
         for members, m in zip(c.contexts + c.pairs, contexts + pairs):
             for bit in members:
                 near[bit] = near.get(bit, 0) | m ^ bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
-        self._count, *self._root = (0,) if self._conflict else _open(
+        self._count, *self._root = _open(
             (1 << len(c.labels)) - 1, contexts, pairs, near, known, c.ones, self._cache)
 
     def _walk(self, skip: int):

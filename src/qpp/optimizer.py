@@ -1,12 +1,14 @@
 """Derivative-free maximization of selection probabilities.
 
-The search is one loop over lattices, each scored in one objective call
-that returns its first maximizer and the maximum: a coarse cell-centered
-grid over the open parameter box, then, around the incumbent,
-9-point-per-axis lattices of halving half-width until the lattice diameter
-drops below the refinement tolerance.  The incumbent never regresses, so
-the returned value is at least every value of the first grid.  Ties prefer
-the lexicographically smallest point, so results are deterministic.  The
+Both searches score lattices, each in one objective call that returns its
+first maximizer and the maximum: a coarse cell-centered grid over the open
+parameter box, then, around the incumbent, 9-point-per-axis lattices of
+halving half-width until the lattice diameter drops below the refinement
+tolerance.  Hardy's two angles run through the generic loop; the family's
+one axis runs its own loop of Python floats; both take the pass count
+from one schedule.  The incumbent never regresses, so the returned value
+is at least every value of the first grid.  Ties prefer the
+lexicographically smallest point, so results are deterministic.  The
 grid and the tolerance alone fix the passes, and so the evaluation count.
 """
 
@@ -63,6 +65,17 @@ def _axis9(a, b):
             7 * s + a, b]
 
 
+def _passes(half_width, refine_tol):
+    """The pass schedule shared by both searches: passes until a lattice of
+    half-width half_width, halved each pass (exactly), is narrower than
+    refine_tol.  More than MAX_REFINE_ITERATIONS is refused."""
+    for k in range(MAX_REFINE_ITERATIONS + 1):
+        if 2.0 * half_width / 2.0 ** k < refine_tol:
+            return k
+    raise ConvergenceError(f"refinement did not reach tolerance {refine_tol!r} "
+                           f"within {MAX_REFINE_ITERATIONS} iterations")
+
+
 def _grid_refine(f, lows, highs, grid, refine_tol):
     """Shared search engine: maximize f over lattices; returns (point, value, evaluations).
 
@@ -71,19 +84,14 @@ def _grid_refine(f, lows, highs, grid, refine_tol):
     lexicographically smallest, as a tuple, and that maximum as a Python
     float.  The loop keeps the best point seen, on the cell-centered grid
     and then on 9-point lattices per axis around it, of half-width
-    span/grid halving each pass and clamped inside the open box, until the
-    lattice diameter is below refine_tol.  Halving is exact, so grid and
-    refine_tol fix the number of passes; a search needing more than
-    MAX_REFINE_ITERATIONS is refused before f is called.  evaluations is
-    computed from that schedule: grid^d + passes * 9^d lattice points,
-    also those whose value f decided without computing it.
+    span/grid halving each pass and clamped inside the open box, for the
+    _passes of the widest axis; past MAX_REFINE_ITERATIONS it is refused
+    before f is called.  evaluations is computed from that schedule:
+    grid^d + passes * 9^d lattice points, also those whose value f decided
+    without computing it.
     """
     half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
-    passes = next((k for k in range(MAX_REFINE_ITERATIONS + 1)
-                   if 2.0 * max(half_widths) / 2.0 ** k < refine_tol), None)
-    if passes is None:
-        raise ConvergenceError(f"refinement did not reach tolerance {refine_tol!r} "
-                               f"within {MAX_REFINE_ITERATIONS} iterations")
+    passes = _passes(max(half_widths), refine_tol)
     bounds = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in zip(lows, highs)]
     best_point, best_value = f(*[[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
                                  for lo, hi in zip(lows, highs)])
@@ -157,25 +165,24 @@ def _delta_overlap(c):
 
 def _family_max(cs, exclusivity_tol):
     """The family objective's first maximizer over the ascending axis cs
-    and its value, as _grid_refine's ((c,), v): c scores c*c when
-    _delta_overlap(c) is below exclusivity_tol, else 0.0.  Rounding keeps
-    c*c non-decreasing along cs, so the highest feasible point holds the
-    maximum: the scan computes overlaps from the top down to it, and below
-    it only for the points with the same square, the lowest feasible one
-    of which is first.  With no point feasible the maximum is 0.0, first
-    at cs[0]."""
+    and its value, as (c, v): c scores c*c when _delta_overlap(c) is below
+    exclusivity_tol, else 0.0.  Rounding keeps c*c non-decreasing along
+    cs, so the highest feasible point holds the maximum: the scan computes
+    overlaps from the top down to it, and below it only for the points
+    with the same square, the lowest feasible one of which is first.  With
+    no point feasible the maximum is 0.0, first at cs[0]."""
     for k in reversed(range(len(cs))):
         if _delta_overlap(cs[k]) < exclusivity_tol:
             break
     else:
-        return (cs[0],), 0.0
+        return cs[0], 0.0
     v = cs[k] * cs[k]
     for j in reversed(range(k)):
         if cs[j] * cs[j] != v:
             break
         if _delta_overlap(cs[j]) < exclusivity_tol:
             k = j
-    return (cs[k],), v
+    return cs[k], v
 
 
 def feasibility_root(c: float) -> tuple[float, float]:
@@ -217,12 +224,20 @@ def maximize_cabello_family(
     """
     grid = _check_search_args(grid, refine_tol=refine_tol, exclusivity_tol=exclusivity_tol)
 
-    (c,), _, evals = _grid_refine(lambda cs: _family_max(cs, exclusivity_tol),
-                                  (0.0,), (1.0,), grid, refine_tol)
+    # _grid_refine's schedule and incumbent rule on the box (0, 1), one axis of floats.
+    hw = 1.0 / grid  # halved each pass, exactly
+    passes = _passes(hw, refine_tol)
+    lo, hi = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+    c, best = _family_max([(i + 0.5) / grid for i in range(grid)], exclusivity_tol)
+    for _ in range(passes):
+        x, v = _family_max(_axis9(max(c - hw, lo), min(c + hw, hi)), exclusivity_tol)
+        if v > best or (v == best and x < c):
+            c, best = x, v
+        hw /= 2.0
     return OptimizationResult(
         parameters=(("c", c), ("p", feasibility_root(c)[0])),
         objective=c ** 2,
-        evaluations=evals,
+        evaluations=grid + passes * 9,
         grid_resolution=grid,
         refine_tolerance=refine_tol,
         exclusivity_tol=exclusivity_tol,

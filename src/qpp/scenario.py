@@ -348,7 +348,9 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     return ValidationReport(tuple(checks))
 
 
-_quote = json.JSONEncoder(ensure_ascii=False).encode
+# JSONEncoder(ensure_ascii=False).encode for a str, without its Python frame: labels,
+# members and metadata are always str, as the constructors enforce.
+_quote = json.encoder.encode_basestring
 
 
 def _state_template(dim: int, pad: str) -> str:

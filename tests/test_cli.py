@@ -426,6 +426,8 @@ class TestOptimize:
          "optimize_hardy_boundary_golden.json"),
         ("cabello-family", ["--grid", "16", "--refine-tol", "9.5367431640625e-07"],
          "optimize_family_boundary_golden.json"),
+        # The widest first grid, 256 cell centres on the family's one axis.
+        ("cabello-family", ["--grid", "256"], "optimize_family_grid256_golden.json"),
     ])
     def test_json_matches_golden(self, capsys, target, options, golden):
         """The search's report, byte for byte as the scalar engine wrote it."""
@@ -434,8 +436,9 @@ class TestOptimize:
         assert out.out == (DATA / golden).read_text()
         assert out.err == ""
 
-    def test_convergence_failure_exit_4(self, capsys):
-        code = main(["optimize", "hardy", "--grid", "16", "--refine-tol", "1e-40"])
+    @pytest.mark.parametrize("target", ["hardy", "cabello-family"])
+    def test_convergence_failure_exit_4(self, capsys, target):
+        code = main(["optimize", target, "--grid", "16", "--refine-tol", "1e-40"])
         assert code == 4
         assert capsys.readouterr().err == (
             "qpp: refinement did not reach tolerance 1e-40 within 60 iterations\n"

@@ -228,7 +228,7 @@ class TestLatticeKernels:
         cs = sorted(cs + data.draw(st.lists(st.sampled_from(cs), max_size=4), label="repeats"))
         values = np.array([c * c if _delta_overlap(c) < exclusivity_tol else 0.0 for c in cs])
         k = int(values.argmax())
-        assert repr(_family_max(cs, exclusivity_tol)) == repr(((cs[k],), values.item(k)))
+        assert repr(_family_max(cs, exclusivity_tol)) == repr((cs[k], values.item(k)))
 
     def test_hardy_lattice_on_first_grid_256(self):
         axis = [0.0 + (i + 0.5) * (HALF_PI - 0.0) / 256 for i in range(256)]
@@ -367,6 +367,32 @@ class TestMaximizeCabelloFamily:
         ones decided by dominance; the result is the full-lattice search's."""
         assert_matches_oracle(maximize_cabello_family, family_oracle, grid, refine_tol,
                               exclusivity_tol)
+
+    @pytest.mark.parametrize("exclusivity_tol", [1e-9, 0.3])
+    def test_matches_oracle_at_pass_count_boundaries(self, exclusivity_tol):
+        """refine_tol at 2 hw / 2^k (hw = 1/16), where k + 1 passes step down
+        to k, and one ulp either side: the family's own loop has every pass
+        count from 0 to 60, and the refusal past 60, as the oracle has them."""
+        def family(*args):
+            result = maximize_cabello_family(*args)
+            return result.parameters, result.objective, result.evaluations
+
+        def outcome(search, refine_tol):
+            try:
+                return repr(search(16, refine_tol, exclusivity_tol))
+            except ConvergenceError as exc:
+                return repr(exc)
+
+        for k in range(MAX_REFINE_ITERATIONS + 2):
+            edge = 2.0 * (1.0 / 16) / 2.0 ** k
+            for refine_tol, passes in ((math.nextafter(edge, 0.0), k + 1), (edge, k + 1),
+                                       (math.nextafter(edge, math.inf), k)):
+                got = outcome(family, refine_tol)
+                assert got == outcome(family_oracle, refine_tol), (k, refine_tol)
+                if passes > MAX_REFINE_ITERATIONS:
+                    assert got.startswith("ConvergenceError(")
+                else:
+                    assert got.endswith(f", {16 + passes * 9})")
 
     @pytest.mark.parametrize("exclusivity_tol", [1e-17, 1e-20, 1e-300])
     @pytest.mark.parametrize("grid, refine_tol", [(16, 1e-3), (16, 1e-9), (17, 1e-9), (64, 1e-9)])
