@@ -159,9 +159,13 @@ def _cmd_verify(args, tol_check: float) -> int:
             raise ValueError("verify hardy: --optimal conflicts with --theta-a/--theta-b")
         if not args.optimal and (args.theta_a is None or args.theta_b is None):
             raise ValueError("verify hardy: supply both --theta-a and --theta-b, or --optimal")
+        search = {k: v for k, v in (("grid", args.grid), ("refine_tol", args.refine_tol))
+                  if v is not None}
+        if search and not args.optimal:
+            raise ValueError("verify hardy: --grid and --refine-tol apply only with --optimal")
         theta_a, theta_b = args.theta_a, args.theta_b
         if args.optimal:
-            result = maximize_hardy(args.grid, args.refine_tol)
+            result = maximize_hardy(**search)
             params = dict(result.parameters)
             theta_a, theta_b = params["theta_a"], params["theta_b"]
         s = hardy_scenario(theta_a, theta_b, tol_check)
@@ -322,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vh.add_argument("--theta-a", type=float, help="first polar angle, in (0, pi/2)")
     vh.add_argument("--theta-b", type=float, help="second polar angle, in (0, pi/2)")
     vh.add_argument("--optimal", action="store_true", help="verify at the optimizer's angles")
-    vh.add_argument("--grid", type=int, default=64, help="initial grid resolution (default 64)")
-    vh.add_argument("--refine-tol", type=float, default=1e-9,
-                    help="refinement tolerance (default 1e-9)")
+    vh.add_argument("--grid", type=int, help="initial grid resolution, --optimal only (default 64)")
+    vh.add_argument("--refine-tol", type=float,
+                    help="refinement tolerance, --optimal only (default 1e-9)")
     vh.add_argument("--json", action="store_true", help="emit the report as JSON")
     vh.add_argument("--export", metavar="PATH", help="also write the scenario file")
 

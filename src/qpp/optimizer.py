@@ -4,8 +4,8 @@ Both searches score lattices, each in one objective call that returns its
 first maximizer and the maximum: a coarse cell-centered grid over the open
 parameter box, then, around the incumbent, 9-point-per-axis lattices of
 halving half-width until the lattice diameter drops below the refinement
-tolerance.  Hardy's two angles run through the generic loop; the family's
-one axis runs its own loop of Python floats; both take the pass count
+tolerance.  Each search runs its own loop of Python floats, Hardy's over
+two angles and the family's over one axis; both take the pass count
 from one schedule.  The incumbent never regresses, so the returned value
 is at least every value of the first grid.  Ties prefer the
 lexicographically smallest point, so results are deterministic.  The
@@ -33,7 +33,7 @@ __all__ = [
 
 DEFAULT_EXCLUSIVITY_TOL = 1e-9
 MAX_REFINE_ITERATIONS = 60
-# The initial scan holds grid**ndim points in memory; 256 keeps Hardy's at 65536.
+# Hardy's first grid holds grid**2 points in memory; 256 keeps it at 65536.
 MAX_GRID = 256
 
 
@@ -45,9 +45,9 @@ class ConvergenceError(RuntimeError):
 class OptimizationResult:
     """Maximizer, objective value, and bookkeeping for one search.
 
-    evaluations counts the lattice points searched, grid^d for the first
-    grid and 9^d for each refinement pass, whether or not the objective
-    computed each point's value.
+    evaluations counts the lattice points searched, grid^2 + 81 per pass
+    for Hardy and grid + 9 per pass for the family, whether or not the
+    search computed each point's value.
     """
 
     parameters: tuple[tuple[str, float], ...]
@@ -76,35 +76,6 @@ def _passes(half_width, refine_tol):
                            f"within {MAX_REFINE_ITERATIONS} iterations")
 
 
-def _grid_refine(f, lows, highs, grid, refine_tol):
-    """Shared search engine: maximize f over lattices; returns (point, value, evaluations).
-
-    f(*axes) maps one ascending list of floats per axis to (point, v): the
-    lattice's first maximizer in itertools.product order, so the
-    lexicographically smallest, as a tuple, and that maximum as a Python
-    float.  The loop keeps the best point seen, on the cell-centered grid
-    and then on 9-point lattices per axis around it, of half-width
-    span/grid halving each pass and clamped inside the open box, for the
-    _passes of the widest axis; past MAX_REFINE_ITERATIONS it is refused
-    before f is called.  evaluations is computed from that schedule:
-    grid^d + passes * 9^d lattice points, also those whose value f decided
-    without computing it.
-    """
-    half_widths = [(hi - lo) / grid for lo, hi in zip(lows, highs)]
-    passes = _passes(max(half_widths), refine_tol)
-    bounds = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in zip(lows, highs)]
-    best_point, best_value = f(*[[lo + (i + 0.5) * (hi - lo) / grid for i in range(grid)]
-                                 for lo, hi in zip(lows, highs)])
-    scale = 1.0  # halved each pass; scaling by a power of two is exact
-    for _ in range(passes):
-        pt, v = f(*[_axis9(max(x - hw * scale, a), min(x + hw * scale, b))
-                    for x, hw, (a, b) in zip(best_point, half_widths, bounds)])
-        if v > best_value or (v == best_value and pt < best_point):
-            best_point, best_value = pt, v
-        scale /= 2.0
-    return best_point, best_value, grid ** len(lows) + passes * 9 ** len(lows)
-
-
 def _check_search_args(grid: int, **tols: float) -> int:
     try:
         grid = operator.index(grid)
@@ -129,6 +100,14 @@ def _hardy_lattice(ta, tb):
     return _hardy_ratio(ca[:, None], sa[:, None], cb, sb)
 
 
+def _hardy_max(ta, tb):
+    """The first maximizer of _hardy_lattice(ta, tb), in row-major order, so
+    the lexicographically smallest, as ((ta[i], tb[j]), v)."""
+    values = _hardy_lattice(ta, tb)
+    i, j = divmod(int(values.argmax()), len(tb))
+    return (ta[i], tb[j]), values.item(i, j)
+
+
 def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
     """Maximize the Hardy selection probability over both angles.
 
@@ -137,17 +116,22 @@ def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResu
     """
     grid = _check_search_args(grid, refine_tol=refine_tol)
     half_pi = math.pi / 2.0
-
-    def objective(ta, tb):
-        values = _hardy_lattice(ta, tb)
-        i, j = divmod(int(values.argmax()), len(tb))
-        return (ta[i], tb[j]), values.item(i, j)
-
-    point, value, evals = _grid_refine(objective, (0.0, 0.0), (half_pi, half_pi), grid, refine_tol)
+    hw = half_pi / grid  # halved each pass, exactly
+    passes = _passes(hw, refine_tol)
+    lo, hi = math.nextafter(0.0, half_pi), math.nextafter(half_pi, 0.0)
+    axis = [(i + 0.5) * half_pi / grid for i in range(grid)]
+    point, best = _hardy_max(axis, axis)
+    for _ in range(passes):
+        a, b = point
+        pt, v = _hardy_max(_axis9(max(a - hw, lo), min(a + hw, hi)),
+                           _axis9(max(b - hw, lo), min(b + hw, hi)))
+        if v > best or (v == best and pt < point):
+            point, best = pt, v
+        hw /= 2.0
     return OptimizationResult(
         parameters=(("theta_a", point[0]), ("theta_b", point[1])),
-        objective=value,
-        evaluations=evals,
+        objective=best,
+        evaluations=grid * grid + passes * 81,
         grid_resolution=grid,
         refine_tolerance=refine_tol,
     )
@@ -224,7 +208,6 @@ def maximize_cabello_family(
     """
     grid = _check_search_args(grid, refine_tol=refine_tol, exclusivity_tol=exclusivity_tol)
 
-    # _grid_refine's schedule and incumbent rule on the box (0, 1), one axis of floats.
     hw = 1.0 / grid  # halved each pass, exactly
     passes = _passes(hw, refine_tol)
     lo, hi = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)

@@ -303,12 +303,13 @@ def single_qubit_oracle(n_contexts, seed):
 def grid_refine_oracle(f, lows, highs, grid, refine_tol):
     """The optimizer's search written as two scans, first grid then refinements.
 
-    Maximizes f(*point) and returns (point, value, evals), like
-    qpp.optimizer._grid_refine: the cell-centered grid is evaluated in
-    full and then scanned for the best point (ties to the
-    lexicographically smallest), after which each refinement pass
-    evaluates a 9-point-per-axis lattice around that point, clamped
-    inside the open box, and scans it the same way.
+    Maximizes f(*point) over the box and returns (point, value, evals),
+    one scalar call per point: maximize_hardy on (0, pi/2)^2 and
+    maximize_cabello_family on (0, 1) are its two- and one-axis cases.
+    The cell-centered grid is evaluated in full and then scanned for the
+    best point (ties to the lexicographically smallest), after which each
+    refinement pass evaluates a 9-point-per-axis lattice around that
+    point, clamped inside the open box, and scans it the same way.
     """
     ndim = len(lows)
     spans = [hi - lo for lo, hi in zip(lows, highs)]

@@ -94,6 +94,25 @@ class TestVerifyHardy:
         assert main(["verify", "hardy", "--optimal", "--theta-a", "0.4"]) == 2
         assert "--optimal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--grid", "8"], ["--refine-tol", "-1"],
+                                       ["--grid", "64", "--refine-tol", "1e-9"]])
+    def test_search_flags_without_optimal_exit_2(self, capsys, flags):
+        """--grid and --refine-tol tune the --optimal search; given alone,
+        even at their defaults, they are refused, never silently ignored."""
+        assert main(["verify", "hardy", "--theta-a", "0.5", "--theta-b", "0.6", *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "qpp: verify hardy: --grid and --refine-tol apply only with --optimal\n"
+
+    @pytest.mark.parametrize("flags, grid, refine_tol", [
+        (["--grid", "16"], 16, 1e-9), (["--refine-tol", "1e-3"], 64, 1e-3),
+    ])
+    def test_optimal_search_defaults(self, capsys, flags, grid, refine_tol):
+        """With --optimal, a search flag left out keeps its default."""
+        assert main(["verify", "hardy", "--optimal", *flags, "--json"]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert (details["grid_resolution"], details["refine_tolerance"]) == (grid, refine_tol)
+
     def test_optimal_mode(self, capsys):
         assert main(["verify", "hardy", "--optimal", "--grid", "16"]) == 0
         out = capsys.readouterr().out
@@ -426,8 +445,9 @@ class TestOptimize:
          "optimize_hardy_boundary_golden.json"),
         ("cabello-family", ["--grid", "16", "--refine-tol", "9.5367431640625e-07"],
          "optimize_family_boundary_golden.json"),
-        # The widest first grid, 256 cell centres on the family's one axis.
+        # The widest first grid: 256 cell centres on the family's one axis, 65536 points for Hardy.
         ("cabello-family", ["--grid", "256"], "optimize_family_grid256_golden.json"),
+        ("hardy", ["--grid", "256"], "optimize_hardy_grid256_golden.json"),
     ])
     def test_json_matches_golden(self, capsys, target, options, golden):
         """The search's report, byte for byte as the scalar engine wrote it."""

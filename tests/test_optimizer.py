@@ -24,7 +24,7 @@ from qpp import (
 )
 from qpp.optimizer import (
     DEFAULT_EXCLUSIVITY_TOL, MAX_GRID, MAX_REFINE_ITERATIONS, _axis9, _delta_overlap, _family_max,
-    _grid_refine, _hardy_lattice,
+    _hardy_lattice,
 )
 
 HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
@@ -34,49 +34,6 @@ open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 # Log-uniform over [1e-300, 10], and inf, which admits every member.
 exclusivity_tols = st.one_of(st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e), st.just(math.inf))
 P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
-
-
-@st.composite
-def search_problems(draw):
-    """A 1-D or 2-D box and an objective f(*point) on it: a shifted
-    quadratic, a constant, or a step function whose plateaus tie."""
-    ndim = draw(st.integers(1, 2))
-    lows = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(ndim))
-    highs = tuple(lo + draw(st.floats(0.1, 2.0)) for lo in lows)
-    centers = tuple(draw(st.floats(lo, hi)) for lo, hi in zip(lows, highs))
-    kind = draw(st.sampled_from(["quadratic", "constant", "steps"]))
-    if kind == "quadratic":
-        def f(*x):
-            return -sum((xi - a) ** 2 for xi, a in zip(x, centers))
-    elif kind == "constant":
-        k = draw(st.floats(-1.0, 1.0))
-
-        def f(*x):
-            return k
-    else:
-        m = draw(st.integers(1, 8))
-
-        def f(*x):
-            return -float(sum(math.floor(abs(xi - a) * m) for xi, a in zip(x, centers)))
-    return f, lows, highs
-
-
-def lattice(f):
-    """The lattice form of a scalar objective f(*point), as _grid_refine calls
-    it: the first maximizer, in itertools.product order, and its value."""
-    def first_max(*axes):
-        points = list(itertools.product(*axes))
-        values = np.array([f(*p) for p in points])
-        k = int(values.argmax())
-        return points[k], values.item(k)
-    return first_max
-
-
-def refine_both(f, lows, highs, grid, refine_tol):
-    """_grid_refine on the lattice form of f; asserts it equals the scalar oracle bit for bit."""
-    got = _grid_refine(lattice(f), lows, highs, grid, refine_tol)
-    assert repr(got) == repr(grid_refine_oracle(f, lows, highs, grid, refine_tol))
-    return got
 
 
 def hardy_oracle(grid, refine_tol):
@@ -101,88 +58,6 @@ def assert_matches_oracle(search, oracle, *args):
     result = search(*args)
     got = (result.parameters, result.objective, result.evaluations)
     assert repr(got) == repr(oracle(*args))
-
-
-class TestGridRefine:
-    def test_finds_smooth_maximum(self):
-        point, value, evals = refine_both(lambda x: 1.0 - (x - 0.3) ** 2, (0.0,), (1.0,), 16, 1e-9)
-        assert abs(point[0] - 0.3) < 1e-8
-        assert value == pytest.approx(1.0, abs=1e-15)
-        assert evals > 16 and (evals - 16) % 9 == 0
-
-    def test_value_is_at_least_first_grid(self):
-        rng = np.random.default_rng(61)
-        for _ in range(5):
-            a, b = rng.uniform(0.2, 0.8, 2).tolist()
-
-            def f(x, y, a=a, b=b):
-                return -((x - a) ** 2) - (y - b) ** 2
-
-            _, value, _ = refine_both(f, (0.0, 0.0), (1.0, 1.0), 16, 1e-6)
-            centers = [(i + 0.5) / 16 for i in range(16)]
-            assert all(value >= f(x, y) for x in centers for y in centers)
-
-    def test_constant_objective_prefers_lexicographic_minimum(self):
-        point, value, _ = refine_both(lambda x: 0.0, (0.0,), (1.0,), 16, 1e-9)
-        assert value == 0.0
-        assert point[0] < 1e-3
-
-    def test_iteration_cap(self):
-        for search, f in ((_grid_refine, lattice(lambda x: 0.0)),
-                          (grid_refine_oracle, lambda x: 0.0)):
-            with pytest.raises(ConvergenceError, match="^refinement did not reach tolerance "
-                               "1e-40 within 60 iterations$"):
-                search(f, (0.0,), (1.0,), 16, 1e-40)
-
-    @pytest.mark.parametrize("grid, refine_tol", [(64, 1e-300), (16, 1e-40)])
-    def test_unreachable_tolerance_is_refused_before_any_call(self, grid, refine_tol):
-        """Halving is exact, so the pass count is known up front: a search
-        needing more than 60 refinements raises without calling f."""
-        calls = []
-
-        def f(*axes):
-            calls.append(axes)
-            return (axes[0][0],), 0.0
-
-        with pytest.raises(ConvergenceError, match=f"^refinement did not reach tolerance "
-                           f"{refine_tol!r} within 60 iterations$"):
-            _grid_refine(f, (0.0,), (1.0,), grid, refine_tol)
-        assert calls == []
-
-    @pytest.mark.parametrize("lows, highs", [((0.0,), (1.0,)), ((-0.5, 0.0), (0.7, HALF_PI))])
-    def test_matches_oracle_at_pass_count_boundaries(self, lows, highs):
-        """refine_tol at 2 max(hw) / 2^k, where k + 1 passes step down to k,
-        and one ulp either side: every pass count from 0 to 60, and the
-        refusal past 60, as the oracle has them."""
-        def f(*x):
-            return -sum((xi - 0.3) ** 2 for xi in x)
-
-        def outcome(search, objective, refine_tol):
-            try:
-                return repr(search(objective, lows, highs, 16, refine_tol))
-            except ConvergenceError as exc:
-                return repr(exc)
-
-        ndim = len(lows)
-        hw = max(hi - lo for lo, hi in zip(lows, highs)) / 16
-        for k in range(MAX_REFINE_ITERATIONS + 2):
-            edge = 2.0 * hw / 2.0 ** k
-            for refine_tol, passes in ((math.nextafter(edge, 0.0), k + 1), (edge, k + 1),
-                                       (math.nextafter(edge, math.inf), k)):
-                got = outcome(_grid_refine, lattice(f), refine_tol)
-                assert got == outcome(grid_refine_oracle, f, refine_tol), (k, refine_tol)
-                if passes > MAX_REFINE_ITERATIONS:
-                    assert got.startswith("ConvergenceError(")
-                else:
-                    assert got.endswith(f", {16 ** ndim + passes * 9 ** ndim})")
-
-    @settings(max_examples=150, deadline=None)
-    @given(problem=search_problems(), grid=st.integers(16, 64),
-           refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
-    def test_matches_two_scan_oracle(self, problem, grid, refine_tol):
-        """Point, value and evaluation count equal the oracle's bit for bit."""
-        f, lows, highs = problem
-        refine_both(f, lows, highs, grid, refine_tol)
 
 
 class TestLatticeKernels:
@@ -231,7 +106,7 @@ class TestLatticeKernels:
         assert repr(_family_max(cs, exclusivity_tol)) == repr((cs[k], values.item(k)))
 
     def test_hardy_lattice_on_first_grid_256(self):
-        axis = [0.0 + (i + 0.5) * (HALF_PI - 0.0) / 256 for i in range(256)]
+        axis = [(i + 0.5) * HALF_PI / 256 for i in range(256)]
         want = [hardy_probability(a, b) for a, b in itertools.product(axis, axis)]
         assert _hardy_lattice(axis, axis).ravel().tolist() == want
 
@@ -259,6 +134,48 @@ class TestMaximizeHardy:
     @given(grid=st.integers(16, MAX_GRID), refine_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_matches_oracle_at_any_grid(self, grid, refine_tol):
         assert_matches_oracle(maximize_hardy, hardy_oracle, grid, refine_tol)
+
+    def test_matches_oracle_at_pass_count_boundaries(self):
+        """refine_tol at 2 hw / 2^k (hw = pi/2/16), where k + 1 passes step
+        down to k, and one ulp either side: Hardy's loop has every pass
+        count from 0 to 60, and the refusal past 60, as the oracle has them."""
+        def hardy(*args):
+            result = maximize_hardy(*args)
+            return result.parameters, result.objective, result.evaluations
+
+        def outcome(search, refine_tol):
+            try:
+                return repr(search(16, refine_tol))
+            except ConvergenceError as exc:
+                return repr(exc)
+
+        for k in range(MAX_REFINE_ITERATIONS + 2):
+            edge = 2.0 * (HALF_PI / 16) / 2.0 ** k
+            for refine_tol, passes in ((math.nextafter(edge, 0.0), k + 1), (edge, k + 1),
+                                       (math.nextafter(edge, math.inf), k)):
+                got = outcome(hardy, refine_tol)
+                assert got == outcome(hardy_oracle, refine_tol), (k, refine_tol)
+                if passes > MAX_REFINE_ITERATIONS:
+                    assert got.startswith("ConvergenceError(")
+                else:
+                    assert got.endswith(f", {16 * 16 + passes * 81})")
+
+    def test_iteration_cap(self):
+        for search in (maximize_hardy, hardy_oracle):
+            with pytest.raises(ConvergenceError, match="^refinement did not reach tolerance "
+                               "1e-40 within 60 iterations$"):
+                search(16, 1e-40)
+
+    @pytest.mark.parametrize("grid, refine_tol", [(64, 1e-300), (16, 1e-40)])
+    def test_unreachable_tolerance_is_refused_before_any_call(self, monkeypatch, grid, refine_tol):
+        """Halving is exact, so the pass count is known up front: a search
+        needing more than 60 refinements raises before scoring any lattice."""
+        calls = []
+        monkeypatch.setattr(qpp.optimizer, "_hardy_lattice", lambda *axes: calls.append(axes))
+        with pytest.raises(ConvergenceError, match=f"^refinement did not reach tolerance "
+                           f"{refine_tol!r} within 60 iterations$"):
+            maximize_hardy(grid, refine_tol)
+        assert calls == []
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="grid"):
