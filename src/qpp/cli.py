@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import __version__, hilbert, nchv, optimizer, prepost, scenario
+from . import __version__, hilbert, nchv, prepost, scenario
 from .constructions import DELTA_PAIR, cabello_scenario, hardy_scenario
 from .nchv import UNSAT, EnumerationLimitError
 from .optimizer import ConvergenceError, maximize_cabello_family, maximize_hardy
@@ -145,99 +145,94 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _forced_string(forced) -> str:
-    return ", ".join(f"{fv.label}={fv.bit}({fv.justification})" for fv in forced)
+def _within(name: str, expected: float, actual: float, tol: float) -> Check:
+    """A check that actual lies within tol of expected."""
+    dev = abs(actual - expected)
+    return Check(name, expected, actual, dev, dev < tol)
+
+
+def _equals(name: str, expected, actual) -> Check:
+    """A check that actual equals expected."""
+    return Check(name, expected, actual, None, actual == expected)
+
+
+def _given(args, *names: str) -> dict:
+    """The named options the user gave: a flag left out takes the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _decide(s, tol_check: float):
+    """Forced values as dicts, the SatisfiabilityReport and its trace steps as dicts."""
+    forced = prepost.forced_values(s, tol_check)
+    sat = nchv.enumerate_assignments(s, forced)
+    trace = [asdict(step) for step in sat.conflict.steps] if sat.conflict is not None else []
+    return [asdict(fv) for fv in forced], sat, trace
+
+
+def _verify_cabello(args, tol_check: float):
+    s = cabello_scenario()
+    prob = prepost.selection_probability(s)
+    return s, [_within("selection_probability", CABELLO_PROBABILITY, prob, 1e-12)], [], {}
+
+
+def _verify_hardy(args, tol_check: float):
+    if args.optimal and (args.theta_a is not None or args.theta_b is not None):
+        raise ValueError("verify hardy: --optimal conflicts with --theta-a/--theta-b")
+    if not args.optimal and (args.theta_a is None or args.theta_b is None):
+        raise ValueError("verify hardy: supply both --theta-a and --theta-b, or --optimal")
+    search = _given(args, "grid", "refine_tol")
+    if search and not args.optimal:
+        raise ValueError("verify hardy: --grid and --refine-tol apply only with --optimal")
+    theta_a, theta_b, after, found = args.theta_a, args.theta_b, [], {}
+    if args.optimal:
+        result = maximize_hardy(**search)
+        params = dict(result.parameters)
+        theta_a, theta_b = params["theta_a"], params["theta_b"]
+        after.append(_within("optimal_probability", HARDY_MAX_PROBABILITY, result.objective, 1e-6))
+        found = {k: getattr(result, k)
+                 for k in ("evaluations", "grid_resolution", "refine_tolerance")}
+    s = hardy_scenario(theta_a, theta_b, tol_check)
+    prob = prepost.selection_probability(s)
+    below = prob < CABELLO_PROBABILITY
+    after.append(Check("probability_below_bound", True, below, CABELLO_PROBABILITY - prob, below))
+    details = {"selection_probability": prob, "theta_a": theta_a, "theta_b": theta_b, **found}
+    return s, [], after, details
+
+
+# One row per verify target: the tolerance for its resolution and exclusivity
+# deviations, and the function that returns its scenario, the checks before
+# and after the shared ones, and its extra details.
+_VERIFY_TARGETS = {"cabello": (1e-12, _verify_cabello), "hardy": (1e-9, _verify_hardy)}
 
 
 def _cmd_verify(args, tol_check: float) -> int:
     """Rebuild the target scenario and check every claim about it."""
-    hardy = args.target == "hardy"
-    result = None
-    if hardy:
-        has_angles = args.theta_a is not None or args.theta_b is not None
-        if args.optimal and has_angles:
-            raise ValueError("verify hardy: --optimal conflicts with --theta-a/--theta-b")
-        if not args.optimal and (args.theta_a is None or args.theta_b is None):
-            raise ValueError("verify hardy: supply both --theta-a and --theta-b, or --optimal")
-        search = {k: v for k, v in (("grid", args.grid), ("refine_tol", args.refine_tol))
-                  if v is not None}
-        if search and not args.optimal:
-            raise ValueError("verify hardy: --grid and --refine-tol apply only with --optimal")
-        theta_a, theta_b = args.theta_a, args.theta_b
-        if args.optimal:
-            result = maximize_hardy(**search)
-            params = dict(result.parameters)
-            theta_a, theta_b = params["theta_a"], params["theta_b"]
-        s = hardy_scenario(theta_a, theta_b, tol_check)
-    else:
-        s = cabello_scenario()
-
+    numeric_tol, build = _VERIFY_TARGETS[args.target]
+    s, before, after, extra = build(args, tol_check)
     vreport = scenario.validate(s, tol_check)
-    checks = [Check("scenario_valid", True, vreport.passed, None, vreport.passed)]
-    prob = prepost.selection_probability(s)
-    if not hardy:
-        dev = abs(prob - CABELLO_PROBABILITY)
-        checks.append(
-            Check("selection_probability", CABELLO_PROBABILITY, prob, dev, dev < 1e-12)
-        )
+    checks = [_equals("scenario_valid", True, vreport.passed), *before]
 
-    # Resolution and exclusivity deviations come from the validation
-    # report, re-judged at the target's pinned tolerance.
-    numeric_tol = 1e-9 if hardy else 1e-12
+    # Resolution and exclusivity deviations from validation, re-judged at the row's tolerance.
     measured = {c.name: c.deviation for c in vreport.checks}
-    for i in range(len(s.contexts)):
-        dev = measured[f"context_resolution[{i}]"]
-        checks.append(
-            Check(f"resolution_of_identity[{i}]", 0.0, dev, dev, dev < numeric_tol)
-        )
-
+    checks += [_within(f"resolution_of_identity[{i}]", 0.0, measured[f"context_resolution[{i}]"],
+                       numeric_tol) for i in range(len(s.contexts))]
     a, b = DELTA_PAIR
-    dev = measured[f"exclusive_pair[{a},{b}]"]
-    checks.append(Check("delta_pair_exclusive", 0.0, dev, dev, dev < numeric_tol))
+    checks.append(_within("delta_pair_exclusive", 0.0, measured[f"exclusive_pair[{a},{b}]"],
+                          numeric_tol))
 
-    forced = prepost.forced_values(s, tol_check)
-    actual_forced = _forced_string(forced)
-    checks.append(
-        Check("forced_values", _FORCED_EXPECTED, actual_forced, None, actual_forced == _FORCED_EXPECTED)
-    )
+    forced, sat, trace = _decide(s, tol_check)
+    checks += [
+        _equals("forced_values", _FORCED_EXPECTED,
+                ", ".join("{label}={bit}({justification})".format(**fv) for fv in forced)),
+        _equals("nchv_status", UNSAT, sat.status),
+        _equals("assignments_examined", 1 << len(s.projectors), sat.assignments_examined),
+        _equals("contradiction_trace", _TRACE_EXPECTED,
+                "; ".join(step["conclusion"] for step in trace) or "(no certificate)"),
+        *after,
+    ]
 
-    sat = nchv.enumerate_assignments(s, forced)
-    checks.append(Check("nchv_status", UNSAT, sat.status, None, sat.status == UNSAT))
-    n = len(s.projectors)
-    checks.append(
-        Check("assignments_examined", 1 << n, sat.assignments_examined, None,
-              sat.assignments_examined == 1 << n)
-    )
-    if sat.conflict is not None:
-        actual_trace = "; ".join(sat.conflict.conclusions())
-        trace_detail = [asdict(step) for step in sat.conflict.steps]
-    else:
-        actual_trace = "(no certificate)"
-        trace_detail = []
-    checks.append(
-        Check("contradiction_trace", _TRACE_EXPECTED, actual_trace, None,
-              actual_trace == _TRACE_EXPECTED)
-    )
-
-    details = {"forced_values": [asdict(fv) for fv in forced], "trace": trace_detail}
-
-    if hardy:
-        details["selection_probability"] = prob
-        details["theta_a"] = theta_a
-        details["theta_b"] = theta_b
-        if result is not None:
-            dev = abs(result.objective - HARDY_MAX_PROBABILITY)
-            checks.append(
-                Check("optimal_probability", HARDY_MAX_PROBABILITY, result.objective, dev, dev < 1e-6)
-            )
-            details["evaluations"] = result.evaluations
-            details["grid_resolution"] = result.grid_resolution
-            details["refine_tolerance"] = result.refine_tolerance
-        margin = CABELLO_PROBABILITY - prob
-        checks.append(Check("probability_below_bound", True, prob < CABELLO_PROBABILITY, margin,
-                            prob < CABELLO_PROBABILITY))
-
-    report = Report(f"verify {args.target}", tuple(checks), details)
+    report = Report(f"verify {args.target}", tuple(checks),
+                    {"forced_values": forced, "trace": trace, **extra})
     _emit(report, args.json)
     if not report.overall:
         return EXIT_NUMERIC if vreport.passed else EXIT_VALIDATION
@@ -256,32 +251,25 @@ def _cmd_check(args, tol_check: float) -> int:
 
     command = f"check {args.path}"
     vreport = scenario.validate(s, tol_check)
-    valid_check = Check("scenario_valid", True, vreport.passed, None, vreport.passed)
+    valid_check = _equals("scenario_valid", True, vreport.passed)
     if not vreport.passed:
-        details = {
-            "validation_failures": [
-                {"name": c.name, "deviation": c.deviation, "detail": c.detail}
-                for c in vreport.failures()
-            ]
-        }
-        _emit(Report(command, (valid_check,), details), args.json)
+        failures = [{"name": c.name, "deviation": c.deviation, "detail": c.detail}
+                    for c in vreport.failures()]
+        _emit(Report(command, (valid_check,), {"validation_failures": failures}), args.json)
         return EXIT_VALIDATION
 
-    forced = prepost.forced_values(s, tol_check)
-    sat = nchv.enumerate_assignments(s, forced)
-
+    forced, sat, trace = _decide(s, tol_check)
     details = {
         "status": sat.status,
         "assignments_examined": sat.assignments_examined,
-        "forced_values": [asdict(fv) for fv in forced],
+        "forced_values": forced,
         "witnesses": [w.as_dict() for w in sat.witnesses[: args.max_witnesses]],
         "witnesses_total": len(sat.witnesses),
     }
-    if sat.status == UNSAT:
-        if sat.conflict is not None:
-            details["trace"] = [asdict(step) for step in sat.conflict.steps]
-        else:
-            details["trace_note"] = "UNSAT without unit-propagation certificate"
+    if trace:  # only an UNSAT report carries a refutation
+        details["trace"] = trace
+    elif sat.status == UNSAT:
+        details["trace_note"] = "UNSAT without unit-propagation certificate"
 
     checks = (valid_check, Check("satisfiability", "SAT|UNSAT", sat.status, None, True))
     _emit(Report(command, checks, details), args.json)
@@ -289,21 +277,15 @@ def _cmd_check(args, tol_check: float) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    tol = args.exclusivity_tol
-    if args.target == "hardy":
-        if tol is not None:
-            raise ValueError("--exclusivity-tol applies only to cabello-family")
-        result = maximize_hardy(args.grid, args.refine_tol)
-    else:
-        tol = optimizer.DEFAULT_EXCLUSIVITY_TOL if tol is None else tol
-        result = maximize_cabello_family(args.grid, args.refine_tol, tol)
+    search = _given(args, "grid", "refine_tol", "exclusivity_tol")
+    if args.target == "hardy" and "exclusivity_tol" in search:
+        raise ValueError("--exclusivity-tol applies only to cabello-family")
+    result = (maximize_hardy if args.target == "hardy" else maximize_cabello_family)(**search)
 
     details = {k: v for k, v in asdict(result).items() if v is not None}
     details["parameters"] = dict(result.parameters)
-    checks = (
-        Check("converged", True, True, None, True),
-        Check("objective", None, result.objective, None, True),
-    )
+    checks = (Check("converged", True, True, None, True),
+              Check("objective", None, result.objective, None, True))
     _emit(Report(f"optimize {args.target}", checks, details), args.json)
     return EXIT_OK
 
@@ -319,9 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vtargets = verify.add_subparsers(dest="target", required=True)
 
     vc = vtargets.add_parser("cabello", help="the fixed two-spin scenario")
-    vc.add_argument("--json", action="store_true", help="emit the report as JSON")
-    vc.add_argument("--export", metavar="PATH", help="also write the scenario file")
-
     vh = vtargets.add_parser("hardy", help="the two-qubit Hardy construction")
     vh.add_argument("--theta-a", type=float, help="first polar angle, in (0, pi/2)")
     vh.add_argument("--theta-b", type=float, help="second polar angle, in (0, pi/2)")
@@ -329,8 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vh.add_argument("--grid", type=int, help="initial grid resolution, --optimal only (default 64)")
     vh.add_argument("--refine-tol", type=float,
                     help="refinement tolerance, --optimal only (default 1e-9)")
-    vh.add_argument("--json", action="store_true", help="emit the report as JSON")
-    vh.add_argument("--export", metavar="PATH", help="also write the scenario file")
+    for target in (vc, vh):
+        target.add_argument("--json", action="store_true", help="emit the report as JSON")
+        target.add_argument("--export", metavar="PATH", help="also write the scenario file")
 
     check = sub.add_parser("check", help="validate a scenario file and decide satisfiability")
     check.add_argument("path", help="scenario JSON file")
@@ -341,9 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="maximize a selection probability")
     opt.add_argument("target", choices=["hardy", "cabello-family"])
-    opt.add_argument("--grid", type=int, default=64, help="initial grid resolution (default 64)")
-    opt.add_argument("--refine-tol", type=float, default=1e-9,
-                     help="refinement tolerance (default 1e-9)")
+    opt.add_argument("--grid", type=int, help="initial grid resolution (default 64)")
+    opt.add_argument("--refine-tol", type=float, help="refinement tolerance (default 1e-9)")
     opt.add_argument("--exclusivity-tol", type=float,
                      help="feasibility tolerance, cabello-family only (default 1e-9)")
     opt.add_argument("--json", action="store_true", help="emit the report as JSON")

@@ -205,8 +205,7 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
     DegenerateConfigurationError.  tol must be positive and finite, else
     ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    hilbert._check_tol(tol)
     _check_hardy_angles(theta_a, theta_b)
     ca, sa = math.cos(theta_a), math.sin(theta_a)
     cb, sb = math.cos(theta_b), math.sin(theta_b)

@@ -45,6 +45,12 @@ TOL_NORM = 1e-12
 TOL_CHECK = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a decision tolerance outside (0, inf) with ValueError."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 class StateVector:
     """Unit vector in a finite-dimensional Hilbert space.
 

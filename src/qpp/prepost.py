@@ -50,8 +50,7 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     selections, the first two rows of the scenario's block.  tol must be
     positive and finite, else ValueError.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    hilbert._check_tol(tol)
     values = hilbert.certain_values(s.states, s._block[:2], tol).tolist()
     out: list[ForcedValue] = []
     for label in sorted(s.rows):
@@ -79,8 +78,7 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
         ABLUndefinedError: N1 + N0 is below tol; the conditional
             probability is not defined.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    hilbert._check_tol(tol)
     if label not in s.rows:
         raise ValueError(f"unknown projector label {label!r}")
     v = s.states[s.rows[label]]

@@ -300,8 +300,10 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     the product of its projectors.  Contexts with the same number of
     members are measured together, as one stack of rows of ``s.states``
     in :func:`hilbert.context_deviations`; each deviation is bit for bit
-    the one-context value.  Nothing here raises on bad content.
+    the one-context value.  Nothing here raises on bad content; a
+    tol_check that is not positive and finite raises ValueError.
     """
+    hilbert._check_tol(tol_check)
     checks: list[CheckResult] = []
 
     deviations = [s.pre._dev, s.post._dev, *(p.state._dev for p in s.projectors)]

@@ -105,13 +105,27 @@ class TestVerifyHardy:
         assert out.err == "qpp: verify hardy: --grid and --refine-tol apply only with --optimal\n"
 
     @pytest.mark.parametrize("flags, grid, refine_tol", [
-        (["--grid", "16"], 16, 1e-9), (["--refine-tol", "1e-3"], 64, 1e-3),
+        (["verify", "hardy", "--optimal", "--grid", "16"], 16, 1e-9),
+        (["verify", "hardy", "--optimal", "--refine-tol", "1e-3"], 64, 1e-3),
+        (["optimize", "hardy", "--refine-tol", "1e-3"], 64, 1e-3),
+        (["optimize", "cabello-family", "--grid", "16"], 16, 1e-9),
     ])
     def test_optimal_search_defaults(self, capsys, flags, grid, refine_tol):
-        """With --optimal, a search flag left out keeps its default."""
-        assert main(["verify", "hardy", "--optimal", *flags, "--json"]) == 0
+        """On verify hardy --optimal and on optimize, a search flag left
+        out takes the library's default."""
+        assert main([*flags, "--json"]) == 0
         details = json.loads(capsys.readouterr().out)["details"]
         assert (details["grid_resolution"], details["refine_tolerance"]) == (grid, refine_tol)
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--theta-a", "0.9", "--theta-b", "0.7"], "verify_hardy_golden.json"),
+        (["--optimal", "--grid", "16"], "verify_hardy_optimal_golden.json"),
+    ], ids=["angles", "optimal"])
+    def test_json_matches_golden(self, capsys, argv, golden):
+        assert main(["verify", "hardy", *argv, "--json"]) == 0
+        out = capsys.readouterr()
+        assert out.out == (DATA / golden).read_text()
+        assert out.err == ""
 
     def test_optimal_mode(self, capsys):
         assert main(["verify", "hardy", "--optimal", "--grid", "16"]) == 0

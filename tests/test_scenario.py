@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -405,6 +406,12 @@ class TestValidate:
         fail = next(c for c in report.checks if c.name == "exclusive_pair[up,tilted]")
         assert not fail.passed
         assert fail.deviation > 0.1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_outside_open_interval_is_refused(self, tol):
+        """Refused as the caller's error, not reported as failed checks of a valid scenario."""
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite"):
+            validate(cabello_scenario(), tol)
 
 
 def json_dumps_save(s):
