@@ -31,7 +31,8 @@ from pathlib import Path
 from . import __version__, hilbert, nchv, prepost, scenario
 from .constructions import DELTA_PAIR, cabello_scenario, hardy_scenario
 from .nchv import UNSAT, EnumerationLimitError
-from .optimizer import ConvergenceError, maximize_cabello_family, maximize_hardy
+from .optimizer import (DEFAULT_EXCLUSIVITY_TOL, DEFAULT_GRID, DEFAULT_REFINE_TOL, ConvergenceError,
+                        maximize_cabello_family, maximize_hardy)
 from .scenario import ScenarioParseError
 
 __all__ = [
@@ -264,7 +265,7 @@ def _cmd_check(args, tol_check: float) -> int:
         "assignments_examined": sat.assignments_examined,
         "forced_values": forced,
         "witnesses": [w.as_dict() for w in sat.witnesses[: args.max_witnesses]],
-        "witnesses_total": len(sat.witnesses),
+        "witnesses_total": sat.witnesses.count,
     }
     if trace:  # only an UNSAT report carries a refutation
         details["trace"] = trace
@@ -305,9 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
     vh.add_argument("--theta-a", type=float, help="first polar angle, in (0, pi/2)")
     vh.add_argument("--theta-b", type=float, help="second polar angle, in (0, pi/2)")
     vh.add_argument("--optimal", action="store_true", help="verify at the optimizer's angles")
-    vh.add_argument("--grid", type=int, help="initial grid resolution, --optimal only (default 64)")
+    vh.add_argument("--grid", type=int,
+                    help=f"initial grid resolution, --optimal only (default {DEFAULT_GRID})")
     vh.add_argument("--refine-tol", type=float,
-                    help="refinement tolerance, --optimal only (default 1e-9)")
+                    help=f"refinement tolerance, --optimal only (default {DEFAULT_REFINE_TOL})")
     for target in (vc, vh):
         target.add_argument("--json", action="store_true", help="emit the report as JSON")
         target.add_argument("--export", metavar="PATH", help="also write the scenario file")
@@ -321,10 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="maximize a selection probability")
     opt.add_argument("target", choices=["hardy", "cabello-family"])
-    opt.add_argument("--grid", type=int, help="initial grid resolution (default 64)")
-    opt.add_argument("--refine-tol", type=float, help="refinement tolerance (default 1e-9)")
+    opt.add_argument("--grid", type=int, help=f"initial grid resolution (default {DEFAULT_GRID})")
+    opt.add_argument("--refine-tol", type=float, help=f"refinement tolerance (default {DEFAULT_REFINE_TOL})")
     opt.add_argument("--exclusivity-tol", type=float,
-                     help="feasibility tolerance, cabello-family only (default 1e-9)")
+                     help=f"feasibility tolerance, cabello-family only (default {DEFAULT_EXCLUSIVITY_TOL})")
     opt.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     return parser

@@ -16,8 +16,6 @@ nine contexts, is refuted with no branch.  No assignment is stored.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
@@ -137,7 +135,7 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
     Every 1 must have its near bits known.  Propagation makes a context's
     last free member 1 and fails on a context with no 1 and no free member.
     Returns (count, known, ones, parts) at its fixpoint, count 0 on failure;
-    parts are the components of the open constraints as (free bits, count,
+    parts are the components of the open constraints as (free bits,
     contexts, pairs).  A one-context component counts its free members; any
     other is cached by its mask and known bits (all 0 under it).  On a miss
     it counts 0 if _parity_odd refutes its contexts, and else branches on
@@ -184,7 +182,7 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
             return 0, known, ones, []
         total *= n
         bits &= ~free
-        parts.append((free, n, ctxs, prs))
+        parts.append((free, ctxs, prs))
     return total << (bits & ~known).bit_count(), known, ones, parts
 
 
@@ -201,7 +199,7 @@ def _digits(free: int, parts) -> list[list[int]] | None:
     """Mixed-radix digits whose product lists the models under free in ascending-mask
     order: each part's members and each bit no part holds (0 or the bit), by top choice.
     None if a part is not one context, or a digit's second choice is below the next's top."""
-    for held, _, ctxs, prs in parts:
+    for held, ctxs, prs in parts:
         if len(ctxs) > 1 or prs:
             return None
         free ^= held
@@ -210,25 +208,25 @@ def _digits(free: int, parts) -> list[list[int]] | None:
     return digits if all(d[1] > e[-1] for d, e in zip(digits, digits[1:])) else None
 
 
-class Witnesses(Sequence):
+class Witnesses:
     """The satisfying masks of compiled constraints, ascending, each read as
     a ValueAssignment built without checks.  Nothing is kept per assignment:
-    len is the count, 0 with no search when unit propagation refutes the
-    constraints (its trace is _conflict).  Slices and iteration run a
-    depth-first search that skips subtrees with no model; an index, negative
-    too, is unranked by the same subtree counts.  Equal constraints are equal
-    at once, other Witnesses are compared by mask, and any other sequence
-    element-wise.  Unhashable: a hash agreeing with tuples would list every record.
+    count is the exact number at any size, 0 with no search when unit
+    propagation refutes the constraints (its trace is _conflict), and len()
+    returns it up to CPython's index-size limit.  Iteration and the one read
+    w[:k] run a depth-first search that skips subtrees with no model.  Equal
+    constraints are equal at once, and other Witnesses are compared by mask.
+    Unhashable: a hash agreeing with equality would list every record.
     """
 
-    __slots__ = ("_c", "_near", "_count", "_cache", "_root", "_conflict")
+    __slots__ = ("_c", "_near", "count", "_cache", "_root", "_conflict")
 
     def __init__(self, c: _Constraints) -> None:
         if not all(isinstance(x, str) and x for x in c.labels) or list(c.labels) != sorted(set(c.labels)):
             raise ValueError(f"labels must be sorted, distinct, nonempty strings: {c.labels!r}")
         self._c, self._cache, self._near, self._conflict = c, {}, {}, _propagate(c)
         if self._conflict:  # refuted: count 0, no search state
-            self._count, self._root = 0, []
+            self.count, self._root = 0, []
             return
         contexts, pairs = [sum(ms) for ms in c.contexts], [sum(ms) for ms in c.pairs]
         near = self._near  # each bit's fellow members in its contexts and pairs
@@ -236,35 +234,31 @@ class Witnesses(Sequence):
             for bit in members:
                 near[bit] = near.get(bit, 0) | m ^ bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
-        self._count, *self._root = _open(
+        self.count, *self._root = _open(
             (1 << len(c.labels)) - 1, contexts, pairs, near, known, c.ones, self._cache)
 
-    def _walk(self, skip: int):
-        """Masks from rank skip on: branch on the top free bit, 0 first, and
-        re-count the part that holds it with _open on each side."""
+    def _walk(self):
+        """Masks ascending: branch on the top free bit, 0 first, re-count the
+        part that holds it with _open on each side, and keep the sides with a model."""
         near, cache, every = self._near, self._cache, (1 << len(self._c.labels)) - 1
-        stack = [(*self._root, self._count, skip)] if skip < self._count else []
+        stack = [self._root] if self.count else []
         while stack:
-            known, ones, parts, count, skip = stack.pop()
+            known, ones, parts = stack.pop()
             free = every & ~known
-            if not skip and (digits := _digits(free, parts)) is not None:
+            if (digits := _digits(free, parts)) is not None:
                 yield from map(sum, product((ones,), *digits))
                 continue
             bit = 1 << (free.bit_length() - 1)
-            for i, (held, n, ctxs, prs) in enumerate(parts):
+            for i, (held, ctxs, prs) in enumerate(parts):
                 if held & bit:
-                    rest, others = count // n, parts[:i] + parts[i + 1:]
-                    kids = [(k, o, others + sub, rest * m) for m, k, o, sub in (
+                    others = parts[:i] + parts[i + 1:]
+                    kids = [(k, o, others + sub) for m, k, o, sub in (
                         _open(held, ctxs, prs, near, known | bit, ones, cache),
-                        _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache))]
+                        _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)) if m]
                     break
             else:  # no open constraint holds the bit
-                kids = [(known | bit, ones | one, parts, count >> 1) for one in (0, bit)]
-            (k0, o0, p0, n0), (k1, o1, p1, n1) = kids
-            if n1:
-                stack.append((k1, o1, p1, n1, max(skip - n0, 0)))
-            if skip < n0:
-                stack.append((k0, o0, p0, n0, skip))
+                kids = [(known | bit, ones | one, parts) for one in (0, bit)]
+            stack += reversed(kids)
 
     def _record(self, k: int) -> ValueAssignment:
         labels = self._c.labels
@@ -272,33 +266,26 @@ class Witnesses(Sequence):
         return ValueAssignment._unchecked(tuple(zip(labels, sum(map(_BYTE_BITS.__getitem__, raw), ()))))
 
     def __len__(self) -> int:
-        return self._count
+        return self.count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            r = range(*index.indices(self._count))
-            up = r if r.step > 0 else r[::-1]
-            masks = up and islice(self._walk(up.start), 0, up[-1] - up[0] + 1, up.step)
-            records = [*map(self._record, masks)]
-            return tuple(records if r.step > 0 else reversed(records))
-        i = operator.index(index)
-        if not -self._count <= i < self._count:
-            raise IndexError(f"witness index {i} out of range")
-        return self._record(next(self._walk(i % self._count)))
+    def __getitem__(self, index) -> tuple[ValueAssignment, ...]:
+        """Only the prefix w[:k], k >= 0 or None: the first k records."""
+        k = index.stop if isinstance(index, slice) and index.start is index.step is None else -1
+        if not (k is None or isinstance(k, int) and k >= 0):
+            raise TypeError(f"Witnesses reads only a prefix w[:k] with k >= 0 or None, not {index!r}")
+        return tuple(islice(self, k))
 
     def __iter__(self):
-        return map(self._record, self._walk(0))
+        return map(self._record, self._walk())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Witnesses):  # records are equal when labels and masks are
-            return self._c == other._c or len(self) == len(other) and (not self or (
-                self._c.labels == other._c.labels and all(map(eq, self._walk(0), other._walk(0)))))
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, Witnesses):
+            return NotImplemented
+        return self._c == other._c or self.count == other.count and (not self.count or (
+            self._c.labels == other._c.labels and all(map(eq, self._walk(), other._walk()))))
 
     def __repr__(self) -> str:
-        return f"Witnesses({self._count} assignments over {self._c.labels!r})"
+        return f"Witnesses({self.count} assignments over {self._c.labels!r})"
 
 
 @dataclass(frozen=True)
@@ -306,7 +293,8 @@ class SatisfiabilityReport:
     """Outcome of deciding all 2^n assignments.
 
     witnesses holds every satisfying assignment in lexicographic order of
-    the sorted-label bit string, found only when read; len is the count.
+    the sorted-label bit string, found only when read; witnesses.count is
+    their number.
     assignments_examined is 2^n, the number of assignments decided, none
     of them listed.  conflict is the refutation that decided UNSAT, else
     None: SAT, or propagation stalled.
@@ -360,7 +348,7 @@ def enumerate_assignments(
     contexts = tuple(tuple(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
     pairs = tuple((bits[a], bits[b]) for a, b in s.exclusive_pairs)
     witnesses = Witnesses(_Constraints(tuple(labels), contexts, pairs, known, ones))
-    return SatisfiabilityReport(SAT if witnesses else UNSAT, witnesses, 1 << n, witnesses._conflict)
+    return SatisfiabilityReport(SAT if witnesses.count else UNSAT, witnesses, 1 << n, witnesses._conflict)
 
 
 def _propagate(c: _Constraints) -> ContradictionTrace | None:

@@ -31,6 +31,8 @@ __all__ = [
     "maximize_cabello_family",
 ]
 
+DEFAULT_GRID = 64
+DEFAULT_REFINE_TOL = 1e-9
 DEFAULT_EXCLUSIVITY_TOL = 1e-9
 MAX_REFINE_ITERATIONS = 60
 # Hardy's first grid holds grid**2 points in memory; 256 keeps it at 65536.
@@ -108,7 +110,7 @@ def _hardy_max(ta, tb):
     return (ta[i], tb[j]), values.item(i, j)
 
 
-def maximize_hardy(grid: int = 64, refine_tol: float = 1e-9) -> OptimizationResult:
+def maximize_hardy(grid: int = DEFAULT_GRID, refine_tol: float = DEFAULT_REFINE_TOL) -> OptimizationResult:
     """Maximize the Hardy selection probability over both angles.
 
     The objective is the closed form :func:`hardy_probability`, one lattice
@@ -193,8 +195,8 @@ def feasibility_root(c: float) -> tuple[float, float]:
 
 
 def maximize_cabello_family(
-    grid: int = 64,
-    refine_tol: float = 1e-9,
+    grid: int = DEFAULT_GRID,
+    refine_tol: float = DEFAULT_REFINE_TOL,
     exclusivity_tol: float = DEFAULT_EXCLUSIVITY_TOL,
 ) -> OptimizationResult:
     """Maximize the selection probability over feasible family members.

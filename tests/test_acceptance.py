@@ -77,7 +77,7 @@ def test_criterion_04_noncontextual_assignments_are_contradictory():
         report = enumerate_assignments(s, forced)
         assert report.status == UNSAT
         assert report.assignments_examined == 128
-        assert report.witnesses == ()
+        assert report.witnesses.count == 0 and list(report.witnesses) == []
         trace = contradiction_trace(s)
         assert trace.conclusions() == ("delta+=1", "delta-=1", "CONFLICT")
         for i in range(len(forced)):

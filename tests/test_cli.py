@@ -19,6 +19,9 @@ from conftest import ks18_scenario, witness_heavy_scenario
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
 from qpp import cabello_scenario, forced_values, single_qubit_scenario
 from qpp.cli import Check, Report, main
+from qpp.optimizer import (
+    DEFAULT_EXCLUSIVITY_TOL, DEFAULT_GRID, DEFAULT_REFINE_TOL, maximize_cabello_family, maximize_hardy,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "verify_cabello_golden.json"
@@ -240,12 +243,13 @@ class TestCheck:
         assert capsys.readouterr().out == (DATA / "check_ks18_golden.json").read_text()
 
     def test_sat_file_matches_golden(self, capsys, monkeypatch):
-        """pre forces a=1, d=0 and g=0; the report lists the first 16, or all,
-        of 25 witnesses in ascending bit-string order."""
+        """pre forces a=1, d=0 and g=0; the report lists the first 16, all or
+        none of 25 witnesses in ascending bit-string order."""
         monkeypatch.chdir(DATA.parent.parent)
         for argv, golden, listed in (
             ([], "check_sat_golden.json", 16),
             (["--max-witnesses", "25"], "check_sat_all_golden.json", 25),
+            (["--max-witnesses", "0"], "check_sat_none_golden.json", 0),
         ):
             assert main(["check", "tests/data/sat_witnesses.json", "--json", *argv]) == 0
             out = capsys.readouterr().out
@@ -528,6 +532,19 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["verify", "--help"]) == 0
+
+    def test_help_names_the_library_defaults(self, capsys):
+        """--help spells each search default from qpp.optimizer, the
+        constants the maximizers' signatures use."""
+        assert maximize_hardy.__defaults__ == (DEFAULT_GRID, DEFAULT_REFINE_TOL)
+        assert maximize_cabello_family.__defaults__ == (
+            DEFAULT_GRID, DEFAULT_REFINE_TOL, DEFAULT_EXCLUSIVITY_TOL)
+        assert main(["optimize", "--help"]) == 0
+        assert main(["verify", "hardy", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for value in (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEFAULT_EXCLUSIVITY_TOL):
+            assert f"(default {value})" in text
+        assert text.count(f"(default {DEFAULT_GRID})") == 2
 
 
 class TestReportModel:
