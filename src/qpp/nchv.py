@@ -11,7 +11,7 @@ bitmasks run: DPLL (Davis, Logemann and Loveland, CACM 5, 394 (1962))
 with component caching (Sang et al., SAT 2004), and before each branch
 Gaussian elimination over GF(2) (Soos, Nohl and Castelluccia, SAT 2009):
 every context holds an odd number of 1s, so KS18, each ray in two of its
-nine contexts, is refuted with no branch.  No assignment is stored.
+nine contexts, is refuted with no branch.  A node budget caps the work, not n.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "SUM_RULE",
     "EXCLUSIVITY",
     "CONFLICT",
-    "MAX_EXHAUSTIVE_PROJECTORS",
     "EnumerationLimitError",
     "NoContradictionError",
     "PropagationIncompleteError",
@@ -51,12 +50,12 @@ SUM_RULE = "SumRule"
 EXCLUSIVITY = "Exclusivity"
 CONFLICT = "CONFLICT"
 
-MAX_EXHAUSTIVE_PROJECTORS = 24
+_NODE_BUDGET = 1 << 16  # components a count may cache before EnumerationLimitError
 _BYTE_BITS = list(product((0, 1), repeat=8))  # entry v: the bits of byte v, high first
 
 
 class EnumerationLimitError(ValueError):
-    """Too many projectors for exhaustive enumeration."""
+    """The count needs more components than the node budget, or recurses too deep."""
 
 
 class NoContradictionError(ValueError):
@@ -129,17 +128,17 @@ def _parity_odd(contexts, known: int) -> bool:
 
 
 def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
-    """Count the assignments of the free bits among bits that extend (known,
-    ones) with exactly one 1 in each context and at most one in each pair.
+    """Count the assignments of the free bits among bits that extend (known, ones)
+    with exactly one 1 in each context and at most one in each pair.
 
-    Every 1 must have its near bits known.  Propagation makes a context's
-    last free member 1 and fails on a context with no 1 and no free member.
-    Returns (count, known, ones, parts) at its fixpoint, count 0 on failure;
-    parts are the components of the open constraints as (free bits,
-    contexts, pairs).  A one-context component counts its free members; any
-    other is cached by its mask and known bits (all 0 under it).  On a miss
-    it counts 0 if _parity_odd refutes its contexts, and else branches on
-    the lowest free bit of its smallest constraint.
+    Every 1 must have its near bits known.  Propagation makes a context's last free
+    member 1 and fails on a context with no 1 and no free member.  Returns (count,
+    known, ones, parts) at its fixpoint, count 0 on failure; parts are the open
+    constraints' components (free bits, contexts, pairs), grown through near bits:
+    only an open constraint holds two free bits.  One context counts its free members;
+    any other component is cached by its mask and known bits (all 0 under it).  A miss
+    with _NODE_BUDGET entries cached raises EnumerationLimitError, else counts 0 if
+    _parity_odd refutes its contexts or branches on its smallest constraint's lowest free bit.
     """
     fired = True
     while fired:
@@ -153,37 +152,42 @@ def _open(bits: int, contexts, pairs, near, known: int, ones: int, cache: dict):
                 fired = True
     contexts = [m for m in contexts if not ones & m]
     pairs = [m for m in pairs if not known & m]
-    total, parts = 1, []
-    while contexts or pairs:
-        free = (contexts or pairs)[0] & ~known
-        while True:  # grow the component through shared free bits
-            ctxs = [m for m in contexts if m & free]
-            prs = [m for m in pairs if m & free] if pairs else []
-            mask = reduce(or_, ctxs + prs) if prs else reduce(or_, ctxs)
-            if len(ctxs) + len(prs) == len(contexts) + len(pairs):
-                contexts = pairs = ()
-                break
-            if mask & ~known == free:
-                contexts = [m for m in contexts if not m & free]
-                pairs = [m for m in pairs if not m & free]
-                break
-            free = mask & ~known
-        free = mask & ~known
+    rest = reduce(or_, contexts + pairs, 0) & ~known  # the free bits of open constraints
+    total, parts = 1 << (bits & ~(known | rest)).bit_count(), []  # each other free bit: 0 or 1
+    while rest:
+        free, grow = 0, (contexts or pairs)[0] & ~known
+        while grow and free | grow != rest:  # grow the component through each free bit's near bits
+            free |= (bit := grow & -grow)
+            grow = (grow | near[bit]) & ~(known | free)
+        if rest := rest & ~(free := free | grow):
+            ctxs, contexts = [m for m in contexts if m & free], [m for m in contexts if not m & free]
+            prs, pairs = [m for m in pairs if m & free], [m for m in pairs if not m & free]
+        else:  # the last component holds every open constraint
+            ctxs, prs = contexts, pairs
         if len(ctxs) == 1 and not prs:
             n = free.bit_count()
-        elif (n := cache.get(key := (mask, known & mask))) is None and _parity_odd(ctxs, known):
-            n = cache[key] = 0
-        elif n is None:
-            low = prs[0] if prs else min([m & ~known for m in ctxs], key=int.bit_count)
-            bit = low & -low
-            n = cache[key] = _open(free, ctxs, prs, near, known | bit, ones, cache)[0] + _open(
-                free, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)[0]
+        elif (n := cache.get(key := (mask := reduce(or_, ctxs + prs), known & mask))) is None:
+            if len(cache) >= _NODE_BUDGET:
+                raise EnumerationLimitError(f"the count needs more than {_NODE_BUDGET} components")
+            if _parity_odd(ctxs, known):
+                n = cache[key] = 0
+            else:
+                low = prs[0] if prs else min([m & ~known for m in ctxs], key=int.bit_count)
+                bit = low & -low
+                n = cache[key] = _open(free, ctxs, prs, near, known | bit, ones, cache)[0] + _open(
+                    free, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)[0]
         if not n:
             return 0, known, ones, []
         total *= n
-        bits &= ~free
         parts.append((free, ctxs, prs))
-    return total << (bits & ~known).bit_count(), known, ones, parts
+    return total, known, ones, parts
+
+
+def _guarded(*args):
+    try:
+        return _open(*args)
+    except RecursionError:
+        raise EnumerationLimitError("the count recurses deeper than the interpreter allows") from None
 
 
 def _bits(mask: int) -> list[int]:
@@ -234,7 +238,7 @@ class Witnesses:
             for bit in members:
                 near[bit] = near.get(bit, 0) | m ^ bit
         known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
-        self.count, *self._root = _open(
+        self.count, *self._root = _guarded(
             (1 << len(c.labels)) - 1, contexts, pairs, near, known, c.ones, self._cache)
 
     def _walk(self):
@@ -253,8 +257,8 @@ class Witnesses:
                 if held & bit:
                     others = parts[:i] + parts[i + 1:]
                     kids = [(k, o, others + sub) for m, k, o, sub in (
-                        _open(held, ctxs, prs, near, known | bit, ones, cache),
-                        _open(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)) if m]
+                        _guarded(held, ctxs, prs, near, known | bit, ones, cache),
+                        _guarded(held, ctxs, prs, near, known | bit | near[bit], ones | bit, cache)) if m]
                     break
             else:  # no open constraint holds the bit
                 kids = [(known | bit, ones | one, parts) for one in (0, bit)]
@@ -326,7 +330,7 @@ def enumerate_assignments(
     label to bit (k >> (n-1-i)) & 1.
 
     Raises:
-        EnumerationLimitError: more than MAX_EXHAUSTIVE_PROJECTORS labels.
+        EnumerationLimitError: the count outgrows its node budget or recursion limit.
         ValueError: forced values that reference unknown labels or
             conflict with each other.  The scenario itself needs no
             check: its constructor refuses duplicate or dangling labels,
@@ -334,10 +338,6 @@ def enumerate_assignments(
     """
     labels = sorted(s.labels())
     n = len(labels)
-    if n > MAX_EXHAUSTIVE_PROJECTORS:
-        raise EnumerationLimitError(
-            f"{n} projectors exceed the exhaustive limit of {MAX_EXHAUSTIVE_PROJECTORS}"
-        )
     bits = {lab: 1 << (n - 1 - i) for i, lab in enumerate(labels)}
     known = ones = 0
     for lab, bit in _forced_map(forced).items():

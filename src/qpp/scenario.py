@@ -459,7 +459,7 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     Args:
         data: UTF-8 JSON bytes or text.
         lax: when true, unknown fields are ignored instead of rejected.
-        tol_check: normalization tolerance applied to loaded states.
+        tol_check: normalization tolerance of loaded states; ValueError unless in (0, inf).
 
     Raises:
         ScenarioParseError: malformed syntax (an integer past the
@@ -472,13 +472,13 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
             context members, self-pairs, or non-string labels or
             metadata.  The location names the offending node.
     """
+    hilbert._check_tol(tol_check)
+    text = data
     if isinstance(data, (bytes, bytearray)):
         try:
             text = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioParseError(f"file is not valid UTF-8: {exc}") from exc
-    else:
-        text = data
 
     try:
         doc = (_decoder.decode(text) if isinstance(text, str) and not text.startswith("\ufeff")

@@ -77,6 +77,22 @@ def ks18_scenario(post=(5, 3, 2, -1)):
     )
 
 
+def grid_scenario():
+    """The rows and columns of a 4x4 grid as eight contexts in dim 4: label
+    g{r}{c} on basis state (r + c) mod 4, pre = post the uniform state.
+    Valid, with nothing forced; propagation stalls, the contexts' parity
+    sums to 0 = 0, and the count branches to its 4! models."""
+    grid = [[f"g{r}{c}" for c in range(4)] for r in range(4)]
+    uniform = StateVector(np.full(4, 0.5))
+    return PrePostScenario(
+        dim=4, pre=uniform, post=uniform,
+        projectors=tuple(LabeledProjector(grid[r][c], StateVector(np.eye(4)[(r + c) % 4]))
+                         for r in range(4) for c in range(4)),
+        contexts=tuple(Context(tuple(members)) for members in grid + list(zip(*grid))),
+        metadata={"name": "grid-4x4"},
+    )
+
+
 def witness_heavy_scenario(free_labels, seed=0, context=("c", "c_perp")):
     """One 2-member qubit context plus free labels f00, f01, ...
 

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ks18_scenario, witness_heavy_scenario
+from conftest import grid_scenario, ks18_scenario, witness_heavy_scenario
 
+from qpp import nchv
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
 from qpp import cabello_scenario, forced_values, single_qubit_scenario
 from qpp.cli import Check, Report, main
@@ -493,10 +494,13 @@ class TestExitCodeTable:
         assert out == ""
         return code, err
 
-    def test_enumeration_limit_exit_4(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, single_qubit_scenario(13, 1))  # 26 labels
+    def test_enumeration_limit_exit_4(self, tmp_path, capsys, monkeypatch):
+        """The 4x4 grid is valid and branches: past a node budget of 2 the
+        count is refused by the engine, not by any label cap."""
+        path = write_scenario(tmp_path, grid_scenario())
+        monkeypatch.setattr(nchv, "_NODE_BUDGET", 2)
         assert self.run(capsys, ["check", path]) == (
-            4, "qpp: 26 projectors exceed the exhaustive limit of 24\n"
+            4, "qpp: the count needs more than 2 components\n"
         )
 
     def test_convergence_error_exit_4(self, capsys):

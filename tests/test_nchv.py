@@ -1,9 +1,11 @@
 """Tests for exact assignment counting, listing and refutation traces."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -11,8 +13,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
-    ks18_scenario, parity_structures, propagation_oracle, random_qubit_state, random_structures,
-    structure_scenario, witness_heavy_scenario,
+    grid_scenario, ks18_scenario, parity_structures, propagation_oracle, random_qubit_state,
+    random_structures, structure_scenario, witness_heavy_scenario,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,10 +126,51 @@ class TestEnumeration:
         rep = enumerate_assignments(s, ())
         assert rep.assignments_examined == 2 ** 10
 
-    def test_projector_limit(self):
-        s = single_qubit_scenario(13, 0)  # 26 labels
-        with pytest.raises(EnumerationLimitError, match="26"):
+    def test_32_labels_are_counted(self):
+        """No label cap: 16 two-member contexts count 2**16 of 2**32
+        assignments, and the first 16 witnesses are the 16 smallest bit
+        strings of the product of the contexts' choices."""
+        s = single_qubit_scenario(16, 0)
+        rep = enumerate_assignments(s, ())
+        assert rep.status == SAT and rep.assignments_examined == 2**32
+        assert rep.witnesses.count == 2**16
+        labels = sorted(s.rows)
+        models = (dict.fromkeys(labels, 0) | dict.fromkeys(ones, 1)
+                  for ones in itertools.product(*(ctx.members for ctx in s.contexts)))
+        first = sorted(tuple(a[lab] for lab in labels) for a in models)[:16]
+        assert [r.as_dict() for r in rep.witnesses[:16]] == [dict(zip(labels, bits)) for bits in first]
+
+    def test_node_budget_refuses_a_count(self, monkeypatch):
+        """The 4x4 grid's count caches more than 2 components: with the
+        budget at 2 it is refused by name, and at the default it counts 4!."""
+        s = grid_scenario()
+        assert enumerate_assignments(s, ()).witnesses.count == 24
+        monkeypatch.setattr(nchv, "_NODE_BUDGET", 2)
+        with pytest.raises(EnumerationLimitError, match="more than 2 components"):
             enumerate_assignments(s, ())
+
+    def test_recursion_past_the_limit_is_refused_by_name(self):
+        """A chain of 3000 exclusive pairs recurses about 1500 deep: an
+        EnumerationLimitError, not a RecursionError, reaches the caller."""
+        labels = [f"l{i:04d}" for i in range(3001)]
+        s = structure_scenario(labels, (), zip(labels, labels[1:]))
+        with pytest.raises(EnumerationLimitError, match="recurses deeper"):
+            enumerate_assignments(s, ())
+
+    def test_listing_past_the_recursion_limit_is_refused_by_name(self):
+        """The descent re-counts through the same guard: a 400-pair chain,
+        listed with its cache emptied under a recursion limit 100 frames
+        above the caller, recurses about 200 deep and is refused by name."""
+        labels = [f"l{i:03d}" for i in range(401)]
+        w = enumerate_assignments(structure_scenario(labels, (), zip(labels, labels[1:])), ()).witnesses
+        w._cache.clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(EnumerationLimitError, match="recurses deeper"):
+                w[:1]
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_conflicting_forced_values_rejected(self):
         s = cabello_scenario()
@@ -381,14 +424,6 @@ class TestPropagationFirst:
         with pytest.raises(TypeError, match="unhashable"):
             hash(rep)
 
-    def test_label_cap_is_checked_before_propagation(self):
-        s = single_qubit_scenario(13, 0)  # 26 labels
-        forced = (ForcedValue("q0", 1, "Prediction"), ForcedValue("q0_perp", 1, "Prediction"))
-        with mock.patch.object(nchv, "_propagate", wraps=nchv._propagate) as propagate:
-            with pytest.raises(EnumerationLimitError, match="26"):
-                enumerate_assignments(s, forced)
-        assert propagate.call_count == 0
-
 
 class TestParity:
     """Before branching, a component's contexts are reduced over GF(2): each
@@ -499,7 +534,7 @@ class TestPrefixSearch:
 
     @pytest.mark.parametrize("context", [("c", "c_perp"), ("z", "z_perp")])
     def test_label_cap_memory(self, context):
-        """Both label orders at the 24-label cap: 2**23 witnesses are counted
+        """Both label orders at 24 labels, the old cap: 2**23 witnesses are counted
         and the first read within 72 MiB; nothing is held per witness."""
         s = witness_heavy_scenario(22, context=context)
         tracemalloc.start()
@@ -609,6 +644,39 @@ class TestWitnesses:
         w = enumerate_assignments(s, ()).witnesses
         assert w.count == 103682
         assert w[:1] == (ValueAssignment(tuple((lab, 0) for lab in labels)),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases=st.lists(random_structures(), min_size=3, max_size=3))
+    def test_disjoint_union_counts_the_product(self, cases):
+        """Three structures relabelled apart, up to 36 labels, past the old
+        24-label cap: the count is the product of their brute-force counts."""
+        projectors, contexts, pairs, forced, expected = [], [], [], [], 1
+        for tag, (s, fs) in zip("abc", cases):
+            name = {lab: f"{tag}:{lab}" for lab in s.rows}.__getitem__
+            projectors += [LabeledProjector(name(p.label), p.state) for p in s.projectors]
+            contexts += [Context(tuple(map(name, ctx.members))) for ctx in s.contexts]
+            pairs += [tuple(map(name, pair)) for pair in s.exclusive_pairs]
+            forced += [dataclasses.replace(fv, label=name(fv.label)) for fv in fs]
+            expected *= len(brute_force_witnesses(s, fs))
+        union = PrePostScenario(dim=2, pre=cases[0][0].pre, post=cases[0][0].post,
+                                projectors=tuple(projectors), contexts=tuple(contexts),
+                                exclusive_pairs=tuple(pairs))
+        rep = enumerate_assignments(union, tuple(forced))
+        assert rep.witnesses.count == expected
+        assert rep.assignments_examined == 2 ** len(projectors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), reverse=st.booleans())
+    def test_chain_of_exclusive_pairs(self, n, reverse):
+        """n exclusive pairs in a path of n + 1 labels, declared in either
+        order: its independent sets, the Fibonacci number F(n + 3)."""
+        labels = [f"l{i:03d}" for i in range(n + 1)]
+        pairs = list(zip(labels, labels[1:]))
+        s = structure_scenario(labels, (), pairs[::-1] if reverse else pairs)
+        fib = [0, 1]
+        while len(fib) < n + 4:
+            fib.append(fib[-1] + fib[-2])
+        assert enumerate_assignments(s, ()).witnesses.count == fib[n + 3]
 
     def test_assignments_are_built_only_when_read(self, monkeypatch):
         built = []

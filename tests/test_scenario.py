@@ -727,15 +727,18 @@ class TestLoadErrors:
             load(self.dump(doc))
         s = load(self.dump(doc), tol_check=1e-3)
         assert s.dim == 2
-        with pytest.raises(ScenarioParseError, match="tolerance nan"):
+        with pytest.raises(ValueError, match="tol must be positive and finite, got nan") as info:
             load(self.dump(doc), tol_check=float("nan"))
+        assert not isinstance(info.value, ScenarioParseError)
 
-    def test_overflowing_norm_is_refused_at_an_infinite_tolerance(self):
-        doc = self.base_doc()
-        doc["pre"] = [[1e200, 0.0], [0.0, 0.0]]
-        with pytest.raises(ScenarioParseError, match="norm deviates from 1 by inf") as info:
-            load(self.dump(doc), tol_check=float("inf"))
-        assert info.value.location == "pre"
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tolerance_outside_the_open_interval_is_refused_before_parsing(self, tol):
+        """The caller's tolerance is refused, as validate refuses it, and the
+        file is not blamed: not even bytes that are no JSON are read."""
+        for data in (self.dump(self.base_doc()), b"not json"):
+            with pytest.raises(ValueError, match="tol must be positive and finite") as info:
+                load(data, tol_check=tol)
+            assert not isinstance(info.value, ScenarioParseError)
 
     def test_context_errors(self):
         doc = self.base_doc()
