@@ -310,14 +310,6 @@ class SatisfiabilityReport:
     conflict: ContradictionTrace | None
 
 
-def _forced_map(forced: tuple[ForcedValue, ...]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for fv in forced:
-        if out.setdefault(fv.label, fv.bit) != fv.bit:
-            raise ValueError(f"conflicting forced values for {fv.label!r}")
-    return out
-
-
 def enumerate_assignments(
     s: PrePostScenario, forced: tuple[ForcedValue, ...]
 ) -> SatisfiabilityReport:
@@ -339,12 +331,15 @@ def enumerate_assignments(
     labels = sorted(s.labels())
     n = len(labels)
     bits = {lab: 1 << (n - 1 - i) for i, lab in enumerate(labels)}
+    values: dict[str, int] = {}
+    for fv in forced:
+        if values.setdefault(fv.label, fv.bit) != fv.bit:
+            raise ValueError(f"conflicting forced values for {fv.label!r}")
     known = ones = 0
-    for lab, bit in _forced_map(forced).items():
+    for lab, bit in values.items():
         if lab not in bits:
             raise ValueError(f"forced value references unknown label {lab!r}")
-        known |= bits[lab]
-        ones |= bits[lab] * bit
+        known, ones = known | bits[lab], ones | bits[lab] * bit
     contexts = tuple(tuple(map(bits.__getitem__, ctx.members)) for ctx in s.contexts)
     pairs = tuple((bits[a], bits[b]) for a, b in s.exclusive_pairs)
     witnesses = Witnesses(_Constraints(tuple(labels), contexts, pairs, known, ones))
@@ -359,27 +354,32 @@ def _propagate(c: _Constraints) -> ContradictionTrace | None:
     context with one unassigned member and all others at 0 sets it to 1;
     once both stall, the first context with two or more 1s yields
     CONFLICT, and failing that the first context with every member at 0.
+    One pass in declared order makes every step: a step's 1 lands only in
+    contexts holding its bit, so none already passed turns unit.  A pair can
+    close only where a forced or new 1 meets a partner at 1; the pass stops there.
     """
     labels, known, ones, n = c.labels, c.known, c.ones, len(c.labels)
     contexts, pairs = [(ms, sum(ms)) for ms in c.contexts], [(ms, sum(ms)) for ms in c.pairs]
+    partner: dict[int, int] = {}  # each bit: the OR of its exclusive-pair fellows
+    for a, b in c.pairs:
+        partner[a], partner[b] = partner.get(a, 0) | b, partner.get(b, 0) | a
     steps: list[TraceStep] = []
 
     def said(members, among: int, bit: int) -> tuple[str, ...]:  # those in among, as "label=bit"
         return tuple(f"{labels[n - b.bit_length()]}={bit}" for b in members if b & among)
 
-    while True:
-        for ms, m in pairs:
-            if ones & m == m:
-                return ContradictionTrace((*steps, TraceStep(said(ms, m, 1), EXCLUSIVITY, CONFLICT)))
-        for ms, m in contexts:
-            free = m & ~known
-            if free and not free & (free - 1) and not ones & m:
-                target = f"{labels[n - free.bit_length()]}=1"
-                steps.append(TraceStep(said(ms, m ^ free, 0), SUM_RULE, target))
-                known, ones = known | free, ones | free
+    met = ones and any(ones & m == m for _, m in pairs)  # the forced 1s close a pair: no step
+    for ms, m in () if met else contexts:
+        free = m & ~known
+        if free and not free & (free - 1) and not ones & m:
+            target = f"{labels[n - free.bit_length()]}=1"
+            steps.append(TraceStep(said(ms, m ^ free, 0), SUM_RULE, target))
+            known, ones = known | free, ones | free
+            if met := partner.get(free, 0) & ones:  # the new 1 closes a pair
                 break
-        else:
-            break
+    for ms, m in pairs if met else ():
+        if ones & m == m:
+            return ContradictionTrace((*steps, TraceStep(said(ms, m, 1), EXCLUSIVITY, CONFLICT)))
     for ms, m in contexts:
         if (at_one := ones & m) & (at_one - 1):
             return ContradictionTrace((*steps, TraceStep(said(ms, ones, 1), SUM_RULE, CONFLICT)))

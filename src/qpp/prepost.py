@@ -10,8 +10,6 @@ conditioned on both selections.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import hilbert
 from .hilbert import TOL_CHECK
 from .scenario import PREDICTION, RETRODICTION, ForcedValue, PrePostScenario
@@ -81,8 +79,8 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     hilbert._check_tol(tol)
     if label not in s.rows:
         raise ValueError(f"unknown projector label {label!r}")
-    v = s.states[s.rows[label]]
-    amp1 = complex(np.vdot(s.post.amps, v)) * complex(np.vdot(v, s.pre.amps))
+    v = s.projectors[s.rows[label]].state
+    amp1 = hilbert.inner(s.post, v) * hilbert.inner(v, s.pre)
     amp_total = hilbert.inner(s.post, s.pre)
     n1 = abs(amp1) ** 2
     total = n1 + abs(amp_total - amp1) ** 2

@@ -344,7 +344,7 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
         )
 
     for a, b in s.exclusive_pairs:
-        dev = abs(complex(np.vdot(s.states[s.rows[a]], s.states[s.rows[b]])))
+        dev = abs(hilbert.inner(s.projectors[s.rows[a]].state, s.projectors[s.rows[b]].state))
         checks.append(CheckResult(f"exclusive_pair[{a},{b}]", dev < tol_check, dev, ""))
 
     return ValidationReport(tuple(checks))

@@ -215,6 +215,18 @@ class TestCheck:
         assert out == (DATA / "check_reversed_pair_golden.json").read_text()
         assert json.loads(out)["details"]["trace"][-1]["premises"] == ["delta-=1", "delta+=1"]
 
+    def test_two_copies_match_golden(self, capsys, monkeypatch):
+        """Contexts C+', C+, C+ again, C-, C-': propagation passes them once in
+        declared order, skips the repeated C+ once it holds a 1 and stops at
+        the closed pair (delta+, delta-) before it reaches C-'."""
+        monkeypatch.chdir(DATA.parent.parent)
+        assert main(["check", "tests/data/two_cabello_copies.json", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "check_two_copies_golden.json").read_text()
+        assert [t["conclusion"] for t in json.loads(out)["details"]["trace"]] == [
+            "delta+'=1", "delta+=1", "delta-=1", "CONFLICT",
+        ]
+
     def test_three_box_matches_golden(self, capsys, monkeypatch):
         """Two 1s in one context refute the three-box paradox: no trace_note."""
         monkeypatch.chdir(DATA.parent.parent)

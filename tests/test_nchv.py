@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -423,6 +424,43 @@ class TestPropagationFirst:
         monkeypatch.setattr(nchv.Witnesses, "_record", mock.Mock(side_effect=AssertionError))
         with pytest.raises(TypeError, match="unhashable"):
             hash(rep)
+
+
+def chain_of_units(n, pairs=(), reverse=False):
+    """n contexts (f_i, y_i), in declared order or reversed, with every f_i
+    forced 0, so each y_i is set to 1 by its own SumRule step."""
+    f, y = [f"f{i:04d}" for i in range(n)], [f"y{i:04d}" for i in range(n)]
+    contexts = list(zip(f, y))
+    s = structure_scenario(f + y, contexts[::-1] if reverse else contexts, pairs)
+    return s, tuple(ForcedValue(lab, 0, "Prediction") for lab in f), f, y
+
+
+class TestPropagationScale:
+    """Propagation is one pass over the contexts: thousands of SumRule steps
+    finish within 2 s, in either declared order and beside thousands of
+    pairs that never close."""
+
+    @pytest.mark.parametrize("reverse, idle_pairs", [(False, False), (True, False), (False, True)],
+                             ids=["declared", "reversed", "idle_pairs"])
+    def test_4000_steps_are_linear(self, reverse, idle_pairs):
+        n = 4000
+        pairs = [(f"f{(i + 1) % n:04d}", f"y{i:04d}") for i in range(n)] if idle_pairs else ()
+        s, forced, f, y = chain_of_units(n, pairs, reverse)
+        start = time.perf_counter()
+        rep = enumerate_assignments(s, forced)
+        elapsed = time.perf_counter() - start
+        assert rep.status == SAT and rep.conflict is None and rep.witnesses.count == 1
+        assert [r.as_dict() for r in rep.witnesses[:2]] == [dict.fromkeys(f, 0) | dict.fromkeys(y, 1)]
+        assert elapsed < 2.0, elapsed
+
+    def test_a_pair_closed_by_the_last_step(self):
+        """The pair (y_0, y_299) closes only at the 300th step: the pass stops
+        there and the trace equals the rescanning oracle's, step for step."""
+        s, forced, f, y = chain_of_units(300, [("y0000", "y0299")])
+        rep = enumerate_assignments(s, forced)
+        assert rep.status == UNSAT
+        assert rep.conflict.conclusions() == (*(f"{lab}=1" for lab in y), CONFLICT)
+        assert rep.conflict == propagation_oracle(s, forced)
 
 
 class TestParity:
