@@ -5,7 +5,8 @@ proposition in the package is a rank-1 projector |v><v|, so each
 projector relation is computed from the unit vector v alone: certain
 values from the overlap <v|s>, pair exclusivity from |<a|b>| (the
 spectral norm of the product of the two projectors), and resolutions of
-identity from the spectral norm of V V^† - I.  Both relations a
+identity from the singular values of the member states' matrix, with
+a deviation of at least 1 for fewer members than dim.  Both relations a
 scenario applies to many projectors at once, certain values and context
 deviations, exist only in matrix form over stacked states
 (:func:`certain_values`, :func:`context_deviations`); a single
@@ -175,15 +176,14 @@ def context_deviations(stacks: np.ndarray) -> np.ndarray:
     """Spectral distances ||sum_i |v_i><v_i| - I||_2 of m contexts from the identity.
 
     stacks is an (m, k, dim) array holding the k member states of each
-    context as rows, so every context in one call has k members.  Each
-    entry is the same arithmetic as a one-context call, bit for bit: the
-    largest singular value of gram - I from the np.linalg.svd call that
-    np.linalg.norm(..., 2, axis=(1, 2)) makes, so it is that norm.  A
-    deviation is zero exactly when the members form an orthonormal
-    basis, and a missing member reads as 1.  With V the matrix of the
-    member states, V V^† and V^† V share their nonzero eigenvalues, so
-    for unit vectors a deviation eps < 1/dim forces k == dim and
-    |<v_i|v_j>| <= eps for every pair: no pairwise check is needed.
+    context as rows, so every context in one call has k members.  The
+    squares of the stack's singular values s are eigenvalues of
+    sum_i |v_i><v_i|, beside dim - k zeros if k < dim, so a deviation is
+    max|s^2 - 1|, at least 1 if k < dim: no dim x dim array is formed,
+    and a context costs O(k dim min(k, dim)) time.  Each entry is a
+    one-context call's, bit for bit.  For unit vectors a deviation
+    eps < 1/dim forces k == dim and |<v_i|v_j>| <= eps for every pair.
     """
-    gram = stacks.transpose(0, 2, 1) @ stacks.conj()
-    return np.linalg.svd(gram - np.eye(stacks.shape[2]), compute_uv=False).max(axis=1)
+    k, dim = stacks.shape[1:]
+    sv = np.linalg.svd(stacks, compute_uv=False)
+    return np.maximum(np.abs(sv * sv - 1.0).max(axis=1), k < dim)

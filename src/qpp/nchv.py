@@ -237,7 +237,7 @@ class Witnesses:
         for members, m in zip(c.contexts + c.pairs, contexts + pairs):
             for bit in members:
                 near[bit] = near.get(bit, 0) | m ^ bit
-        known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known)  # fellows of a 1: 0
+        known = reduce(or_, [v for b, v in near.items() if c.ones & b], c.known | c.ones)  # fellows of a 1: 0
         self.count, *self._root = _guarded(
             (1 << len(c.labels)) - 1, contexts, pairs, near, known, c.ones, self._cache)
 

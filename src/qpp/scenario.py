@@ -297,11 +297,11 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     use the spectral norm: a context's deviation is
     ||sum_i |v_i><v_i| - I||_2, which also bounds every pairwise overlap
     inside the context, and a pair's is |<a|b>|, the spectral norm of
-    the product of its projectors.  Contexts with the same number of
-    members are measured together, as one stack of rows of ``s.states``
-    in :func:`hilbert.context_deviations`; each deviation is bit for bit
-    the one-context value.  Nothing here raises on bad content; a
-    tol_check that is not positive and finite raises ValueError.
+    the product of its projectors.  Contexts of one size share one
+    :func:`hilbert.context_deviations` call on their member rows, which
+    reads each deviation from their singular values (at least 1 below
+    dim members), bit for bit the one-context value.  Nothing here
+    raises on bad content; a tol_check outside (0, inf) raises ValueError.
     """
     hilbert._check_tol(tol_check)
     checks: list[CheckResult] = []

@@ -126,6 +126,17 @@ def context_stack(s):
     return s.states[[[s.rows[m] for m in ctx.members] for ctx in s.contexts]]
 
 
+def dense_deviation_oracle(stack):
+    """||sum_i |v_i><v_i| - I||_2 of one (k, dim) member stack from the dense
+    dim x dim projector sum, and a bound on its rounding gap to the singular
+    values of the stack.  Both are backward stable: each is off by a few
+    float64 eps per term of the k-term Gram sums and the dim-wide SVD,
+    relative to the projector sum's scale, at most 1 + ||V||_F^2."""
+    k, dim = stack.shape
+    dense = float(np.linalg.norm(stack.T @ stack.conj() - np.eye(dim), 2))
+    return dense, 4 * (k + dim) * np.finfo(np.float64).eps * (1.0 + float(np.sum(np.abs(stack) ** 2)))
+
+
 def random_qubit_state(rng):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return StateVector(v / np.linalg.norm(v))

@@ -412,6 +412,13 @@ class TestPropagationFirst:
         assert search.call_count == 0
         assert w._conflict == ContradictionTrace((TraceStep(premises, rule, CONFLICT),))
 
+    def test_a_forced_one_outside_known_is_still_fixed(self):
+        """A hand-built forced 1 that known omits is fixed all the same: one
+        model, listed with its 1 once (not two models and an OverflowError)."""
+        w = nchv.Witnesses(nchv._Constraints(("a", "b"), ((0b10, 0b01),), (), 0, 0b10))
+        assert w.count == 1
+        assert [r.as_dict() for r in w] == [{"a": 1, "b": 0}]
+
     def test_propagation_reads_only_the_compiled_constraints(self):
         s = cabello_scenario()
         with mock.patch.object(nchv, "_propagate", wraps=nchv._propagate) as propagate:

@@ -5,11 +5,12 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ks18_scenario, random_structures, witness_heavy_scenario
+from conftest import dense_deviation_oracle, ks18_scenario, random_structures, witness_heavy_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from qpp import (
     single_qubit_scenario,
     validate,
 )
-from qpp.hilbert import row_norms
+from qpp.hilbert import context_deviations, row_norms
 
 
 def qubit(theta):
@@ -279,12 +280,6 @@ class TestScenarioBlock:
             assert_block_and_norms(s)
 
 
-def context_oracle(s, members):
-    """The one-context-at-a-time deviation, as validate computed it per context."""
-    v = np.array([s.projectors[s.rows[m]].state.amps for m in members]).T
-    return float(np.linalg.norm(v @ v.conj().T - np.eye(s.dim), 2))
-
-
 @st.composite
 def mixed_context_scenarios(draw):
     """dim 2-4 scenarios whose contexts have 2 to dim + 2 members, at least
@@ -318,10 +313,15 @@ class TestValidate:
     @settings(max_examples=300, deadline=None)
     @given(s=mixed_context_scenarios())
     def test_batched_deviations_equal_one_context_at_a_time(self, s):
-        """Exact equality, not approx: grouping by size changes no bit."""
+        """Exact equality with a one-context call, not approx: grouping by
+        size changes no bit.  The dense projector sum agrees within rounding."""
         measured = {c.name: c.deviation for c in validate(s).checks}
         for i, ctx in enumerate(s.contexts):
-            assert measured[f"context_resolution[{i}]"] == context_oracle(s, ctx.members)
+            stack = s.states[[s.rows[m] for m in ctx.members]]
+            dev = measured[f"context_resolution[{i}]"]
+            assert dev == float(context_deviations(stack[None])[0])
+            dense, bound = dense_deviation_oracle(stack)
+            assert abs(dev - dense) <= bound
 
     @settings(max_examples=300, deadline=None)
     @given(s=mixed_context_scenarios(), scale=st.sampled_from([0.0, 1e-13, 1e-10, 1e-6]),
@@ -393,6 +393,26 @@ class TestValidate:
         fail = next(c for c in report.checks if c.name == "context_resolution[0]")
         assert not fail.passed
         assert fail.deviation == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(1000, 1), (64, 2000)],
+                             ids=["one_context_at_dim_1000", "2000_contexts_at_dim_64"])
+    def test_memory_is_bounded(self, dim, n):
+        """n incomplete contexts (e0, e1) read exactly 1.0 each within 16 MiB,
+        which a dim x dim array per context would exceed (38 and 255 MiB)."""
+        e = StateVector(np.eye(dim)[0]), StateVector(np.eye(dim)[1])
+        s = PrePostScenario(
+            dim=dim, pre=e[0], post=e[0],
+            projectors=tuple(LabeledProjector(f"{x}{i}", e[j]) for i in range(n) for j, x in enumerate("ab")),
+            contexts=tuple(Context((f"a{i}", f"b{i}")) for i in range(n)),
+        )
+        tracemalloc.start()
+        try:
+            report = validate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.deviation for c in report.checks[2:]] == [1.0] * n
+        assert peak < 16 * 2**20
 
     def test_nonexclusive_pair_flagged(self):
         s = tiny_scenario()
