@@ -239,11 +239,8 @@ def single_qubit_scenario(n_contexts: int, seed: int) -> PrePostScenario:
     selection overlap is comfortably nonzero.  n_contexts and seed must be
     integers (else TypeError) of at least 1 and 0 (else ValueError).
     """
-    for name, value, least in (("n_contexts", n_contexts, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    n_contexts = hilbert._check_int("n_contexts", n_contexts, 1)
+    seed = hilbert._check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def random_states(count: int) -> np.ndarray:

@@ -52,27 +52,36 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _check_int(name: str, value, least: int) -> int:
+    """value as an int; a bool or non-integer is a TypeError, one below least a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 class StateVector:
     """Unit vector in a finite-dimensional Hilbert space.
 
-    The constructor is the one-row case of :func:`unit_states`.
+    The one-row case of :func:`unit_states` at ``TOL_NORM``; a state at
+    another norm tolerance is built with ``unit_states``.
 
     Args:
         amps: flat sequence of complex amplitudes, length >= 2.
-        tol_norm: maximum allowed deviation of the Euclidean norm from 1.
 
     Raises:
         ValueError: non-flat input, dimension < 2, non-finite entries,
-            or a norm deviating from 1 by more than ``tol_norm``.
+            or a norm deviating from 1 by more than ``TOL_NORM``.
     """
 
     __slots__ = ("_amps", "_dev")
 
-    def __init__(self, amps, tol_norm: float = TOL_NORM) -> None:
+    def __init__(self, amps) -> None:
         arr = np.array(amps, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError(f"amplitudes must form a flat sequence, got shape {arr.shape}")
-        (state,) = unit_states(arr[None], tol_norm)
+        (state,) = unit_states(arr[None])
         self._amps, self._dev = state._amps, state._dev
 
     @property
@@ -119,22 +128,21 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVector]:
     """StateVectors over the rows of an (n, dim) complex128 block.
 
-    Every row must be finite with a finite norm within ``tol_norm`` of 1.
-    Only a row that fails that test is checked for finiteness, since a
-    non-finite row has a non-finite norm.  The block is made read-only;
-    each state's amps is a view of its row and its _dev the measured
-    |norm - 1|.
+    Every row must be finite with a norm within ``tol_norm`` of 1; a
+    tol_norm outside (0, inf) is a ValueError.  Only a row that fails the
+    norm test is checked for finiteness, since a non-finite row has a
+    non-finite norm.  The block is made read-only; each state's amps is a
+    view of its row and its _dev the measured |norm - 1|.
 
     Raises:
         RowError: dim < 2 (named at row 0), or the first row that is
             not finite or not of unit norm.
     """
+    _check_tol(tol_norm)
     if block.shape[1] < 2:
         raise RowError(f"dimension must be at least 2, got {block.shape[1]}", 0)
     deviations = np.abs(row_norms(block) - 1.0)
-    bad = ~(deviations <= tol_norm)  # a NaN tolerance fails closed
-    if tol_norm == np.inf:  # the one tolerance an infinite norm passes
-        bad |= ~np.isfinite(deviations)
+    bad = ~(deviations <= tol_norm)
     if bad.any():
         i = int(bad.argmax())
         if not np.isfinite(block[i]).all():
@@ -161,11 +169,12 @@ def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK)
     array.  Entry (i, j) of the (n, m) integer result is 0 when the
     projector annihilates s_j (|a| < tol for the overlap a = <v_i|s_j>),
     else 1 when s_j is an eigenvalue-1 eigenstate (the residual
-    ||a v_i - s_j|| < tol), else -1 (undetermined).  The residual is computed directly,
-    by the ufuncs np.linalg.norm(axis=2) runs, so it is that norm to the bit:
-    sqrt(1 - |a|^2) loses about half the digits to cancellation and
-    would miss value 1 at tol 1e-9.
+    ||a v_i - s_j|| < tol), else -1 (undetermined); a tol outside (0, inf)
+    is a ValueError.  The residual is computed directly, by the ufuncs
+    np.linalg.norm(axis=2) runs, so it is that norm to the bit: sqrt(1 - |a|^2)
+    loses about half the digits to cancellation and would miss value 1 at tol 1e-9.
     """
+    _check_tol(tol)
     a = rows.conj() @ states.T
     d = a[:, :, None] * rows[:, None, :] - states[None, :, :]
     residual = np.sqrt(np.add.reduce((d.conj() * d).real, axis=2))

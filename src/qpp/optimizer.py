@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import hilbert
 from .constructions import _hardy_ratio
 
 __all__ = [
@@ -79,12 +79,7 @@ def _passes(half_width, refine_tol):
 
 
 def _check_search_args(grid: int, **tols: float) -> int:
-    try:
-        grid = operator.index(grid)
-    except TypeError:
-        raise TypeError(f"grid must be an integer, got {grid!r}") from None
-    if grid < 16:
-        raise ValueError(f"grid must be at least 16, got {grid}")
+    grid = hilbert._check_int("grid", grid, 16)
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     for name, tol in tols.items():

@@ -139,30 +139,29 @@ class PrePostScenario:
                 raise _RuleError(f"dimension {state.dim} does not match dim {self.dim}", where)
 
         projectors = tuple(self.projectors)
-        known: set[str] = set()
+        rows: dict[str, int] = {}
         for i, p in enumerate(projectors):
             if not isinstance(p, LabeledProjector):
                 raise _RuleError(f"expected a LabeledProjector, got {p!r}", f"projectors[{i}]")
             if p.state.dim != self.dim:
                 raise _RuleError(f"projector {p.label!r} has dimension {p.state.dim}, "
                                  f"expected {self.dim}", f"projectors[{i}]")
-            if p.label in known:
+            if p.label in rows:
                 raise _RuleError(f"duplicate label {p.label!r}", f"projectors[{i}]")
-            known.add(p.label)
+            rows[p.label] = i
         object.__setattr__(self, "projectors", projectors)
         block = np.array([self.pre.amps, self.post.amps, *(p.state.amps for p in projectors)])
         block.setflags(write=False)
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "states", block[2:])
-        rows = MappingProxyType({p.label: i for i, p in enumerate(projectors)})
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", MappingProxyType(rows))
 
         contexts = tuple(self.contexts)
         for i, ctx in enumerate(contexts):
             if not isinstance(ctx, Context):
                 raise _RuleError(f"expected a Context, got {ctx!r}", f"contexts[{i}]")
             for m in ctx.members:
-                if m not in known:
+                if m not in rows:
                     raise _RuleError(f"context references unknown label {m!r}", f"contexts[{i}]")
         object.__setattr__(self, "contexts", contexts)
 
@@ -173,7 +172,7 @@ class PrePostScenario:
                     and all(isinstance(m, str) and m for m in pair)):
                 raise _RuleError(f"exclusive pair must be two nonempty labels, got {pair!r}", where)
             for m in pair:
-                if m not in known:
+                if m not in rows:
                     raise _RuleError(f"exclusive pair references unknown label {m!r}", where)
             if pair[0] == pair[1]:
                 raise _RuleError(f"exclusive pair repeats label {pair[0]!r}", where)

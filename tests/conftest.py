@@ -126,6 +126,11 @@ def context_stack(s):
     return s.states[[[s.rows[m] for m in ctx.members] for ctx in s.contexts]]
 
 
+def dense_projector(v):
+    """The dim x dim matrix |v><v| of a StateVector."""
+    return np.outer(v.amps, v.amps.conj())
+
+
 def dense_deviation_oracle(stack):
     """||sum_i |v_i><v_i| - I||_2 of one (k, dim) member stack from the dense
     dim x dim projector sum, and a bound on its rounding gap to the singular

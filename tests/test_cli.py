@@ -8,6 +8,8 @@ process.
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +26,12 @@ from qpp.optimizer import (
     DEFAULT_EXCLUSIVITY_TOL, DEFAULT_GRID, DEFAULT_REFINE_TOL, maximize_cabello_family, maximize_hardy,
 )
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 GOLDEN = DATA / "verify_cabello_golden.json"
+# Every "[VAR=value ...] qpp ... | diff - tests/data/..._golden.json" line of CI, as (env, args, golden).
+CI_GOLDENS = re.findall(r"^ *((?:\w+=\S+ )*)qpp (.+) \| diff - (tests/data/\S+_golden\.json)$",
+                        (ROOT / ".github" / "workflows" / "tests.yml").read_text(), re.MULTILINE)
 
 
 def qubit(theta):
@@ -38,6 +44,22 @@ def write_scenario(tmp_path, s, name="scenario.json"):
     return str(path)
 
 
+class TestCIGoldens:
+    @pytest.mark.parametrize("env, args, golden", CI_GOLDENS,
+                             ids=[Path(golden).stem for *_, golden in CI_GOLDENS])
+    def test_replays_in_process(self, capsysbinary, monkeypatch, env, args, golden):
+        """Exit 0, stdout the golden byte for byte and nothing on stderr."""
+        monkeypatch.chdir(ROOT)
+        for assignment in shlex.split(env):
+            monkeypatch.setenv(*assignment.split("=", 1))
+        assert main(shlex.split(args)) == 0
+        assert capsysbinary.readouterr() == ((ROOT / golden).read_bytes(), b"")
+
+    def test_name_every_golden_file_once(self):
+        named = sorted(golden for *_, golden in CI_GOLDENS)
+        assert named == sorted(p.relative_to(ROOT).as_posix() for p in DATA.glob("*_golden.json"))
+
+
 class TestVerifyCabello:
     def test_text_report(self, capsys):
         assert main(["verify", "cabello"]) == 0
@@ -46,14 +68,9 @@ class TestVerifyCabello:
         assert "selection_probability" in out
         assert "FAIL" not in out
 
-    def test_json_matches_golden(self, capsys):
-        assert main(["verify", "cabello", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == GOLDEN.read_text()
-
     def test_module_entry_point_matches_golden(self):
         """``python -m qpp.cli`` runs the command, not a silent import."""
-        src = Path(__file__).resolve().parent.parent / "src"
+        src = ROOT / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -120,16 +137,6 @@ class TestVerifyHardy:
         assert main([*flags, "--json"]) == 0
         details = json.loads(capsys.readouterr().out)["details"]
         assert (details["grid_resolution"], details["refine_tolerance"]) == (grid, refine_tol)
-
-    @pytest.mark.parametrize("argv, golden", [
-        (["--theta-a", "0.9", "--theta-b", "0.7"], "verify_hardy_golden.json"),
-        (["--optimal", "--grid", "16"], "verify_hardy_optimal_golden.json"),
-    ], ids=["angles", "optimal"])
-    def test_json_matches_golden(self, capsys, argv, golden):
-        assert main(["verify", "hardy", *argv, "--json"]) == 0
-        out = capsys.readouterr()
-        assert out.out == (DATA / golden).read_text()
-        assert out.err == ""
 
     def test_optimal_mode(self, capsys):
         assert main(["verify", "hardy", "--optimal", "--grid", "16"]) == 0
@@ -199,87 +206,15 @@ class TestCheck:
             "delta+=1", "delta-=1", "CONFLICT",
         ]
 
-    def test_reversed_contexts_match_golden(self, capsys, monkeypatch):
-        """The trace's premises keep each context's member order."""
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/reversed_contexts.json", "--json"]) == 0
-        assert capsys.readouterr().out == (DATA / "check_reversed_golden.json").read_text()
-
-    def test_reversed_pair_matches_golden(self, capsys, monkeypatch):
-        """The exclusivity CONFLICT's premises keep the pair's declared order."""
+    def test_reversed_pair_fixture_is_cabello_with_the_pair_reversed(self):
         reversed_pair = dataclasses.replace(cabello_scenario(), exclusive_pairs=(("delta-", "delta+"),))
         assert load((DATA / "reversed_pair.json").read_bytes()) == reversed_pair
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/reversed_pair.json", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == (DATA / "check_reversed_pair_golden.json").read_text()
-        assert json.loads(out)["details"]["trace"][-1]["premises"] == ["delta-=1", "delta+=1"]
 
-    def test_two_copies_match_golden(self, capsys, monkeypatch):
-        """Contexts C+', C+, C+ again, C-, C-': propagation passes them once in
-        declared order, skips the repeated C+ once it holds a 1 and stops at
-        the closed pair (delta+, delta-) before it reaches C-'."""
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/two_cabello_copies.json", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == (DATA / "check_two_copies_golden.json").read_text()
-        assert [t["conclusion"] for t in json.loads(out)["details"]["trace"]] == [
-            "delta+'=1", "delta+=1", "delta-=1", "CONFLICT",
-        ]
-
-    def test_three_box_matches_golden(self, capsys, monkeypatch):
-        """Two 1s in one context refute the three-box paradox: no trace_note."""
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/three_box.json", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == (DATA / "check_three_box_golden.json").read_text()
-        assert "trace_note" not in json.loads(out)["details"]
-
-    def test_all_zero_context_matches_golden(self, capsys, monkeypatch):
-        """At QPP_TOL=0.5 the selections force x, y and z to 0: the context
-        holding no 1 is the CONFLICT, with no trace_note."""
-        monkeypatch.chdir(DATA.parent.parent)
-        monkeypatch.setenv("QPP_TOL", "0.5")
-        assert main(["check", "tests/data/all_zero_context.json", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert out == (DATA / "check_all_zero_golden.json").read_text()
-        details = json.loads(out)["details"]
-        assert "trace_note" not in details
-        assert details["trace"][-1] == {
-            "premises": ["x=0", "y=0", "z=0"], "rule": "SumRule", "conclusion": "CONFLICT",
-        }
-
-    def test_ks18_matches_golden(self, capsys, monkeypatch):
-        """Propagation stalls on the 18-ray set, so the counting search decides it."""
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/ks18.json", "--json"]) == 0
-        assert capsys.readouterr().out == (DATA / "check_ks18_golden.json").read_text()
-
-    def test_sat_file_matches_golden(self, capsys, monkeypatch):
-        """pre forces a=1, d=0 and g=0; the report lists the first 16, all or
-        none of 25 witnesses in ascending bit-string order."""
-        monkeypatch.chdir(DATA.parent.parent)
-        for argv, golden, listed in (
-            ([], "check_sat_golden.json", 16),
-            (["--max-witnesses", "25"], "check_sat_all_golden.json", 25),
-            (["--max-witnesses", "0"], "check_sat_none_golden.json", 0),
-        ):
-            assert main(["check", "tests/data/sat_witnesses.json", "--json", *argv]) == 0
-            out = capsys.readouterr().out
-            assert out == (DATA / golden).read_text()
-            details = json.loads(out)["details"]
-            assert details["status"] == "SAT" and details["forced_values"]
-            assert details["witnesses_total"] == 25 and len(details["witnesses"]) == listed
-
-    def test_hand_written_file_matches_golden(self, capsys, monkeypatch):
+    def test_hand_written_file_needs_lax(self, capsys):
         """The paper's scenario written by hand: integer amplitudes, one line
-        and an unknown projector field, so load walks its nodes; --lax admits
-        the field and the report is the cabello trace."""
-        monkeypatch.chdir(DATA.parent.parent)
-        assert main(["check", "tests/data/hand_written.json", "--json"]) == 3
+        and an unknown projector field, which only --lax admits."""
+        assert main(["check", str(DATA / "hand_written.json"), "--json"]) == 3
         assert "projectors[0]: unknown field 'note'" in capsys.readouterr().err
-        assert main(["check", "tests/data/hand_written.json", "--lax", "--json"]) == 0
-        assert capsys.readouterr().out == (DATA / "check_hand_written_golden.json").read_text()
 
     def test_ks18_fixture_is_the_18_ray_set(self):
         """The 18 rays with pre and post along (1, 2, 3, 5) and (2, 3, 5, 7),
@@ -321,6 +256,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert capsys.readouterr().err == (
             "qpp: parse error: line 1 column 2: Expecting property name enclosed in double quotes\n"
+        )
+
+    def test_byte_order_mark_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + save(single_qubit_scenario(1, 5)))
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "qpp: parse error: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
         )
 
     @pytest.mark.parametrize("amplitude, location", [
@@ -464,28 +407,6 @@ class TestOptimize:
         assert abs(doc["details"]["parameters"]["c"] - 1.0 / 3.0) < 1e-4
         assert abs(doc["details"]["parameters"]["p"] - 0.5) < 1e-4
         assert doc["details"]["exclusivity_tol"] == 1e-9
-
-    @pytest.mark.parametrize("target, options, golden", [
-        ("hardy", [], "optimize_hardy_golden.json"),
-        ("cabello-family", [], "optimize_family_golden.json"),
-        ("hardy", ["--grid", "16", "--refine-tol", "1e-6"], "optimize_hardy_grid16_golden.json"),
-        ("cabello-family", ["--grid", "16", "--refine-tol", "1e-6"],
-         "optimize_family_grid16_golden.json"),
-        # Tolerances of exactly 2 hw / 2^17: the pass count's boundary, 18 passes.
-        ("hardy", ["--grid", "16", "--refine-tol", "1.4980281131695715e-06"],
-         "optimize_hardy_boundary_golden.json"),
-        ("cabello-family", ["--grid", "16", "--refine-tol", "9.5367431640625e-07"],
-         "optimize_family_boundary_golden.json"),
-        # The widest first grid: 256 cell centres on the family's one axis, 65536 points for Hardy.
-        ("cabello-family", ["--grid", "256"], "optimize_family_grid256_golden.json"),
-        ("hardy", ["--grid", "256"], "optimize_hardy_grid256_golden.json"),
-    ])
-    def test_json_matches_golden(self, capsys, target, options, golden):
-        """The search's report, byte for byte as the scalar engine wrote it."""
-        assert main(["optimize", target, *options, "--json"]) == 0
-        out = capsys.readouterr()
-        assert out.out == (DATA / golden).read_text()
-        assert out.err == ""
 
     @pytest.mark.parametrize("target", ["hardy", "cabello-family"])
     def test_convergence_failure_exit_4(self, capsys, target):

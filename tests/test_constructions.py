@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import context_stack, family_delta_overlap, single_qubit_oracle
+from conftest import context_stack, dense_projector, family_delta_overlap, single_qubit_oracle
 
 from qpp import (
     CONTEXT_MINUS,
@@ -29,10 +29,6 @@ from qpp import (
 open_quarter_turn = st.floats(
     min_value=0.0, max_value=math.pi / 2.0, exclude_min=True, exclude_max=True
 )
-
-
-def dense_projector(v):
-    return np.outer(v.amps, v.amps.conj())
 
 
 class TestCabelloScenario:

@@ -353,7 +353,7 @@ class TestSearchResultTypes:
         assert type(result.objective) is float
         assert type(result.evaluations) is int
 
-    @pytest.mark.parametrize("grid", [16.0, 16.5, "16"])
+    @pytest.mark.parametrize("grid", [16.0, 16.5, "16", True])
     def test_non_integer_grid_is_refused(self, search, grid):
         with pytest.raises(TypeError, match=f"^grid must be an integer, got {grid!r}$"):
             search(grid)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qpp import (
     selection_probability,
     single_qubit_scenario,
 )
+from qpp.hilbert import row_norms, unit_states
 
 
 class TestSelectionProbability:
@@ -89,6 +91,25 @@ class TestForcedValues:
     def test_bad_tolerance_is_refused(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             forced_values(cabello_scenario(), tol)
+
+    def test_memory_is_bounded(self):
+        """2000 random projectors at dim 64: the (n, 2, dim) complex residual,
+        about 64 n dim bytes in all (8 MiB), stays under a 16 MiB peak."""
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((2002, 64)) + 1j * rng.standard_normal((2002, 64))
+        pre, post, *states = unit_states(raw / row_norms(raw)[:, None])
+        s = PrePostScenario(
+            dim=64, pre=pre, post=post,
+            projectors=tuple(LabeledProjector(f"p{i}", v) for i, v in enumerate(states)), contexts=(),
+        )
+        tracemalloc.start()
+        try:
+            values = forced_values(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == ()
+        assert peak < 16 * 2**20
 
     def test_inconsistent_selections_raise(self):
         e0, e1 = StateVector([1.0, 0.0]), StateVector([0.0, 1.0])

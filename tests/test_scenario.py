@@ -31,7 +31,7 @@ from qpp import (
     single_qubit_scenario,
     validate,
 )
-from qpp.hilbert import context_deviations, row_norms
+from qpp.hilbert import context_deviations, row_norms, unit_states
 
 
 def qubit(theta):
@@ -248,7 +248,8 @@ class TestScenarioBlock:
         scales = iter(scales * 14)
 
         def off(sv):
-            return StateVector(sv.amps * (1.0 + tol * next(scales)), tol_norm=1e-3)
+            (state,) = unit_states((sv.amps * (1.0 + tol * next(scales)))[None], 1e-3)
+            return state
 
         assert_block_and_norms(dataclasses.replace(
             s, pre=off(s.pre), post=off(s.post),
@@ -331,7 +332,8 @@ class TestValidate:
         rng = np.random.default_rng(seed)
 
         def perturbed(sv):
-            return StateVector(sv.amps * (1.0 + scale * rng.uniform(-1, 1)), tol_norm=1e-3)
+            (state,) = unit_states((sv.amps * (1.0 + scale * rng.uniform(-1, 1)))[None], 1e-3)
+            return state
 
         s = dataclasses.replace(
             s, pre=perturbed(s.pre), post=perturbed(s.post),
@@ -543,12 +545,13 @@ class TestSaveLoad:
 
 
 def reference_load(data):
-    """The load oracle: json.loads, one StateVector per state node and the
-    constructors; unknown projector fields are skipped, as under lax."""
+    """The load oracle: json.loads, one unit_states call per state node and
+    the constructors; unknown projector fields are skipped, as under lax."""
     doc = json.loads(data)
 
     def state(node):
-        return StateVector([complex(re, im) for re, im in node], TOL_CHECK)
+        (sv,) = unit_states(np.array([[complex(re, im) for re, im in node]]), TOL_CHECK)
+        return sv
 
     return PrePostScenario(
         dim=doc["dim"], pre=state(doc["pre"]), post=state(doc["post"]),
@@ -614,6 +617,13 @@ class TestLoadErrors:
     def test_syntax_error_reports_position(self):
         with pytest.raises(ScenarioParseError, match=r"line 1 column"):
             load(b"{not json")
+
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+    def test_byte_order_mark_is_refused_at_its_position(self, as_bytes):
+        text = "\ufeff" + save(tiny_scenario()).decode()
+        with pytest.raises(ScenarioParseError) as info:
+            load(text.encode() if as_bytes else text)
+        assert str(info.value) == "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ScenarioParseError, match="object"):
