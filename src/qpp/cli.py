@@ -346,10 +346,9 @@ def main(argv=None) -> int:
             tol_check = float(env)
         except ValueError:
             return _fail(f"invalid QPP_TOL value {env!r}", EXIT_VALIDATION)
-        if not 0.0 < tol_check < math.inf:
-            return _fail(f"QPP_TOL must be positive and finite, got {env!r}", EXIT_VALIDATION)
 
     try:
+        hilbert._check_tol(tol_check, "QPP_TOL")
         if args.command == "verify":
             return _cmd_verify(args, tol_check)
         if args.command == "check":

@@ -202,8 +202,8 @@ def hardy_scenario(theta_a: float, theta_b: float, tol: float = TOL_CHECK) -> Pr
     the denominator of :func:`hardy_probability`, is orthogonal to alpha
     and beta+/-.  Angles must lie strictly inside (0, pi/2), and a
     postselection overlap below tol is refused; both raise
-    DegenerateConfigurationError.  tol must be positive and finite, else
-    ValueError.
+    DegenerateConfigurationError.  tol must be a real number (else
+    TypeError), positive and finite (else ValueError).
     """
     hilbert._check_tol(tol)
     _check_hardy_angles(theta_a, theta_b)

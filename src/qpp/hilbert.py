@@ -28,6 +28,8 @@ Two tolerance regimes are used throughout the package:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -46,10 +48,13 @@ TOL_NORM = 1e-12
 TOL_CHECK = 1e-9
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a decision tolerance outside (0, inf) with ValueError."""
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """The one tolerance rule: a bool or a non-real tol is a TypeError, and one
+    outside (0, inf) a ValueError.  A float skips the slow numbers.Real test."""
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {tol!r}")
     if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def _check_int(name: str, value, least: int) -> int:
@@ -129,7 +134,7 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
     """StateVectors over the rows of an (n, dim) complex128 block.
 
     Every row must be finite with a norm within ``tol_norm`` of 1; a
-    tol_norm outside (0, inf) is a ValueError.  Only a row that fails the
+    tol_norm is refused as :func:`_check_tol` says.  Only a row that fails the
     norm test is checked for finiteness, since a non-finite row has a
     non-finite norm.  The block is made read-only; each state's amps is a
     view of its row and its _dev the measured |norm - 1|.
@@ -147,7 +152,7 @@ def unit_states(block: np.ndarray, tol_norm: float = TOL_NORM) -> list[StateVect
         i = int(bad.argmax())
         if not np.isfinite(block[i]).all():
             raise RowError("amplitudes must be finite", i)
-        raise RowError(f"norm deviates from 1 by {deviations[i]:.3e}, tolerance {tol_norm:.1e}", i)
+        raise RowError(f"norm deviates from 1 by {deviations[i]:.3e}, tolerance {float(tol_norm):.1e}", i)
     block.setflags(write=False)
     states = [StateVector.__new__(StateVector) for _ in range(len(block))]
     for state, row, dev in zip(states, block, deviations.tolist()):
@@ -169,8 +174,8 @@ def certain_values(rows: np.ndarray, states: np.ndarray, tol: float = TOL_CHECK)
     array.  Entry (i, j) of the (n, m) integer result is 0 when the
     projector annihilates s_j (|a| < tol for the overlap a = <v_i|s_j>),
     else 1 when s_j is an eigenvalue-1 eigenstate (the residual
-    ||a v_i - s_j|| < tol), else -1 (undetermined); a tol outside (0, inf)
-    is a ValueError.  The residual is computed directly, by the ufuncs
+    ||a v_i - s_j|| < tol), else -1 (undetermined); a tol is refused as
+    :func:`_check_tol` says.  The residual is computed directly, by the ufuncs
     np.linalg.norm(axis=2) runs, so it is that norm to the bit: sqrt(1 - |a|^2)
     loses about half the digits to cancellation and would miss value 1 at tol 1e-9.
     """

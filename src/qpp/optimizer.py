@@ -15,7 +15,6 @@ grid and the tolerance alone fix the passes, and so the evaluation count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +82,7 @@ def _check_search_args(grid: int, **tols: float) -> int:
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     for name, tol in tols.items():
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {tol!r}")
-        if not tol > 0.0:
-            raise ValueError(f"{name} must be positive, got {tol!r}")
+        hilbert._check_tol(tol, name)
     return grid
 
 

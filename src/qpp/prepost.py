@@ -46,7 +46,7 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
     no consistent intermediate history.  Every value comes from one
     :func:`hilbert.certain_values` call over ``s.states`` and the two
     selections, the first two rows of the scenario's block, which refuses
-    a tol that is not positive and finite with ValueError.
+    a tol that is not a positive, finite real number.
     """
     values = hilbert.certain_values(s.states, s._block[:2], tol).tolist()
     out: list[ForcedValue] = []
@@ -57,9 +57,9 @@ def forced_values(s: PrePostScenario, tol: float = TOL_CHECK) -> tuple[ForcedVal
                 f"projector {label!r}: prediction gives {vp} but retrodiction gives {vr}"
             )
         if vp >= 0:
-            out.append(ForcedValue._unchecked(label, vp, PREDICTION))
+            out.append(ForcedValue(label, vp, PREDICTION))
         elif vr >= 0:
-            out.append(ForcedValue._unchecked(label, vr, RETRODICTION))
+            out.append(ForcedValue(label, vr, RETRODICTION))
     return tuple(out)
 
 
@@ -71,6 +71,7 @@ def abl_probability(s: PrePostScenario, label: str, tol: float = TOL_CHECK) -> f
     <post|P|pre> = <post|v><v|pre>.
 
     Raises:
+        TypeError: tol is not a real number.
         ValueError: unknown label, or tol not positive and finite.
         ABLUndefinedError: N1 + N0 is below tol; the conditional
             probability is not defined.

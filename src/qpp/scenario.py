@@ -217,13 +217,6 @@ class ForcedValue:
         if self.justification not in (PREDICTION, RETRODICTION):
             raise ValueError(f"unknown justification {self.justification!r}")
 
-    @classmethod
-    def _unchecked(cls, label: str, bit: int, justification: str) -> ForcedValue:
-        """No checks: the label must be a nonempty str, the bit the Python int 0 or 1."""
-        self = object.__new__(cls)
-        self.__dict__.update(label=label, bit=bit, justification=justification)
-        return self
-
 
 @dataclass(frozen=True)
 class ValueAssignment:
@@ -300,7 +293,7 @@ def validate(s: PrePostScenario, tol_check: float = TOL_CHECK) -> ValidationRepo
     :func:`hilbert.context_deviations` call on their member rows, which
     reads each deviation from their singular values (at least 1 below
     dim members), bit for bit the one-context value.  Nothing here
-    raises on bad content; a tol_check outside (0, inf) raises ValueError.
+    raises on bad content, only on a tol_check that is no positive, finite real.
     """
     hilbert._check_tol(tol_check)
     checks: list[CheckResult] = []
@@ -417,6 +410,18 @@ def _build(name: str, build, *columns) -> list:
     return built
 
 
+def _check_fields(node: dict, required: set, known: set, lax: bool, where: str | None = None) -> None:
+    """Refuse a node missing a required field, or, unless lax, holding one not in known."""
+    if node.keys() == known:
+        return
+    missing = sorted(required - node.keys())
+    if missing:
+        raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", where)
+    unknown = sorted(node.keys() - known)
+    if unknown and not lax:
+        raise ScenarioParseError(f"unknown field {unknown[0]!r}", where)
+
+
 def _state_node(node, i: int, where) -> list:
     """State node i, checked to be an array of [re, im] number pairs; where(i) names it on failure."""
     if not isinstance(node, list):
@@ -458,7 +463,7 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     Args:
         data: UTF-8 JSON bytes or text.
         lax: when true, unknown fields are ignored instead of rejected.
-        tol_check: normalization tolerance of loaded states; ValueError unless in (0, inf).
+        tol_check: normalization tolerance of loaded states; refused unless a positive, finite real.
 
     Raises:
         ScenarioParseError: malformed syntax (an integer past the
@@ -492,12 +497,7 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     if not isinstance(doc, dict):
         raise ScenarioParseError("top-level value must be an object")
 
-    missing = sorted(_REQUIRED_FIELDS - set(doc))
-    if missing:
-        raise ScenarioParseError(f"missing required field(s): {', '.join(missing)}")
-    unknown = sorted(set(doc) - _TOP_LEVEL_FIELDS)
-    if unknown and not lax:
-        raise ScenarioParseError(f"unknown field {unknown[0]!r}")
+    _check_fields(doc, _REQUIRED_FIELDS, _TOP_LEVEL_FIELDS, lax)
 
     def where(i: int) -> str:  # state node i: pre, post, then each projector's state
         return ("pre", "post")[i] if i < 2 else f"projectors[{i-2}].state ({nodes[i-2]['label']!r})"
@@ -509,13 +509,7 @@ def load(data: bytes | str, *, lax: bool = False, tol_check: float = TOL_CHECK) 
     for i, node in enumerate(nodes):
         if not isinstance(node, dict):
             raise ScenarioParseError("projector must be an object", f"projectors[{i}]")
-        if node.keys() != _PROJECTOR_FIELDS:
-            missing = sorted(_PROJECTOR_FIELDS - set(node))
-            if missing:
-                raise ScenarioParseError(f"missing field(s): {', '.join(missing)}", f"projectors[{i}]")
-            unknown = sorted(set(node) - _PROJECTOR_FIELDS)
-            if unknown and not lax:
-                raise ScenarioParseError(f"unknown field {unknown[0]!r}", f"projectors[{i}]")
+        _check_fields(node, _PROJECTOR_FIELDS, _PROJECTOR_FIELDS, lax, f"projectors[{i}]")
         states.append(_state_node(node["state"], i + 2, where))
     pre, post, *states = _load_states(states, tol_check, where)
     projectors = _build("projectors", LabeledProjector, [node["label"] for node in nodes], states)

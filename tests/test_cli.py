@@ -389,6 +389,13 @@ class TestOptimize:
         assert main(["optimize", "hardy", "--exclusivity-tol", "-5"]) == 2
         assert capsys.readouterr().err == "qpp: --exclusivity-tol applies only to cabello-family\n"
 
+    @pytest.mark.parametrize("flag", ["--refine-tol", "--exclusivity-tol"])
+    def test_infinite_search_tolerance_exit_2(self, capsys, flag):
+        """Refused like every other tolerance: exit 2 and one qpp: line naming it."""
+        assert main(["optimize", "cabello-family", flag, "inf"]) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr() == ("", f"qpp: {name} must be positive and finite, got inf\n")
+
     def test_grid_above_cap_exit_2(self, capsys):
         assert main(["optimize", "hardy", "--grid", "257"]) == 2
         assert capsys.readouterr().err == "qpp: grid must be at most 256, got 257\n"

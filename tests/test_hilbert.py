@@ -1,14 +1,31 @@
 """Tests for states and the rank-1 linear-algebra toolkit."""
 
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import dense_deviation_oracle, dense_projector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpp import (
+    abl_probability,
+    cabello_scenario,
+    contradiction_trace,
+    forced_values,
+    hardy_scenario,
+    load,
+    maximize_cabello_family,
+    maximize_hardy,
+    save,
+    validate,
+)
 from qpp.hilbert import (
     RowError,
     StateVector,
+    _check_tol,
     certain_values,
     context_deviations,
     inner,
@@ -428,3 +445,56 @@ class TestLinalgNormBits:
             if 0.0 < r and abs(a1[0, 0]) >= above:
                 assert certain_values(row, state, tol=r).tolist() == [[-1]]
                 assert certain_values(row, state, tol=above).tolist() == [[1]]
+
+
+CABELLO = cabello_scenario()
+EYE2 = np.eye(2, dtype=np.complex128)
+
+# Every public entry point that takes a tolerance: the name its messages
+# give the tolerance, and a call at tolerance tol.
+TOLERANCE_ENTRY_POINTS = {
+    "unit_states": ("tol", lambda tol: unit_states(EYE2.copy(), tol)),
+    "certain_values": ("tol", lambda tol: certain_values(EYE2, EYE2, tol)),
+    "load": ("tol", lambda tol: load(save(CABELLO), tol_check=tol)),
+    "validate": ("tol", lambda tol: validate(CABELLO, tol)),
+    "forced_values": ("tol", lambda tol: forced_values(CABELLO, tol)),
+    "abl_probability": ("tol", lambda tol: abl_probability(CABELLO, "delta+", tol)),
+    "contradiction_trace": ("tol", lambda tol: contradiction_trace(CABELLO, tol)),
+    "hardy_scenario": ("tol", lambda tol: hardy_scenario(0.9, 0.7, tol)),
+    "maximize_hardy": ("refine_tol", lambda tol: maximize_hardy(16, tol)),
+    "maximize_cabello_family": ("refine_tol", lambda tol: maximize_cabello_family(16, tol)),
+    "maximize_cabello_family.exclusivity_tol":
+        ("exclusivity_tol", lambda tol: maximize_cabello_family(16, exclusivity_tol=tol)),
+}
+
+
+class TestOneToleranceRule:
+    """hilbert._check_tol is the one rule, and every entry point applies it
+    before any work: a bool or a non-number is not read as a tolerance, and
+    an infinite one is refused like 0."""
+
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=repr)
+    def test_non_number_is_a_type_error(self, entry, tol):
+        name, call = TOLERANCE_ENTRY_POINTS[entry]
+        message = f"{name} must be a real number, got {tol!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(tol)
+
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    def test_infinity_is_a_value_error(self, entry):
+        name, call = TOLERANCE_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            call(math.inf)
+
+    @pytest.mark.parametrize("tol, shown", [
+        (1, "1.0e+00"), (np.int64(1), "1.0e+00"), (np.float64(1e-9), "1.0e-09"),
+        (np.float32(1e-3), "1.0e-03"), (Fraction(1, 10 ** 9), "1.0e-09"),
+    ], ids=repr)
+    def test_any_real_number_in_range_is_accepted(self, tol, shown):
+        """Not only a float: the fast path for floats refuses nothing, and a
+        row that fails the norm test names any real tolerance."""
+        assert _check_tol(tol) is None
+        message = f"norm deviates from 1 by 4.000e+00, tolerance {shown}"
+        with pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+            unit_states(np.array([[3.0, 4.0]], dtype=np.complex128), tol)

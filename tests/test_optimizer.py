@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ HARDY_MAX = ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
 HALF_PI = math.pi / 2.0
 
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-# Log-uniform over [1e-300, 10], and inf, which admits every member.
-exclusivity_tols = st.one_of(st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e), st.just(math.inf))
+# Log-uniform over [1e-300, 10]; an infinite tolerance is refused.
+exclusivity_tols = st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e)
 P_LATTICE = np.linspace(0.0, 1.0, 10_002)[1:-1]
 
 
@@ -360,13 +361,27 @@ class TestSearchResultTypes:
 
     @pytest.mark.parametrize("refine_tol, error, rule", [
         ("1e-3", TypeError, "a real number"), (None, TypeError, "a real number"),
-        (True, TypeError, "a real number"), (0.0, ValueError, "positive"),
-        (-1e-3, ValueError, "positive"), (math.nan, ValueError, "positive"),
+        (True, TypeError, "a real number"), (0.0, ValueError, "positive and finite"),
+        (-1e-3, ValueError, "positive and finite"), (math.nan, ValueError, "positive and finite"),
     ])
     def test_bad_refine_tol_is_refused_by_name(self, search, refine_tol, error, rule):
         message = f"refine_tol must be {rule}, got {refine_tol!r}"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             search(16, refine_tol)
+
+    def test_widest_grid_memory_is_bounded(self, search):
+        """At MAX_GRID, Hardy's first grid holds 65536 points (2.6 MiB peak,
+        a few float64 arrays of them) and the family's 256 Python floats
+        (6 KiB): under 8 arrays of grid**2 floats and 64 KiB."""
+        bound = 8 * 8 * MAX_GRID ** 2 if search is maximize_hardy else 64 * 2**10
+        tracemalloc.start()
+        try:
+            result = search(MAX_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.grid_resolution == MAX_GRID
+        assert peak < bound
 
     def test_integer_like_grid_is_a_plain_int(self, search):
         result = search(np.int64(16))
