@@ -7,7 +7,7 @@ Subcommands:
   identity, delta exclusivity, the five forced zeros, unsatisfiability
   over all 128 assignments, and the three-step refutation).
 * ``qpp verify hardy``: the same battery for the Hardy construction at
-  given angles, or at the optimizer's angles with ``--optimal``.
+  given angles, or with ``--optimal`` at the optimizer's default optimum.
 * ``qpp check FILE``: validate a scenario file and decide noncontextual
   satisfiability; SAT and UNSAT both exit 0.
 * ``qpp optimize {hardy,cabello-family}``: run the maximizers.
@@ -157,11 +157,6 @@ def _equals(name: str, expected, actual) -> Check:
     return Check(name, expected, actual, None, actual == expected)
 
 
-def _given(args, *names: str) -> dict:
-    """The named options the user gave: a flag left out takes the library's default."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _decide(s, tol_check: float):
     """Forced values as dicts, the SatisfiabilityReport and its trace steps as dicts."""
     forced = prepost.forced_values(s, tol_check)
@@ -181,12 +176,9 @@ def _verify_hardy(args, tol_check: float):
         raise ValueError("verify hardy: --optimal conflicts with --theta-a/--theta-b")
     if not args.optimal and (args.theta_a is None or args.theta_b is None):
         raise ValueError("verify hardy: supply both --theta-a and --theta-b, or --optimal")
-    search = _given(args, "grid", "refine_tol")
-    if search and not args.optimal:
-        raise ValueError("verify hardy: --grid and --refine-tol apply only with --optimal")
     theta_a, theta_b, after, found = args.theta_a, args.theta_b, [], {}
     if args.optimal:
-        result = maximize_hardy(**search)
+        result = maximize_hardy()
         params = dict(result.parameters)
         theta_a, theta_b = params["theta_a"], params["theta_b"]
         after.append(_within("optimal_probability", HARDY_MAX_PROBABILITY, result.objective, 1e-6))
@@ -278,7 +270,9 @@ def _cmd_check(args, tol_check: float) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    search = _given(args, "grid", "refine_tol", "exclusivity_tol")
+    # Only the flags the user gave reach the search: one left out takes the library's default.
+    search = {name: getattr(args, name) for name in ("grid", "refine_tol", "exclusivity_tol")
+              if getattr(args, name) is not None}
     if args.target == "hardy" and "exclusivity_tol" in search:
         raise ValueError("--exclusivity-tol applies only to cabello-family")
     result = (maximize_hardy if args.target == "hardy" else maximize_cabello_family)(**search)
@@ -305,11 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vh = vtargets.add_parser("hardy", help="the two-qubit Hardy construction")
     vh.add_argument("--theta-a", type=float, help="first polar angle, in (0, pi/2)")
     vh.add_argument("--theta-b", type=float, help="second polar angle, in (0, pi/2)")
-    vh.add_argument("--optimal", action="store_true", help="verify at the optimizer's angles")
-    vh.add_argument("--grid", type=int,
-                    help=f"initial grid resolution, --optimal only (default {DEFAULT_GRID})")
-    vh.add_argument("--refine-tol", type=float,
-                    help=f"refinement tolerance, --optimal only (default {DEFAULT_REFINE_TOL})")
+    vh.add_argument("--optimal", action="store_true",
+                    help="verify at the angles optimize hardy finds at its defaults")
     for target in (vc, vh):
         target.add_argument("--json", action="store_true", help="emit the report as JSON")
         target.add_argument("--export", metavar="PATH", help="also write the scenario file")

@@ -50,9 +50,16 @@ TOL_CHECK = 1e-9
 
 def _check_tol(tol: float, name: str = "tol") -> None:
     """The one tolerance rule: a bool or a non-real tol is a TypeError, and one
-    outside (0, inf) a ValueError.  A float skips the slow numbers.Real test."""
-    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
-        raise TypeError(f"{name} must be a real number, got {tol!r}")
+    outside (0, inf) a ValueError.  Any other real is judged, and named, as the
+    float it is used as, so one beyond the float range counts as infinite.  A
+    float skips the slow numbers.Real test and the conversion."""
+    if type(tol) is not float:
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {tol!r}")
+        try:
+            tol = float(tol)
+        except OverflowError:
+            tol = np.inf if tol > 0 else -np.inf
     if not 0.0 < tol < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 

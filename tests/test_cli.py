@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from conftest import grid_scenario, ks18_scenario, witness_heavy_scenario
 
-from qpp import nchv
+from qpp import cli, nchv
 from qpp import Context, LabeledProjector, PrePostScenario, StateVector, load, save
 from qpp import cabello_scenario, forced_values, single_qubit_scenario
 from qpp.cli import Check, Report, main
@@ -115,45 +115,41 @@ class TestVerifyHardy:
         assert main(["verify", "hardy", "--optimal", "--theta-a", "0.4"]) == 2
         assert "--optimal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--grid", "8"], ["--refine-tol", "-1"],
-                                       ["--grid", "64", "--refine-tol", "1e-9"]])
-    def test_search_flags_without_optimal_exit_2(self, capsys, flags):
-        """--grid and --refine-tol tune the --optimal search; given alone,
-        even at their defaults, they are refused, never silently ignored."""
-        assert main(["verify", "hardy", "--theta-a", "0.5", "--theta-b", "0.6", *flags]) == 2
+    @pytest.mark.parametrize("flags", [["--grid", "16"], ["--refine-tol", "1e-3"]],
+                             ids=["grid", "refine-tol"])
+    def test_search_flags_are_unrecognized(self, capsys, flags):
+        """--optimal searches at the library's defaults; a search setting
+        belongs to optimize hardy, whose angles --theta-a/--theta-b verify."""
+        assert main(["verify", "hardy", "--optimal", *flags]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "qpp: verify hardy: --grid and --refine-tol apply only with --optimal\n"
+        assert out.err.endswith(f"qpp: error: unrecognized arguments: {' '.join(flags)}\n")
 
     @pytest.mark.parametrize("flags, grid, refine_tol", [
-        (["verify", "hardy", "--optimal", "--grid", "16"], 16, 1e-9),
-        (["verify", "hardy", "--optimal", "--refine-tol", "1e-3"], 64, 1e-3),
+        (["verify", "hardy", "--optimal"], 64, 1e-9),
         (["optimize", "hardy", "--refine-tol", "1e-3"], 64, 1e-3),
         (["optimize", "cabello-family", "--grid", "16"], 16, 1e-9),
     ])
     def test_optimal_search_defaults(self, capsys, flags, grid, refine_tol):
-        """On verify hardy --optimal and on optimize, a search flag left
-        out takes the library's default."""
+        """verify hardy --optimal searches at the library's defaults, and on
+        optimize a search flag left out takes the library's default."""
         assert main([*flags, "--json"]) == 0
         details = json.loads(capsys.readouterr().out)["details"]
         assert (details["grid_resolution"], details["refine_tolerance"]) == (grid, refine_tol)
 
     def test_optimal_mode(self, capsys):
-        assert main(["verify", "hardy", "--optimal", "--grid", "16"]) == 0
+        assert main(["verify", "hardy", "--optimal"]) == 0
         out = capsys.readouterr().out
         assert "optimal_probability" in out
         assert "overall: PASS" in out
 
-    @pytest.mark.parametrize("argv, extra_checks, extra_details, failed", [
-        (["--theta-a", "0.9", "--theta-b", "0.7"], [], [], []),
-        (["--optimal", "--grid", "16"], ["optimal_probability"],
-         ["evaluations", "grid_resolution", "refine_tolerance"], []),
-        # A valid scenario whose coarse optimum misses the bound: a numerical failure.
-        (["--optimal", "--grid", "16", "--refine-tol", "0.5"], ["optimal_probability"],
-         ["evaluations", "grid_resolution", "refine_tolerance"], ["optimal_probability"]),
-    ], ids=["angles", "optimal", "coarse-optimum"])
-    def test_json_report_shape(self, capsys, argv, extra_checks, extra_details, failed):
-        assert main(["verify", "hardy", *argv, "--json"]) == (4 if failed else 0)
+    @pytest.mark.parametrize("argv, extra_checks, extra_details", [
+        (["--theta-a", "0.9", "--theta-b", "0.7"], [], []),
+        (["--optimal"], ["optimal_probability"],
+         ["evaluations", "grid_resolution", "refine_tolerance"]),
+    ], ids=["angles", "optimal"])
+    def test_json_report_shape(self, capsys, argv, extra_checks, extra_details):
+        assert main(["verify", "hardy", *argv, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["artifact_version", "command", "checks", "overall", "details"]
         assert [c["name"] for c in doc["checks"]] == [
@@ -161,12 +157,23 @@ class TestVerifyHardy:
             "delta_pair_exclusive", "forced_values", "nchv_status", "assignments_examined",
             "contradiction_trace", *extra_checks, "probability_below_bound",
         ]
-        assert [c["name"] for c in doc["checks"] if not c["pass"]] == failed
-        assert doc["overall"] is (not failed)
+        assert all(c["pass"] for c in doc["checks"])
+        assert doc["overall"] is True
         assert list(doc["details"]) == [
             "forced_values", "trace", "selection_probability", "theta_a", "theta_b",
             *extra_details,
         ]
+
+    def test_missed_optimum_is_a_numerical_failure(self, capsys, monkeypatch):
+        """A valid scenario whose optimum misses the bound fails one check:
+        exit 4, in text and in JSON."""
+        monkeypatch.setattr(cli, "HARDY_MAX_PROBABILITY", 0.5)
+        assert main(["verify", "hardy", "--optimal"]) == 4
+        assert capsys.readouterr().out.endswith("\noverall: FAIL\n")
+        assert main(["verify", "hardy", "--optimal", "--json"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["optimal_probability"]
+        assert doc["overall"] is False
 
 
 class TestCheck:
@@ -444,7 +451,7 @@ class TestExitCodeTable:
         )
 
     def test_convergence_error_exit_4(self, capsys):
-        argv = ["verify", "hardy", "--optimal", "--refine-tol", "1e-40"]
+        argv = ["optimize", "hardy", "--refine-tol", "1e-40"]
         assert self.run(capsys, argv) == (
             4, "qpp: refinement did not reach tolerance 1e-40 within 60 iterations\n"
         )
@@ -478,17 +485,15 @@ class TestUsage:
         assert main(["verify", "--help"]) == 0
 
     def test_help_names_the_library_defaults(self, capsys):
-        """--help spells each search default from qpp.optimizer, the
-        constants the maximizers' signatures use."""
+        """optimize --help spells each search default from qpp.optimizer,
+        the constants the maximizers' signatures use."""
         assert maximize_hardy.__defaults__ == (DEFAULT_GRID, DEFAULT_REFINE_TOL)
         assert maximize_cabello_family.__defaults__ == (
             DEFAULT_GRID, DEFAULT_REFINE_TOL, DEFAULT_EXCLUSIVITY_TOL)
         assert main(["optimize", "--help"]) == 0
-        assert main(["verify", "hardy", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         for value in (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEFAULT_EXCLUSIVITY_TOL):
             assert f"(default {value})" in text
-        assert text.count(f"(default {DEFAULT_GRID})") == 2
 
 
 class TestReportModel:

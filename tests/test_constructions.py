@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,3 +297,34 @@ class TestSingleQubitScenario:
         assert save(single_qubit_scenario(np.int64(3), np.int64(7))) == save(
             single_qubit_scenario(3, 7)
         )
+
+
+class TestMemoryIsBounded:
+    """Peaks measured at 6-8 KiB per fixed builder and about 1.2 KB per
+    single-qubit context; each bound leaves headroom over its measure."""
+
+    @pytest.mark.parametrize("build", [
+        cabello_scenario, lambda: hardy_scenario(0.9, 0.7), lambda: cabello_family(1 / 3, 1 / 2),
+    ], ids=["cabello_scenario", "hardy_scenario", "cabello_family"])
+    def test_fixed_builders(self, build):
+        """Each fixed-size scenario peaks under 16 KiB once warm."""
+        build()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10
+
+    def test_single_qubit_scenario_is_linear_in_contexts(self):
+        """10**4 contexts (11.6 MiB measured) under 2 KiB per context."""
+        n = 10**4
+        tracemalloc.start()
+        try:
+            s = single_qubit_scenario(n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.contexts) == n
+        assert peak < n * 2**11

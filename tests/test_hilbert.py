@@ -471,7 +471,7 @@ TOLERANCE_ENTRY_POINTS = {
 class TestOneToleranceRule:
     """hilbert._check_tol is the one rule, and every entry point applies it
     before any work: a bool or a non-number is not read as a tolerance, and
-    an infinite one is refused like 0."""
+    an infinite one, or a real beyond the float range, is refused like 0."""
 
     @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
     @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=repr)
@@ -486,6 +486,16 @@ class TestOneToleranceRule:
         name, call = TOLERANCE_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
             call(math.inf)
+
+    @pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+    @pytest.mark.parametrize("tol", [10 ** 400, 10 ** 5000, Fraction(10 ** 400)],
+                             ids=["10**400", "10**5000", "Fraction(10**400)"])
+    def test_real_beyond_the_float_range_is_a_value_error(self, entry, tol):
+        """Judged as the float it would be used as: infinite, and refused by
+        name, not a bare OverflowError or a run at an unusable tolerance."""
+        name, call = TOLERANCE_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            call(tol)
 
     @pytest.mark.parametrize("tol, shown", [
         (1, "1.0e+00"), (np.int64(1), "1.0e+00"), (np.float64(1e-9), "1.0e-09"),

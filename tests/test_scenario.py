@@ -557,6 +557,26 @@ class TestSaveLoad:
         assert back == s
         assert peak < 4 * len(data)
 
+    def test_save_memory_is_linear_in_output_bytes(self):
+        """500 random projectors at dim 64, a 2.58 MiB file: the peak holds the
+        amplitudes as Python floats, the projector strings, the text and its
+        bytes, about 3.8 times the output, under 5 times it."""
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((502, 64)) + 1j * rng.standard_normal((502, 64))
+        pre, post, *states = unit_states(raw / row_norms(raw)[:, None])
+        s = PrePostScenario(
+            dim=64, pre=pre, post=post,
+            projectors=tuple(LabeledProjector(f"p{i}", v) for i, v in enumerate(states)), contexts=(),
+        )
+        tracemalloc.start()
+        try:
+            data = save(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load(data) == s
+        assert peak < 5 * len(data)
+
     def test_output_shape(self):
         doc = json.loads(save(tiny_scenario()))
         assert list(doc) == ["dim", "metadata", "pre", "post", "projectors",
